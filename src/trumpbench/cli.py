@@ -21,24 +21,18 @@ from trumpbench.eaf import RunGroup, attainment_surface, eaf_test
 from trumpbench.experiments import (
     Approach,
     ExperimentConfig,
+    _indicator_block,
     balance_metric_study,
     compare_to_reference_decks,
     derive_seed,
+    describe_error,
     execute_run,
     run_experiment,
+    write_report_json,
 )
 from trumpbench.game import Policy, simulate
-from trumpbench.indicators import (
-    FrontSet,
-    eps_indicator,
-    hv_indicator,
-    normalize_sets,
-    r2_indicator,
-    read_front_csv,
-    simplex_lattice_weights,
-    write_front_csv,
-)
-from trumpbench.moea import VariationParams
+from trumpbench.indicators import normalize_sets, read_front_csv, write_front_csv
+from trumpbench.moea import EAConfig, VariationParams
 from trumpbench.objectives import ObjectiveKind
 from trumpbench.ocd import OCDParams
 from trumpbench.synth import synthetic_reference_decks
@@ -50,10 +44,12 @@ POLICY_PAIRS = {
 
 
 def _shape_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cards", type=int, default=32, help="cards per deck (K)")
-    parser.add_argument("--categories", type=int, default=4, help="categories per card (L)")
-    parser.add_argument("--lo", type=float, default=1.0, help="lower value bound")
-    parser.add_argument("--hi", type=float, default=10.0, help="upper value bound")
+    parser.add_argument("--cards", type=int, default=DeckShape.K, help="cards per deck (K)")
+    parser.add_argument(
+        "--categories", type=int, default=DeckShape.L, help="categories per card (L)"
+    )
+    parser.add_argument("--lo", type=float, default=DeckShape.lo, help="lower value bound")
+    parser.add_argument("--hi", type=float, default=DeckShape.hi, help="upper value bound")
 
 
 def _shape_from(args) -> DeckShape:
@@ -81,26 +77,30 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    kind = ObjectiveKind(args.objective)
-    shape = _shape_from(args)
-    job = (
-        f"{kind.value}{args.mu}",
-        kind.value,
-        args.mu,
-        args.seed,
-        (shape.K, shape.L, shape.lo, shape.hi),
-        (args.pc, None, args.eta_c, args.eta_m),
-        args.evals,
-        (args.ocd_window, args.ocd_var_limit, args.ocd_alpha, ["hv", "eps", "r2"]),
-        args.games,
-    )
-    label, seed, artifact, error = execute_run(job)
+    try:
+        config = EAConfig(
+            mu=args.mu,
+            objective=ObjectiveKind(args.objective),
+            shape=_shape_from(args),
+            variation=VariationParams(pc=args.pc, eta_c=args.eta_c, eta_m=args.eta_m),
+            max_evals=args.evals,
+            seed=args.seed,
+            ocd=OCDParams(
+                window=args.ocd_window, var_limit=args.ocd_var_limit, alpha=args.ocd_alpha
+            ),
+            games=args.games,
+        )
+    except ValueError as exc:
+        artifact, error = None, describe_error(exc)
+    else:
+        artifact, error = execute_run(config)
     if error is not None:
         print(f"run failed: {error}", file=sys.stderr)
         return 1
+    label = artifact["approach"]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"run_{label}_seed{seed}.json"
+    path = out_dir / f"run_{label}_seed{config.seed}.json"
     path.write_text(json.dumps(artifact, indent=1), encoding="utf-8")
     print(
         f"{label}: {artifact['n_evals']} evaluations, stop={artifact['stop_reason']}, "
@@ -109,57 +109,61 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _parse_approaches(text: str) -> tuple[Approach, ...]:
+    tokens = [t for t in text.replace(" ", "").split(",") if t]
+    return tuple(Approach(ObjectiveKind(t[0].upper()), int(t[1:])) for t in tokens)
+
+
+def _parse_pm(text: str) -> float | None:
+    return None if text in ("", "auto") else float(text)
+
+
+# Config-file key -> (nested config the value belongs to, field name, parser).
+CONFIG_KEYS = {
+    "approaches": ("experiment", "approaches", _parse_approaches),
+    "runs": ("experiment", "runs", int),
+    "games": ("experiment", "games", int),
+    "seed": ("experiment", "master_seed", int),
+    "out": ("experiment", "output_dir", str),
+    "evals": ("experiment", "max_evals", int),
+    "workers": ("experiment", "workers", int),
+    "surface_level": ("experiment", "surface_level", float),
+    "permutations": ("experiment", "permutations", int),
+    "alpha": ("experiment", "alpha", float),
+    "k": ("shape", "K", int),
+    "l": ("shape", "L", int),
+    "lo": ("shape", "lo", float),
+    "hi": ("shape", "hi", float),
+    "pc": ("variation", "pc", float),
+    "pm": ("variation", "pm", _parse_pm),
+    "eta_c": ("variation", "eta_c", float),
+    "eta_m": ("variation", "eta_m", float),
+    "ocd_window": ("ocd", "window", int),
+    "ocd_var_limit": ("ocd", "var_limit", float),
+    "ocd_alpha": ("ocd", "alpha", float),
+}
+
+
 def parse_config_file(path) -> ExperimentConfig:
-    """Flat key=value config; '#' starts a comment."""
-    values: dict[str, str] = {}
+    """Flat key=value config; '#' starts a comment.  Keys left out take the
+    defaults of the config dataclasses; an unknown key is an error."""
+    found: dict[str, dict] = {"experiment": {}, "shape": {}, "variation": {}, "ocd": {}}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}, line {lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        values[key.strip().lower()] = value.strip()
-
-    def get(key, default=None):
-        return values.get(key, default)
-
-    approaches = []
-    for token in get("approaches", "S10,D10").replace(" ", "").split(","):
-        if not token:
-            continue
-        kind = ObjectiveKind(token[0].upper())
-        approaches.append(Approach(kind, int(token[1:])))
-    shape = DeckShape(
-        K=int(get("k", 32)),
-        L=int(get("l", 4)),
-        lo=float(get("lo", 1.0)),
-        hi=float(get("hi", 10.0)),
-    )
-    pm = get("pm")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key.lower() not in CONFIG_KEYS:
+            raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
+        section, name, parse = CONFIG_KEYS[key.lower()]
+        found[section][name] = parse(value)
     return ExperimentConfig(
-        approaches=tuple(approaches),
-        runs=int(get("runs", 5)),
-        games=int(get("games", 500)),
-        shape=shape,
-        master_seed=int(get("seed", 0)),
-        output_dir=get("out"),
-        max_evals=int(get("evals", 30000)),
-        workers=int(get("workers", 1)),
-        variation=VariationParams(
-            pc=float(get("pc", 1.0)),
-            pm=None if pm in (None, "", "auto") else float(pm),
-            eta_c=float(get("eta_c", 20.0)),
-            eta_m=float(get("eta_m", 15.0)),
-        ),
-        ocd=OCDParams(
-            window=int(get("ocd_window", 10)),
-            var_limit=float(get("ocd_var_limit", 1e-4)),
-            alpha=float(get("ocd_alpha", 0.05)),
-        ),
-        surface_level=float(get("surface_level", 0.5)),
-        permutations=int(get("permutations", 2000)),
-        alpha=float(get("alpha", 0.05)),
+        **found["experiment"],
+        shape=DeckShape(**found["shape"]),
+        variation=VariationParams(**found["variation"]),
+        ocd=OCDParams(**found["ocd"]),
     )
 
 
@@ -177,10 +181,7 @@ def cmd_experiment(args) -> int:
             decks, report, config.games, derive_seed(config.master_seed, "reference-decks")
         )
         if config.output_dir is not None:
-            out = Path(config.output_dir) / "report.json"
-            out.write_text(
-                json.dumps(report.to_json_dict(), indent=1, sort_keys=True), encoding="utf-8"
-            )
+            write_report_json(report, config.output_dir)
     incomplete = [l for l, a in report.approaches.items() if not a.complete]
     status = "complete" if not incomplete else f"incomplete: {', '.join(incomplete)}"
     print(f"experiment {report.config.config_hash()} {status}")
@@ -198,22 +199,10 @@ def cmd_indicators(args) -> int:
     refset = read_front_csv(args.refset, origin="reference")
     normalized, _ = normalize_sets(fronts + [refset])
     norm_fronts, norm_ref = normalized[:-1], normalized[-1]
-    m = norm_ref.m
-    ref_point = np.full(m, 2.1)
-    weights = simplex_lattice_weights(m, 20)
-    ideal = norm_ref.points.min(axis=0) - 0.01
     lines = ["front,hv,eps,r2"]
     for path, fs in zip(front_paths, norm_fronts):
-        lines.append(
-            ",".join(
-                [
-                    path,
-                    repr(hv_indicator(fs, norm_ref, ref_point)),
-                    repr(eps_indicator(fs, norm_ref)),
-                    repr(r2_indicator(fs, weights, ideal)),
-                ]
-            )
-        )
+        block = _indicator_block(fs, norm_ref)
+        lines.append(",".join([path, repr(block["hv"]), repr(block["eps"]), repr(block["r2"])]))
     print("\n".join(lines))
     return 0
 
@@ -237,15 +226,7 @@ def cmd_eaf(args) -> int:
     result = eaf_test(
         group_a, group_b, permutations=args.permutations, alpha=args.alpha, seed=args.seed
     )
-    record = {
-        "statistic": result.statistic,
-        "critical_value": result.critical_value,
-        "p_value": result.p_value,
-        "permutations": result.permutations,
-        "alpha": result.alpha,
-        "reject": result.reject,
-        "seed": args.seed,
-    }
+    record = dataclasses.asdict(result)
     (out_dir / "eaf_test.json").write_text(
         json.dumps(record, indent=1, sort_keys=True), encoding="utf-8"
     )
@@ -257,13 +238,9 @@ def cmd_sample_size(args) -> int:
     deck = load_deck(args.deck, rescale=args.rescale)
     sizes = [int(s) for s in args.sizes.split(",") if s]
     table = balance_metric_study(deck, sizes, args.repeats, args.alpha, args.seed)
-    lines = ["size,metric,halfwidth_q95"]
-    for row in table.rows:
-        lines.append(f"{row.sample_size},{row.metric},{row.halfwidth_q95!r}")
-    output = "\n".join(lines) + "\n"
     if args.out is not None:
-        Path(args.out).write_text(output, encoding="utf-8")
-    print(output, end="")
+        table.write_csv(args.out)
+    print(table.to_csv(), end="")
     return 0
 
 
@@ -295,16 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="one optimizer run, artifact JSON to --out")
     p.add_argument("--objective", choices=["D", "B", "S"], required=True)
     p.add_argument("--mu", type=int, default=10)
-    p.add_argument("--evals", type=int, default=30000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--evals", type=int, default=EAConfig.max_evals)
+    p.add_argument("--seed", type=int, default=EAConfig.seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--games", type=int, default=2000, help="games per B evaluation")
-    p.add_argument("--pc", type=float, default=1.0)
-    p.add_argument("--eta-c", type=float, default=20.0)
-    p.add_argument("--eta-m", type=float, default=15.0)
-    p.add_argument("--ocd-window", type=int, default=10)
-    p.add_argument("--ocd-var-limit", type=float, default=1e-4)
-    p.add_argument("--ocd-alpha", type=float, default=0.05)
+    p.add_argument("--games", type=int, default=EAConfig.games, help="games per B evaluation")
+    p.add_argument("--pc", type=float, default=VariationParams.pc)
+    p.add_argument("--eta-c", type=float, default=VariationParams.eta_c)
+    p.add_argument("--eta-m", type=float, default=VariationParams.eta_m)
+    p.add_argument("--ocd-window", type=int, default=OCDParams.window)
+    p.add_argument("--ocd-var-limit", type=float, default=OCDParams.var_limit)
+    p.add_argument("--ocd-alpha", type=float, default=OCDParams.alpha)
     _shape_args(p)
     p.set_defaults(func=cmd_optimize)
 

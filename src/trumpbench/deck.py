@@ -3,6 +3,7 @@ the flat genome encoding used by the optimizers, and deck CSV files."""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -167,17 +168,19 @@ def random_valid_deck(
 def save_deck(deck: Deck, path, names: list[str] | None = None) -> None:
     """Write a deck CSV: header ``name,<cat_1>,...,<cat_L>``, one card per row.
 
-    Values are written with full round-trip precision.
+    Values are written with full round-trip precision; a name holding a
+    comma or a quote is quoted.
     """
     k, l = deck.values.shape
     if names is None:
         names = [f"card_{i:02d}" for i in range(k)]
     if len(names) != k:
         raise ValueError(f"need {k} card names, got {len(names)}")
-    lines = ["name," + ",".join(f"cat_{j + 1}" for j in range(l))]
-    for name, row in zip(names, deck.values):
-        lines.append(name + "," + ",".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["name", *(f"cat_{j + 1}" for j in range(l))])
+        for name, row in zip(names, deck.values):
+            writer.writerow([name, *(repr(float(x)) for x in row)])
 
 
 def load_deck(path, shape: DeckShape | None = None, rescale: bool = False) -> Deck:
@@ -192,13 +195,12 @@ def load_deck(path, shape: DeckShape | None = None, rescale: bool = False) -> De
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DeckFormatError(f"{path}: empty deck file")
-    header = lines[0].split(",")
+    header, *records = csv.reader(lines)
     if len(header) < 2:
         raise DeckFormatError(f"{path}, line 1: header needs a name and at least one category")
     n_cat = len(header) - 1
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
+    for lineno, fields in enumerate(records, start=2):
         if len(fields) != n_cat + 1:
             raise DeckFormatError(
                 f"{path}, line {lineno}: expected {n_cat + 1} fields, got {len(fields)}"

@@ -5,6 +5,8 @@ attainment analysis, pairwise attainment tests and report artifacts."""
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -35,11 +37,26 @@ from trumpbench.objectives import (
     surrogate_objectives,
 )
 from trumpbench.ocd import OCDParams
-from trumpbench.stats import SampleSizeRow, SampleSizeTable, ci_halfwidth
+from trumpbench.stats import SampleSizeTable, ci_halfwidth, sample_size_study
 
 INDICATOR_REF_OFFSET = 0.1  # reference point at 2.1 per objective after [1,2] scaling
 R2_SUBDIVISIONS = 20
 IDEAL_MARGIN = 0.01
+BALANCE_METRICS = ("win_rate", "announcer_changes", "tightness")
+
+
+def _plain_dict(config) -> dict:
+    """A config dataclass as nested JSON-ready dicts, enums as their value."""
+    return dataclasses.asdict(
+        config,
+        dict_factory=lambda pairs: {
+            key: value.value if isinstance(value, enum.Enum) else value for key, value in pairs
+        },
+    )
+
+
+def describe_error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass(frozen=True)
@@ -56,7 +73,10 @@ class Approach:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    approaches: tuple[Approach, ...]
+    approaches: tuple[Approach, ...] = (
+        Approach(ObjectiveKind.SURROGATE, 10),
+        Approach(ObjectiveKind.DOMINANCE, 10),
+    )
     runs: int = 5
     games: int = 500
     shape: DeckShape = field(default_factory=DeckShape)
@@ -78,31 +98,25 @@ class ExperimentConfig:
             raise ValueError(f"approach labels must be unique, got {labels}")
 
     def config_hash(self) -> str:
-        payload = {
-            "approaches": [a.label for a in self.approaches],
-            "runs": self.runs,
-            "games": self.games,
-            "shape": [self.shape.K, self.shape.L, self.shape.lo, self.shape.hi],
-            "master_seed": self.master_seed,
-            "max_evals": self.max_evals,
-            "variation": [
-                self.variation.pc,
-                self.variation.pm,
-                self.variation.eta_c,
-                self.variation.eta_m,
-            ],
-            "ocd": [
-                self.ocd.window,
-                self.ocd.var_limit,
-                self.ocd.alpha,
-                list(self.ocd.indicators),
-            ],
-            "surface_level": self.surface_level,
-            "permutations": self.permutations,
-            "alpha": self.alpha,
-        }
+        """Hash of every setting that can change the results; where the
+        artifacts go and how many workers produce them are left out."""
+        payload = _plain_dict(self)
+        del payload["output_dir"], payload["workers"]
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+    def run_config(self, approach: Approach, run_idx: int) -> EAConfig:
+        """Optimizer settings of one run; raises ValueError if they are invalid."""
+        return EAConfig(
+            mu=approach.mu,
+            objective=approach.kind,
+            shape=self.shape,
+            variation=self.variation,
+            max_evals=self.max_evals,
+            seed=derive_seed(self.master_seed, approach.label, run_idx),
+            ocd=self.ocd,
+            games=self.games,
+        )
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -128,7 +142,7 @@ def make_evaluator(kind: ObjectiveKind, shape: DeckShape, games: int):
     raise ValueError(f"unsupported objective kind: {kind}")
 
 
-def run_to_artifact(result: RunResult, approach: Approach, config: EAConfig) -> dict:
+def run_to_artifact(result: RunResult, config: EAConfig) -> dict:
     """JSON-ready record of one optimizer run."""
     def individuals(items):
         return [
@@ -141,31 +155,8 @@ def run_to_artifact(result: RunResult, approach: Approach, config: EAConfig) -> 
         ]
 
     return {
-        "approach": approach.label,
-        "config": {
-            "objective": approach.kind.value,
-            "mu": approach.mu,
-            "max_evals": config.max_evals,
-            "games": config.games,
-            "shape": {
-                "K": config.shape.K,
-                "L": config.shape.L,
-                "lo": config.shape.lo,
-                "hi": config.shape.hi,
-            },
-            "variation": {
-                "pc": config.variation.pc,
-                "pm": config.variation.pm,
-                "eta_c": config.variation.eta_c,
-                "eta_m": config.variation.eta_m,
-            },
-            "ocd": {
-                "window": config.ocd.window,
-                "var_limit": config.ocd.var_limit,
-                "alpha": config.ocd.alpha,
-                "indicators": list(config.ocd.indicators),
-            },
-        },
+        "approach": Approach(config.objective, config.mu).label,
+        "config": _plain_dict(config),
         "seed": result.seed,
         "n_evals": result.n_evals,
         "stop_reason": result.stop_reason.value,
@@ -175,30 +166,15 @@ def run_to_artifact(result: RunResult, approach: Approach, config: EAConfig) -> 
     }
 
 
-def execute_run(job: tuple) -> tuple[str, int, dict | None, str | None]:
-    """Worker entry point: run one optimization; never raises."""
-    label, kind_value, mu, seed, shape_tuple, variation_tuple, max_evals, ocd_tuple, games = job
+def execute_run(config: EAConfig) -> tuple[dict | None, str | None]:
+    """Worker entry point: one optimization run as (artifact, None), or
+    (None, error) if it failed; never raises."""
     try:
-        approach = Approach(ObjectiveKind(kind_value), mu)
-        shape = DeckShape(*shape_tuple)
-        config = EAConfig(
-            mu=mu,
-            objective=approach.kind,
-            shape=shape,
-            variation=VariationParams(*variation_tuple),
-            max_evals=max_evals,
-            seed=seed,
-            ocd=OCDParams(ocd_tuple[0], ocd_tuple[1], ocd_tuple[2], tuple(ocd_tuple[3])),
-            games=games,
-        )
-        evaluator = make_evaluator(approach.kind, shape, games)
-        if approach.kind is ObjectiveKind.DOMINANCE:
-            result = so_ea_run(config, evaluator)
-        else:
-            result = sms_emoa_run(config, evaluator)
-        return label, seed, run_to_artifact(result, approach, config), None
+        evaluator = make_evaluator(config.objective, config.shape, config.games)
+        optimize = so_ea_run if config.objective is ObjectiveKind.DOMINANCE else sms_emoa_run
+        return run_to_artifact(optimize(config, evaluator), config), None
     except Exception as exc:  # reported per-run in the report
-        return label, seed, None, f"{type(exc).__name__}: {exc}"
+        return None, describe_error(exc)
 
 
 @dataclass
@@ -217,6 +193,10 @@ class ApproachResult:
     ci_halfwidths: dict | None = None
     rank_front: int | None = None
     rank_surface: int | None = None
+
+    def fail(self, seed: int, error: str) -> None:
+        self.errors.append(f"seed {seed}: {error}")
+        self.complete = False
 
 
 @dataclass
@@ -248,16 +228,7 @@ class ExperimentReport:
             else [[float(x) for x in row] for row in self.reference_front],
             "approaches": {},
             "eaf_tests": {
-                key: {
-                    "statistic": t.statistic,
-                    "critical_value": t.critical_value,
-                    "p_value": t.p_value,
-                    "permutations": t.permutations,
-                    "alpha": t.alpha,
-                    "reject": t.reject,
-                    "seed": t.seed,
-                }
-                for key, t in sorted(self.eaf_tests.items())
+                key: dataclasses.asdict(t) for key, t in sorted(self.eaf_tests.items())
             },
             "set_relations": self.set_relations,
             "reference_decks": self.reference_decks,
@@ -312,7 +283,11 @@ def reevaluate_genomes(
     return points
 
 
-def _indicator_block(front: FrontSet, refset: FrontSet, weights, ideal, ref_point) -> dict:
+def _indicator_block(front: FrontSet, refset: FrontSet) -> dict:
+    """hv, eps and r2 of a front on the [1,2] scale against a reference set."""
+    ref_point = np.full(refset.m, 2.0 + INDICATOR_REF_OFFSET)
+    weights = simplex_lattice_weights(refset.m, R2_SUBDIVISIONS)
+    ideal = refset.points.min(axis=0) - IDEAL_MARGIN
     return {
         "hv": hv_indicator(front, refset, ref_point),
         "eps": eps_indicator(front, refset),
@@ -332,48 +307,29 @@ def _assign_ranks(blocks: dict[str, dict]) -> dict[str, int]:
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the full pipeline and, if configured, write all artifacts."""
-    jobs = []
-    for approach in config.approaches:
-        for run_idx in range(config.runs):
-            seed = derive_seed(config.master_seed, approach.label, run_idx)
-            jobs.append(
-                (
-                    approach.label,
-                    approach.kind.value,
-                    approach.mu,
-                    seed,
-                    (config.shape.K, config.shape.L, config.shape.lo, config.shape.hi),
-                    (
-                        config.variation.pc,
-                        config.variation.pm,
-                        config.variation.eta_c,
-                        config.variation.eta_m,
-                    ),
-                    config.max_evals,
-                    (
-                        config.ocd.window,
-                        config.ocd.var_limit,
-                        config.ocd.alpha,
-                        list(config.ocd.indicators),
-                    ),
-                    config.games,
-                )
-            )
-
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(execute_run, jobs))
-    else:
-        outcomes = [execute_run(job) for job in jobs]
-
     by_label: dict[str, ApproachResult] = {
         a.label: ApproachResult(a, True, [], [], []) for a in config.approaches
     }
-    for label, seed, artifact, error in outcomes:
-        slot = by_label[label]
+    jobs: list[tuple[ApproachResult, EAConfig]] = []
+    for approach in config.approaches:
+        slot = by_label[approach.label]
+        for run_idx in range(config.runs):
+            try:
+                jobs.append((slot, config.run_config(approach, run_idx)))
+            except ValueError as exc:
+                seed = derive_seed(config.master_seed, approach.label, run_idx)
+                slot.fail(seed, describe_error(exc))
+
+    run_configs = [job for _, job in jobs]
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            outcomes = list(pool.map(execute_run, run_configs))
+    else:
+        outcomes = [execute_run(job) for job in run_configs]
+
+    for (slot, job), (artifact, error) in zip(jobs, outcomes):
         if error is not None:
-            slot.errors.append(f"seed {seed}: {error}")
-            slot.complete = False
+            slot.fail(job.seed, error)
         else:
             slot.run_artifacts.append(artifact)
             slot.collected_genomes.append(
@@ -418,11 +374,6 @@ def _analyze(report: ExperimentReport) -> None:
     reference = FrontSet(prune_to_front(transform.apply(all_points)), "reference")
     report.reference_front = reference.points
 
-    m = all_points.shape[1]
-    ref_point = np.full(m, 2.0 + INDICATOR_REF_OFFSET)
-    weights = simplex_lattice_weights(m, R2_SUBDIVISIONS)
-    ideal = reference.points.min(axis=0) - IDEAL_MARGIN
-
     front_blocks: dict[str, dict] = {}
     surface_blocks: dict[str, dict] = {}
     groups: dict[str, RunGroup] = {}
@@ -435,17 +386,13 @@ def _analyze(report: ExperimentReport) -> None:
         )
         groups[label] = RunGroup(run_fronts, label)
         slot.surface_normalized = attainment_surface(groups[label], config.surface_level)
-        slot.indicators_front = _indicator_block(
-            slot.front_normalized, reference, weights, ideal, ref_point
-        )
-        slot.indicators_surface = _indicator_block(
-            slot.surface_normalized, reference, weights, ideal, ref_point
-        )
+        slot.indicators_front = _indicator_block(slot.front_normalized, reference)
+        slot.indicators_surface = _indicator_block(slot.surface_normalized, reference)
         per_run = {
             "hv": [], "eps": [], "r2": [],
         }
         for fs in run_fronts:
-            block = _indicator_block(fs, reference, weights, ideal, ref_point)
+            block = _indicator_block(fs, reference)
             for key in per_run:
                 per_run[key].append(block[key])
         slot.ci_halfwidths = {
@@ -520,20 +467,7 @@ def compare_to_reference_decks(
             entries.append(entry)
         except Exception as exc:
             entries.append({"name": name, "error": f"{type(exc).__name__}: {exc}"})
-    return replace_report_decks(report, entries)
-
-
-def replace_report_decks(report: ExperimentReport, entries: list[dict]) -> ExperimentReport:
-    return ExperimentReport(
-        config=report.config,
-        evaluation_seed=report.evaluation_seed,
-        transform=report.transform,
-        reference_front=report.reference_front,
-        approaches=report.approaches,
-        eaf_tests=report.eaf_tests,
-        set_relations=report.set_relations,
-        reference_decks=report.reference_decks + entries,
-    )
+    return dataclasses.replace(report, reference_decks=report.reference_decks + entries)
 
 
 def write_report_artifacts(report: ExperimentReport, out_dir: Path) -> None:
@@ -559,7 +493,11 @@ def write_report_artifacts(report: ExperimentReport, out_dir: Path) -> None:
                 slot.surface_normalized, out_dir / "fronts" / f"{label}_surface50.csv"
             )
     _write_indicator_csv(report, out_dir / "indicators.csv")
-    (out_dir / "report.json").write_text(
+    write_report_json(report, out_dir)
+
+
+def write_report_json(report: ExperimentReport, out_dir: Path) -> None:
+    (Path(out_dir) / "report.json").write_text(
         json.dumps(report.to_json_dict(), indent=1, sort_keys=True), encoding="utf-8"
     )
 
@@ -605,33 +543,22 @@ def balance_metric_study(
 ) -> SampleSizeTable:
     """Accuracy study of the three balance metrics on one deck.
 
-    Each repeat simulates a fresh batch per size and computes the t-interval
-    halfwidth per metric; rows hold the .95 quantile over repeats.
+    Each repeat simulates one fresh batch per size, from which all three
+    metrics take their t-interval halfwidth; rows hold the .95 quantile
+    over repeats.
     """
-    if repeats < 2:
-        raise ValueError("need at least two repeats")
+
+    def sampler(size: int, rng: np.random.Generator) -> np.ndarray:
+        games = simulate(
+            deck, (Policy.INFORMED, Policy.RANGE_ONLY), size, rng, keep_games=True
+        ).per_game
+        return np.array(
+            [
+                [1.0 if g.tricks_a > g.tricks_b else 0.0 for g in games],
+                [float(g.announcer_changes) for g in games],
+                [g.tightness for g in games],
+            ]
+        )
+
     rng = np.random.default_rng(np.random.SeedSequence((seed, 99)))
-    metrics = ("win_rate", "announcer_changes", "tightness")
-    rows = []
-    for size in sizes:
-        halfwidths = {name: np.empty(repeats) for name in metrics}
-        for r in range(repeats):
-            summary = simulate(
-                deck, (Policy.INFORMED, Policy.RANGE_ONLY), int(size), rng, keep_games=True
-            )
-            wins = np.array(
-                [1.0 if g.tricks_a > g.tricks_b else 0.0 for g in summary.per_game]
-            )
-            changes = np.array([float(g.announcer_changes) for g in summary.per_game])
-            tight = np.array([g.tightness for g in summary.per_game])
-            for name, values in (("win_rate", wins), ("announcer_changes", changes), ("tightness", tight)):
-                halfwidths[name][r] = ci_halfwidth(values, alpha).halfwidth
-        for name in metrics:
-            rows.append(
-                SampleSizeRow(
-                    sample_size=int(size),
-                    metric=name,
-                    halfwidth_q95=float(np.quantile(halfwidths[name], 0.95)),
-                )
-            )
-    return SampleSizeTable(tuple(rows))
+    return sample_size_study(sampler, sizes, repeats, alpha, rng, metric=BALANCE_METRICS)

@@ -59,7 +59,7 @@ class EAConfig:
     objective: ObjectiveKind
     shape: DeckShape = field(default_factory=DeckShape)
     variation: VariationParams = field(default_factory=VariationParams)
-    max_evals: int = 20_000
+    max_evals: int = 30_000
     seed: int = 0
     ocd: OCDParams = field(default_factory=OCDParams)
     games: int = 2_000
@@ -181,7 +181,10 @@ def _eval_rng(seed: int, eval_index: int) -> np.random.Generator:
 
 
 class _RunState:
-    """Shared machinery of both optimizers: init, variation, evaluation."""
+    """Shared machinery of both optimizers: init, variation, evaluation and
+    the run loop.  Each optimizer supplies ``step`` (one offspring, one
+    replacement), ``record_generation`` (its convergence test) and
+    ``_front`` (the individuals a finished run reports)."""
 
     def __init__(self, config: EAConfig, evaluator: Evaluator):
         self.config = config
@@ -241,6 +244,30 @@ class _RunState:
     def objective_matrix(self) -> np.ndarray:
         return np.array([ind.objectives for ind in self.population])
 
+    def run(self) -> RunResult:
+        """Initialize, then step until the budget is spent or the
+        optimizer's own convergence test fires at a generation boundary."""
+        self.initialize()
+        self.assert_population_valid()
+        mu = self.config.mu
+        self.record_generation()
+        stop_reason = StopReason.BUDGET
+        while self.n_evals < self.config.max_evals:
+            self.step()
+            if self.n_evals % mu == 0:
+                self.assert_population_valid()
+                if self.record_generation() is Decision.CONVERGED:
+                    stop_reason = StopReason.CONVERGED
+                    break
+        return RunResult(
+            final_population=tuple(self.population),
+            front=self._front(),
+            n_evals=self.n_evals,
+            stop_reason=stop_reason,
+            indicator_trace=tuple(self.trace),
+            seed=self.config.seed,
+        )
+
 
 class SmsEmoa(_RunState):
     """Steady-state (mu+1) optimizer selecting by rank, then hypervolume loss."""
@@ -293,33 +320,9 @@ class SmsEmoa(_RunState):
         self.trace.append(values)
         return ocd_update(self.ocd_state, values)
 
-    def run(self) -> RunResult:
-        self.initialize()
-        self.assert_population_valid()
-        mu = self.config.mu
-        self.record_generation()
-        stop_reason = StopReason.BUDGET
-        while self.n_evals < self.config.max_evals:
-            self.step()
-            if self.n_evals % mu == 0:
-                self.assert_population_valid()
-                if self.record_generation() is Decision.CONVERGED:
-                    stop_reason = StopReason.CONVERGED
-                    break
-        return self._result(stop_reason)
-
-    def _result(self, stop_reason: StopReason) -> RunResult:
-        objs = self.objective_matrix()
-        ranks = nondominated_sort(objs)
-        front = tuple(ind for ind, r in zip(self.population, ranks) if r == 1)
-        return RunResult(
-            final_population=tuple(self.population),
-            front=front,
-            n_evals=self.n_evals,
-            stop_reason=stop_reason,
-            indicator_trace=tuple(self.trace),
-            seed=self.config.seed,
-        )
+    def _front(self) -> tuple[Individual, ...]:
+        ranks = nondominated_sort(self.objective_matrix())
+        return tuple(ind for ind, r in zip(self.population, ranks) if r == 1)
 
 
 class SingleObjectiveEA(_RunState):
@@ -346,33 +349,10 @@ class SingleObjectiveEA(_RunState):
         self.trace.append({"min": triple[0], "mean": triple[1], "max": triple[2]})
         return so_convergence(self.stagnation, triple, tol=self.config.so_tol)
 
-    def run(self) -> RunResult:
-        self.initialize()
-        self.assert_population_valid()
-        mu = self.config.mu
-        self.record_generation()
-        stop_reason = StopReason.BUDGET
-        while self.n_evals < self.config.max_evals:
-            self.step()
-            if self.n_evals % mu == 0:
-                self.assert_population_valid()
-                if self.record_generation() is Decision.CONVERGED:
-                    stop_reason = StopReason.CONVERGED
-                    break
-        return self._result(stop_reason)
-
-    def _result(self, stop_reason: StopReason) -> RunResult:
+    def _front(self) -> tuple[Individual, ...]:
         pop = sorted(self.population, key=lambda ind: (ind.objectives[0], ind.eval_index))
         best_value = pop[0].objectives[0]
-        front = tuple(ind for ind in pop if ind.objectives[0] == best_value)
-        return RunResult(
-            final_population=tuple(self.population),
-            front=front,
-            n_evals=self.n_evals,
-            stop_reason=stop_reason,
-            indicator_trace=tuple(self.trace),
-            seed=self.config.seed,
-        )
+        return tuple(ind for ind in pop if ind.objectives[0] == best_value)
 
 
 def sms_emoa_run(config: EAConfig, evaluator: Evaluator) -> RunResult:

@@ -35,11 +35,14 @@ class SampleSizeTable:
     def for_metric(self, metric: str) -> list[SampleSizeRow]:
         return [r for r in self.rows if r.metric == metric]
 
-    def write_csv(self, path) -> None:
+    def to_csv(self) -> str:
         lines = ["size,metric,halfwidth_q95"]
         for r in self.rows:
             lines.append(f"{r.sample_size},{r.metric},{r.halfwidth_q95!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return "\n".join(lines) + "\n"
+
+    def write_csv(self, path) -> None:
+        Path(path).write_text(self.to_csv(), encoding="utf-8")
 
 
 def t_quantile(prob: float, dof: int) -> float:
@@ -64,6 +67,7 @@ def ci_halfwidth(samples: Sequence[float], alpha: float = 0.05) -> CIResult:
 
 # A sampler draws `size` per-observation metric values (e.g. one win
 # indicator per simulated game) so each repeat yields its own interval.
+# A sampler of several metrics returns one row of `size` values per metric.
 MetricSampler = Callable[[int, np.random.Generator], np.ndarray]
 
 
@@ -73,28 +77,34 @@ def sample_size_study(
     repeats: int,
     alpha: float,
     rng: np.random.Generator,
-    metric: str = "metric",
+    metric: str | Sequence[str] = "metric",
 ) -> SampleSizeTable:
     """For each sample size, the .95 quantile of the CI halfwidth over repeats.
 
     Each repeat draws a fresh size-long sample, computes its t interval,
     and the upper quantile of those halfwidths is reported as the accuracy
-    attainable at that size.
+    attainable at that size.  With several metric names, each repeat's
+    sample holds one row per metric and the table one row per size and
+    metric, in that order.
     """
+    names = (metric,) if isinstance(metric, str) else tuple(metric)
     if repeats < 2:
         raise ValueError("need at least two repeats")
     rows = []
     for size in sizes:
-        halfwidths = np.empty(repeats)
+        halfwidths = np.empty((len(names), repeats))
         for r in range(repeats):
-            values = np.asarray(sampler(int(size), rng), dtype=float)
-            if values.size != size:
+            values = np.atleast_2d(np.asarray(sampler(int(size), rng), dtype=float))
+            if values.shape != (len(names), size):
                 raise ValueError(
-                    f"sampler returned {values.size} values for requested size {size}"
+                    f"sampler returned values of shape {values.shape} for "
+                    f"{len(names)} metric(s) of requested size {size}"
                 )
-            halfwidths[r] = ci_halfwidth(values, alpha).halfwidth
-        q95 = float(np.quantile(halfwidths, 0.95))
-        rows.append(SampleSizeRow(sample_size=int(size), metric=metric, halfwidth_q95=q95))
+            for j, row in enumerate(values):
+                halfwidths[j, r] = ci_halfwidth(row, alpha).halfwidth
+        for name, widths in zip(names, halfwidths):
+            q95 = float(np.quantile(widths, 0.95))
+            rows.append(SampleSizeRow(sample_size=int(size), metric=name, halfwidth_q95=q95))
     return SampleSizeTable(tuple(rows))
 
 

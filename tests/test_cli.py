@@ -7,6 +7,7 @@ import pytest
 
 from trumpbench.cli import main, parse_config_file
 from trumpbench.deck import DeckShape, load_deck, save_deck
+from trumpbench.experiments import ExperimentConfig
 from trumpbench.indicators import FrontSet, read_front_csv, write_front_csv
 from trumpbench.synth import nondominated_deck
 
@@ -61,6 +62,7 @@ class TestOptimize:
         path = out_dir / "run_D5_seed3.json"
         artifact = json.loads(path.read_text())
         assert artifact["config"]["objective"] == "D"
+        assert artifact["config"]["seed"] == 3
         assert artifact["n_evals"] <= 200
         assert len(artifact["population"]) == 5
         assert artifact["front"]
@@ -76,6 +78,15 @@ class TestOptimize:
             )
             blobs.append((out_dir / "run_S4_seed8.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_invalid_config_reports_failed_run(self, tmp_path, capsys):
+        code = main(
+            ["optimize", "--objective", "S", "--mu", "50", "--evals", "40",
+             "--out", str(tmp_path / "runs")]
+        )
+        assert code == 1
+        assert "run failed: ValueError" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestExperimentCommand:
@@ -124,6 +135,17 @@ class TestExperimentCommand:
         assert config.runs == 3
         assert config.variation.pm == 0.05
         assert config.variation.eta_c == 15.0
+
+    def test_config_parser_defaults_come_from_dataclasses(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("approaches = S10, D10\n")
+        assert parse_config_file(cfg) == ExperimentConfig()
+
+    def test_config_parser_rejects_unknown_key(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("approaches = D10\n# budget\nevlas = 100\n")
+        with pytest.raises(ValueError, match=r"line 3: unknown key 'evlas'"):
+            parse_config_file(cfg)
 
 
 class TestIndicatorsCommand:

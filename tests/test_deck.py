@@ -117,6 +117,14 @@ class TestDeckFiles:
         save_deck(deck, path)
         assert load_deck(path) == deck
 
+    def test_round_trip_with_comma_in_name(self, tmp_path):
+        shape = DeckShape(K=4, L=3)
+        deck = random_valid_deck(shape, np.random.default_rng(3))
+        path = tmp_path / "deck.csv"
+        save_deck(deck, path, names=["Ace, high", 'say "hi"', "c", "d"])
+        assert path.read_text().splitlines()[1].startswith('"Ace, high",')
+        assert load_deck(path) == deck
+
     def test_rescale_maps_midpoint(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text("name,a,b\nc1,0,1\nc2,200,2\nc3,100,3\nc4,50,4\n")

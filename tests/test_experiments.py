@@ -55,6 +55,22 @@ class TestConfig:
         b = mini_config(output_dir="/somewhere/else")
         assert a.config_hash() == b.config_hash()
 
+    def test_hash_ignores_workers_but_not_settings(self):
+        base = mini_config()
+        assert mini_config(workers=2).config_hash() == base.config_hash()
+        assert mini_config(max_evals=301).config_hash() != base.config_hash()
+        assert mini_config(ocd=OCDParams(window=6)).config_hash() != base.config_hash()
+
+    def test_run_config_carries_experiment_settings(self):
+        config = mini_config()
+        approach = config.approaches[0]
+        run = config.run_config(approach, 1)
+        assert (run.objective, run.mu) == (approach.kind, approach.mu)
+        assert run.seed == derive_seed(config.master_seed, approach.label, 1)
+        assert (run.shape, run.ocd, run.max_evals, run.games) == (
+            config.shape, config.ocd, config.max_evals, config.games
+        )
+
     def test_seed_derivation_is_stable(self):
         assert derive_seed(1, "S10", 0) == derive_seed(1, "S10", 0)
         assert derive_seed(1, "S10", 0) != derive_seed(1, "S10", 1)
@@ -124,6 +140,13 @@ class TestRunExperiment:
         run_experiment(config_b)
         assert (tmp_path / "a" / "report.json").read_bytes() == (
             tmp_path / "b" / "report.json"
+        ).read_bytes()
+
+    def test_worker_pool_report_matches_serial(self, tmp_path):
+        run_experiment(mini_config(output_dir=str(tmp_path / "serial")))
+        run_experiment(mini_config(output_dir=str(tmp_path / "pool"), workers=2))
+        assert (tmp_path / "serial" / "report.json").read_bytes() == (
+            tmp_path / "pool" / "report.json"
         ).read_bytes()
 
     def test_failed_approach_marked_incomplete(self):

@@ -102,6 +102,34 @@ class TestSampleSizeStudy:
         t2 = sample_size_study(sampler, [50, 100], 10, 0.05, np.random.default_rng(4))
         assert t1 == t2
 
+    def test_several_metrics_from_one_sampler(self):
+        def one(size, rng):
+            return rng.normal(0, 1, size)
+
+        def both(size, rng):
+            x = rng.normal(0, 1, size)
+            return np.array([x, 3 * x])
+
+        single = sample_size_study(one, [20, 40], 5, 0.05, np.random.default_rng(2))
+        table = sample_size_study(
+            both, [20, 40], 5, 0.05, np.random.default_rng(2), metric=("x", "3x")
+        )
+        assert [(r.sample_size, r.metric) for r in table.rows] == [
+            (20, "x"), (20, "3x"), (40, "x"), (40, "3x"),
+        ]
+        assert [r.halfwidth_q95 for r in table.for_metric("x")] == [
+            r.halfwidth_q95 for r in single.rows
+        ]
+        for x_row, scaled in zip(table.for_metric("x"), table.for_metric("3x")):
+            assert scaled.halfwidth_q95 == pytest.approx(3 * x_row.halfwidth_q95)
+
+    def test_sampler_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            sample_size_study(
+                lambda size, rng: np.zeros((2, size)), [10], 3, 0.05,
+                np.random.default_rng(0), metric=("a", "b", "c"),
+            )
+
     def test_csv_output(self, tmp_path):
         table = sample_size_study(
             lambda size, rng: np.full(size, 2.0),
