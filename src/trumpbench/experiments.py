@@ -19,12 +19,13 @@ from trumpbench.deck import Deck, DeckShape, genome_to_deck
 from trumpbench.eaf import EAFTestResult, RunGroup, attainment_surface, eaf_test, set_strictly_dominates
 from trumpbench.game import Policy, simulate
 from trumpbench.indicators import (
+    IDEAL_MARGIN,
+    REF_OFFSET,
     FrontSet,
     NormalizeTransform,
     eps_indicator,
     fit_normalize_transform,
     hv_indicator,
-    prune_to_front,
     r2_indicator,
     simplex_lattice_weights,
     write_front_csv,
@@ -39,9 +40,6 @@ from trumpbench.objectives import (
 from trumpbench.ocd import OCDParams
 from trumpbench.stats import SampleSizeTable, ci_halfwidth, sample_size_study
 
-INDICATOR_REF_OFFSET = 0.1  # reference point at 2.1 per objective after [1,2] scaling
-R2_SUBDIVISIONS = 20
-IDEAL_MARGIN = 0.01
 BALANCE_METRICS = ("win_rate", "announcer_changes", "tightness")
 
 
@@ -285,8 +283,8 @@ def reevaluate_genomes(
 
 def _indicator_block(front: FrontSet, refset: FrontSet) -> dict:
     """hv, eps and r2 of a front on the [1,2] scale against a reference set."""
-    ref_point = np.full(refset.m, 2.0 + INDICATOR_REF_OFFSET)
-    weights = simplex_lattice_weights(refset.m, R2_SUBDIVISIONS)
+    ref_point = np.full(refset.m, 2.0 + REF_OFFSET)
+    weights = simplex_lattice_weights(refset.m)
     ideal = refset.points.min(axis=0) - IDEAL_MARGIN
     return {
         "hv": hv_indicator(front, refset, ref_point),
@@ -371,7 +369,7 @@ def _analyze(report: ExperimentReport) -> None:
     all_points = np.vstack([s.union_points for s in usable.values()])
     transform = fit_normalize_transform(all_points)
     report.transform = transform
-    reference = FrontSet(prune_to_front(transform.apply(all_points)), "reference")
+    reference = FrontSet(transform.apply(all_points), "reference")
     report.reference_front = reference.points
 
     front_blocks: dict[str, dict] = {}

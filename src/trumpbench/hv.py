@@ -1,10 +1,10 @@
-"""Exact hypervolume computation shared by objectives, selection and
-quality indicators.
+"""The exact hypervolume kernel: the volume of the union of the boxes
+``[0, p_i]`` spanned from the origin by points with nonnegative coordinates.
 
-Everything here works on the canonical "union of boxes anchored at the
-origin" problem: given points ``p_1..p_n`` with nonnegative coordinates,
-compute the volume of ``union_i [0, p_i]``.  Minimization-oriented fronts
-are mapped onto this form by reflecting through their reference point.
+This module owns only that algorithm.  The card hypervolume of a deck
+(:mod:`trumpbench.objectives`) and the minimization API with its policy for
+points outside the reference point (:mod:`trumpbench.indicators`) map their
+inputs onto it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def union_box_volume(points: np.ndarray) -> float:
         return float(pts[:, 0].max())
     if m == 2:
         return _volume_2d(pts)
-    return _volume_sweep(pts)
+    return float(_volume_sweep(pts))
 
 
 def _volume_2d(pts: np.ndarray) -> float:
@@ -60,48 +60,7 @@ def _volume_sweep(pts: np.ndarray) -> float:
         prefix = proj[: i + 1]
         if prefix.shape[1] == 2:
             vol += h * _volume_2d(prefix)
-        elif prefix.shape[1] == 1:
-            vol += h * float(prefix[:, 0].max())
         else:
             vol += h * _volume_sweep(prefix)
     return vol
 
-
-def hypervolume_min(points: np.ndarray, ref: np.ndarray) -> float:
-    """Hypervolume of a minimization front w.r.t. ``ref``.
-
-    Points not strictly below ``ref`` in every coordinate enclose no volume
-    and are ignored.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ref = np.asarray(ref, dtype=float)
-    keep = np.all(pts < ref, axis=1)
-    if not np.any(keep):
-        return 0.0
-    return union_box_volume(ref - pts[keep])
-
-
-def leave_one_out_contributions(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Per-point hypervolume contribution of a minimization front.
-
-    contribution[i] = HV(points) - HV(points without i).  Every point must
-    strictly dominate ``ref``.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    ref = np.asarray(ref, dtype=float)
-    if not np.all(pts < ref):
-        raise ValueError("every point must be strictly below the reference point")
-    boxes = ref - pts
-    total = union_box_volume(boxes)
-    n = boxes.shape[0]
-    if n == 1:
-        return np.array([total])
-    contrib = np.empty(n)
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        mask[i] = False
-        contrib[i] = total - union_box_volume(boxes[mask])
-        mask[i] = True
-    # Exact arithmetic would never go negative; guard against float noise.
-    np.maximum(contrib, 0.0, out=contrib)
-    return contrib

@@ -1,10 +1,16 @@
-"""Unary quality indicators for minimization fronts plus the shared
-normalization onto [1, 2] used before comparing optimizer output."""
+"""Minimization fronts: the hypervolume API, unary quality indicators and
+the shared normalization onto [1, 2] used before comparing optimizer output.
+
+:func:`hypervolume` and :func:`hv_contributions` are the only hypervolume
+entry points for minimization fronts.  Both run on the kernel
+:func:`trumpbench.hv.union_box_volume`, and both reject a point that does
+not strictly dominate the reference point instead of dropping it.
+"""
 
 from __future__ import annotations
 
+import csv
 import enum
-import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -12,6 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from trumpbench.hv import union_box_volume
+
+# The [1, 2] indicator frame: reference point 2 + REF_OFFSET per objective,
+# ideal point IDEAL_MARGIN below the best value, R2 weights on a lattice of
+# R2_SUBDIVISIONS.
+REF_OFFSET = 0.1
+IDEAL_MARGIN = 0.01
+R2_SUBDIVISIONS = 20
 
 
 def prune_to_front(points: np.ndarray) -> np.ndarray:
@@ -82,26 +95,38 @@ class IndicatorValue:
             raise ValueError("indicator values must be finite")
 
 
-def hypervolume(points, ref) -> float:
-    """Exact hypervolume of a minimization front w.r.t. ``ref`` (m <= 3).
-
-    Points not strictly below the reference contribute nothing and are
-    dropped with a warning.
-    """
+def _boxes(points, ref) -> np.ndarray:
+    """``ref - points``; every point must strictly dominate ``ref``."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     ref = np.asarray(ref, dtype=float)
-    if pts.shape[1] > 3:
-        raise ValueError(f"exact hypervolume supports up to 3 objectives, got {pts.shape[1]}")
-    keep = np.all(pts < ref, axis=1)
-    if not np.all(keep):
-        warnings.warn(
-            f"{int((~keep).sum())} point(s) do not strictly dominate the reference "
-            "point and are ignored",
-            stacklevel=2,
-        )
-    if not np.any(keep):
-        return 0.0
-    return union_box_volume(ref - pts[keep])
+    outside = int((~np.all(pts < ref, axis=1)).sum())
+    if outside:
+        raise ValueError(f"{outside} point(s) do not strictly dominate the reference point")
+    return ref - pts
+
+
+def hypervolume(points, ref) -> float:
+    """Exact hypervolume of a minimization front w.r.t. ``ref``, any m."""
+    return union_box_volume(_boxes(points, ref))
+
+
+def hv_contributions(points, ref) -> np.ndarray:
+    """Per-point hypervolume contribution of a minimization front.
+
+    contribution[i] = HV(points) - HV(points without i).
+    """
+    boxes = _boxes(points, ref)
+    total = union_box_volume(boxes)
+    n = boxes.shape[0]
+    contrib = np.empty(n)
+    mask = np.ones(n, dtype=bool)
+    for i in range(n):
+        mask[i] = False
+        contrib[i] = total - union_box_volume(boxes[mask])
+        mask[i] = True
+    # Exact arithmetic would never go negative; guard against float noise.
+    np.maximum(contrib, 0.0, out=contrib)
+    return contrib
 
 
 def hv_indicator(front: FrontSet, refset: FrontSet, ref) -> float:
@@ -130,7 +155,7 @@ def eps_dominance_check(front: FrontSet, refset: FrontSet) -> bool:
     return bool(le.any(axis=0).all())
 
 
-def simplex_lattice_weights(m: int, subdivisions: int = 20) -> np.ndarray:
+def simplex_lattice_weights(m: int, subdivisions: int = R2_SUBDIVISIONS) -> np.ndarray:
     """All nonnegative weight vectors with components k/subdivisions summing to 1."""
     if m < 1 or subdivisions < 1:
         raise ValueError("need m >= 1 and subdivisions >= 1")
@@ -207,11 +232,10 @@ def read_front_csv(path, origin: str | None = None) -> FrontSet:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValueError(f"{path}: front file needs a header and at least one point")
-    m = len(lines[0].split(","))
+    header, *records = csv.reader(lines)
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != m:
-            raise ValueError(f"{path}, line {lineno}: expected {m} values")
+    for lineno, fields in enumerate(records, start=2):
+        if len(fields) != len(header):
+            raise ValueError(f"{path}, line {lineno}: expected {len(header)} values")
         rows.append([float(x) for x in fields])
     return FrontSet(np.array(rows), origin=origin if origin is not None else str(path))

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from trumpbench.deck import Deck, DeckShape, deck_is_valid, genome_to_deck, random_valid_deck
-from trumpbench.hv import hypervolume_min, leave_one_out_contributions
+from trumpbench.indicators import hv_contributions, hypervolume
 from trumpbench.objectives import ObjectiveKind
 from trumpbench.ocd import (
     Decision,
@@ -172,11 +172,6 @@ def nondominated_sort(points: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def hv_contributions(front: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Leave-one-out hypervolume contribution of each point of a front."""
-    return leave_one_out_contributions(front, ref)
-
-
 def _eval_rng(seed: int, eval_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, 2, eval_index)))
 
@@ -314,10 +309,10 @@ class SmsEmoa(_RunState):
 
         info = None
         if record_hv:
-            before = hypervolume_min(self.objective_matrix(), ref)
+            before = hypervolume(self.objective_matrix(), ref)
         self.population = [ind for idx, ind in enumerate(pool) if idx != drop]
         if record_hv:
-            after = hypervolume_min(self.objective_matrix(), ref)
+            after = hypervolume(self.objective_matrix(), ref)
             info = {"hv_before": before, "hv_after": after}
         return info
 

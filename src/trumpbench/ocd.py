@@ -34,6 +34,8 @@ import numpy as np
 from scipy import stats as sps
 
 from trumpbench.indicators import (
+    IDEAL_MARGIN,
+    REF_OFFSET,
     FrontSet,
     eps_indicator,
     fit_normalize_transform,
@@ -236,18 +238,15 @@ class RunIndicatorTracker:
     evaluated vector; the indicators do not use it.
     """
 
-    REF_OFFSET = 0.1
-    IDEAL_MARGIN = 0.01
-
-    def __init__(self, n_objectives: int, window: int = 10, r2_subdivisions: int = 20):
+    def __init__(self, n_objectives: int, window: int = 10):
         if window < 1:
             raise ValueError("window must be at least one generation")
         self.m = n_objectives
         self.window = window
         self.archive: np.ndarray | None = None
-        self.weights = simplex_lattice_weights(n_objectives, r2_subdivisions)
-        self.ref_point = np.full(n_objectives, 2.0 + self.REF_OFFSET)
-        self.ideal = np.full(n_objectives, 1.0 - self.IDEAL_MARGIN)
+        self.weights = simplex_lattice_weights(n_objectives)
+        self.ref_point = np.full(n_objectives, 2.0 + REF_OFFSET)
+        self.ideal = np.full(n_objectives, 1.0 - IDEAL_MARGIN)
         self.populations: deque[np.ndarray] = deque(maxlen=window)
         self.transform = None
         self.reference: FrontSet | None = None

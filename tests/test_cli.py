@@ -168,6 +168,18 @@ class TestIndicatorsCommand:
         assert lines[0] == "front,hv,eps,r2"
         assert len(lines) == 4
 
+    def test_three_objective_values_are_plain_numbers(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        for name in ("front", "ref"):
+            write_front_csv(FrontSet(rng.uniform(1, 2, size=(5, 3)), name), tmp_path / f"{name}.csv")
+        out = run_cli(
+            capsys,
+            "indicators", "--fronts", str(tmp_path / "front.csv"),
+            "--refset", tmp_path / "ref.csv",
+        )
+        row = out.strip().splitlines()[1].split(",")
+        assert [float(cell) for cell in row[1:]]
+
 
 class TestEafCommand:
     def make_groups(self, tmp_path):

@@ -1,9 +1,11 @@
-"""Exact hypervolume core against hand values and Monte Carlo box unions."""
+"""Exact hypervolume kernel and the minimization API on it, against hand
+values and Monte Carlo box unions."""
 
 import numpy as np
 import pytest
 
-from trumpbench.hv import hypervolume_min, leave_one_out_contributions, union_box_volume
+from trumpbench.hv import union_box_volume
+from trumpbench.indicators import hv_contributions, hypervolume
 
 
 def mc_union_volume(points: np.ndarray, rng: np.random.Generator, samples: int = 1_000_000) -> float:
@@ -54,35 +56,32 @@ def test_matches_monte_carlo(dim):
 
 
 def test_min_orientation_hand_values():
-    assert hypervolume_min(np.array([[2.0, 2.0]]), np.array([4.0, 4.0])) == 4.0
+    assert hypervolume(np.array([[2.0, 2.0]]), np.array([4.0, 4.0])) == 4.0
     front = np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
-    assert hypervolume_min(front, np.array([4.0, 4.0])) == 6.0
-    assert hypervolume_min(np.array([[1.0, 1.0, 1.0]]), np.array([2.0, 2.0, 2.0])) == 1.0
-
-
-def test_min_orientation_drops_violators():
-    front = np.array([[1.0, 1.0], [5.0, 0.0]])
-    assert hypervolume_min(front, np.array([4.0, 4.0])) == 9.0
+    assert hypervolume(front, np.array([4.0, 4.0])) == 6.0
+    assert hypervolume(np.array([[1.0, 1.0, 1.0]]), np.array([2.0, 2.0, 2.0])) == 1.0
 
 
 def test_contributions_hand_values():
     front = np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
-    contrib = leave_one_out_contributions(front, np.array([4.0, 4.0]))
+    contrib = hv_contributions(front, np.array([4.0, 4.0]))
     assert contrib == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_contribution_of_singleton_is_full_volume():
-    contrib = leave_one_out_contributions(np.array([[1.0, 2.0]]), np.array([3.0, 4.0]))
+    contrib = hv_contributions(np.array([[1.0, 2.0]]), np.array([3.0, 4.0]))
     assert contrib == pytest.approx([4.0])
 
 
 def test_duplicate_points_contribute_zero():
     front = np.array([[1.0, 3.0], [1.0, 3.0], [3.0, 1.0]])
-    contrib = leave_one_out_contributions(front, np.array([4.0, 4.0]))
+    contrib = hv_contributions(front, np.array([4.0, 4.0]))
     assert contrib[0] == 0.0
     assert contrib[1] == 0.0
 
 
-def test_contributions_reject_point_outside_ref():
-    with pytest.raises(ValueError):
-        leave_one_out_contributions(np.array([[5.0, 1.0]]), np.array([4.0, 4.0]))
+@pytest.mark.parametrize("measure", [hypervolume, hv_contributions], ids=lambda f: f.__name__)
+def test_contributions_reject_point_outside_ref(measure):
+    front = np.array([[1.0, 1.0], [5.0, 1.0], [4.0, 0.0]])
+    with pytest.raises(ValueError, match="2 point"):
+        measure(front, np.array([4.0, 4.0]))
