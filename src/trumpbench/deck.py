@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -156,7 +155,13 @@ def deck_to_genome(deck: Deck) -> np.ndarray:
 def random_valid_deck(
     shape: DeckShape, rng: np.random.Generator, max_tries: int = 10_000
 ) -> Deck:
-    """Draw genes uniformly from [lo, hi], resampling until the deck is valid."""
+    """Draw genes uniformly from [lo, hi], resampling until the deck is valid.
+
+    With one category the highest card beats every other card, so no valid
+    deck exists; that shape raises ValueError before anything is drawn.
+    """
+    if shape.L == 1:
+        raise ValueError(f"no valid deck exists for {shape}: with L=1 the highest card dominates")
     for _ in range(max_tries):
         mat = rng.uniform(shape.lo, shape.hi, size=(shape.K, shape.L))
         deck = Deck(mat, shape)
@@ -183,6 +188,18 @@ def save_deck(deck: Deck, path, names: list[str] | None = None) -> None:
             writer.writerow([name, *(repr(float(x)) for x in row)])
 
 
+def read_csv_rows(path) -> list[tuple[int, list[str]]]:
+    """The non-blank rows of a CSV file, each with its line number in the file."""
+    rows = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            # A blank line reads as no field, or as one field of whitespace.
+            if len(row) > 1 or (row and row[0].strip()):
+                rows.append((reader.line_num, row))
+    return rows
+
+
 def load_deck(path, shape: DeckShape | None = None, rescale: bool = False) -> Deck:
     """Read a deck CSV, optionally rescaling each category onto [lo, hi].
 
@@ -191,16 +208,17 @@ def load_deck(path, shape: DeckShape | None = None, rescale: bool = False) -> De
     already lie inside the shape's range.  Malformed rows raise
     DeckFormatError naming the line.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    records = read_csv_rows(path)
+    if not records:
         raise DeckFormatError(f"{path}: empty deck file")
-    header, *records = csv.reader(lines)
+    (header_line, header), *records = records
     if len(header) < 2:
-        raise DeckFormatError(f"{path}, line 1: header needs a name and at least one category")
+        raise DeckFormatError(
+            f"{path}, line {header_line}: header needs a name and at least one category"
+        )
     n_cat = len(header) - 1
     rows = []
-    for lineno, fields in enumerate(records, start=2):
+    for lineno, fields in records:
         if len(fields) != n_cat + 1:
             raise DeckFormatError(
                 f"{path}, line {lineno}: expected {n_cat + 1} fields, got {len(fields)}"

@@ -6,6 +6,13 @@ knows nothing beyond the valid value range.  A game runs for exactly K/2
 tricks; each player consumes one card per trick in hand order, the trick
 winner announces the next category, and tied tricks score for nobody and
 leave the announcer unchanged.
+
+All games are played by one batched kernel, ``_play_batch``, which loops
+over the K/2 tricks and never over games; :func:`play_game` is a batch of
+one and :func:`simulate` plays its games in chunks of ``CHUNK_GAMES``.
+:func:`simulate` draws its deals one game at a time, in game order, exactly
+as :func:`random_deal` does (the permutation, then the starter), so a seed
+yields the same games as a game-by-game loop would.
 """
 
 from __future__ import annotations
@@ -15,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trumpbench.deck import Deck, DeckShape
+from trumpbench.deck import Deck
+
+# Games played per kernel call by simulate(); bounds the (games, K, L) tensor.
+CHUNK_GAMES = 4096
 
 
 class Policy(enum.Enum):
@@ -104,70 +114,73 @@ def play_game(deck: Deck, deal: Deal, policies: tuple[Policy, Policy]) -> GameRe
     estimate on its front card (ties to the lowest index).  Strictly
     greater value takes the trick and the announcement; equal values tie.
     """
-    shape = deck.shape
-    deal.validate(shape.K)
-    hand_a = deck.values[np.asarray(deal.hand_a, dtype=int)]
-    hand_b = deck.values[np.asarray(deal.hand_b, dtype=int)]
-    return _play_hands(hand_a, hand_b, deal.starter is Player.A, policies, shape)
+    deal.validate(deck.shape.K)
+    perms = np.array([deal.hand_a + deal.hand_b], dtype=np.intp)
+    a_starts = np.array([deal.starter is Player.A])
+    tricks_a, tricks_b, changes = _play_batch(deck.values, perms, a_starts, policies)
+    return _game_results(tricks_a, tricks_b, changes, deck.shape.K // 2)[0]
 
 
-def _play_hands(
-    hand_a: np.ndarray,
-    hand_b: np.ndarray,
-    announcer_is_a: bool,
+def _play_batch(
+    values: np.ndarray,
+    perms: np.ndarray,
+    a_starts: np.ndarray,
     policies: tuple[Policy, Policy],
-    shape: DeckShape,
-) -> GameResult:
-    n_tricks = hand_a.shape[0]
-    lo = shape.lo
-    span = shape.hi - shape.lo
-    informed_a = policies[0] is Policy.INFORMED
-    informed_b = policies[1] is Policy.INFORMED
-    tricks_a = tricks_b = ties = changes = 0
-    for t in range(n_tricks):
-        card_a = hand_a[t]
-        card_b = hand_b[t]
-        if announcer_is_a:
-            if informed_a:
-                remaining = hand_b[t:]
-                est = (remaining < card_a).sum(axis=0)
-            else:
-                est = card_a  # argmax of (v - lo) / span is argmax of v
-        else:
-            if informed_b:
-                remaining = hand_a[t:]
-                est = (remaining < card_b).sum(axis=0)
-            else:
-                est = card_b
-        cat = int(np.argmax(est))
-        va, vb = card_a[cat], card_b[cat]
-        if va > vb:
-            tricks_a += 1
-            if not announcer_is_a:
-                changes += 1
-                announcer_is_a = True
-        elif vb > va:
-            tricks_b += 1
-            if announcer_is_a:
-                changes += 1
-                announcer_is_a = False
-        else:
-            ties += 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Play G games at once; returns per-game (tricks_a, tricks_b, announcer_changes).
 
-    if tricks_a > tricks_b:
-        outcome = Outcome.WIN_A
-    elif tricks_a == tricks_b:
-        outcome = Outcome.DRAW
-    else:
-        outcome = Outcome.WIN_B
-    return GameResult(
-        tricks_a=tricks_a,
-        tricks_b=tricks_b,
-        ties=ties,
-        announcer_changes=changes,
-        outcome=outcome,
-        tightness=float(abs(2 * tricks_a - n_tricks)),
-    )
+    ``perms`` is (G, K): row g lists hand A then hand B of game g, and
+    ``a_starts[g]`` says whether A announces first.  Both players' category
+    choices and the outcome of each choice do not depend on who announces,
+    so they are computed for every trick up front; only the announcer
+    hand-over runs trick by trick, over (G,) vectors.
+    """
+    n_tricks = perms.shape[1] // 2
+    # Trick-major (K, G, L), so that each trick is one contiguous slab.
+    vals = np.take(values, perms.T, axis=0)
+    hand_a, hand_b = vals[:n_tricks], vals[n_tricks:]
+    # outcome[p][t, g]: +1 if A takes trick t when player p announces, -1 if B does, 0 on a tie.
+    outcome = []
+    for own, opp, policy in ((hand_a, hand_b, policies[0]), (hand_b, hand_a, policies[1])):
+        if policy is Policy.INFORMED:
+            # Count of the opponent's remaining cards that own card t beats, per category.
+            est = np.empty(own.shape, dtype=np.intp)
+            for t in range(n_tricks):
+                np.sum(opp[t:] < own[t], axis=0, out=est[t])
+        else:
+            est = own  # argmax of (v - lo) / span is argmax of v
+        cat = np.argmax(est, axis=2)[..., None]
+        va = np.take_along_axis(hand_a, cat, axis=2)[..., 0]
+        vb = np.take_along_axis(hand_b, cat, axis=2)[..., 0]
+        outcome.append((va > vb).astype(np.int8) - (vb > va))
+    announcer_a = np.array(a_starts, dtype=bool)
+    tricks_a = np.zeros(perms.shape[0], dtype=np.intp)
+    tricks_b = np.zeros_like(tricks_a)
+    changes = np.zeros_like(tricks_a)
+    for t in range(n_tricks):
+        result = np.where(announcer_a, outcome[0][t], outcome[1][t])
+        won_a, won_b = result > 0, result < 0
+        tricks_a += won_a
+        tricks_b += won_b
+        changes += (won_a & ~announcer_a) | (won_b & announcer_a)
+        announcer_a = (announcer_a | won_a) & ~won_b
+    return tricks_a, tricks_b, changes
+
+
+def _game_results(
+    tricks_a: np.ndarray, tricks_b: np.ndarray, changes: np.ndarray, n_tricks: int
+) -> list[GameResult]:
+    return [
+        GameResult(
+            tricks_a=a,
+            tricks_b=b,
+            ties=n_tricks - a - b,
+            announcer_changes=c,
+            outcome=Outcome.WIN_A if a > b else Outcome.DRAW if a == b else Outcome.WIN_B,
+            tightness=float(abs(2 * a - n_tricks)),
+        )
+        for a, b, c in zip(tricks_a.tolist(), tricks_b.tolist(), changes.tolist())
+    ]
 
 
 def random_deal(k: int, rng: np.random.Generator) -> Deal:
@@ -185,28 +198,33 @@ def simulate(
     rng: np.random.Generator,
     keep_games: bool = False,
 ) -> SimulationSummary:
-    """Monte Carlo batch: fresh uniform deal and starter for every game."""
+    """Monte Carlo batch: fresh uniform deal and starter for every game.
+
+    Deals are drawn in game order, as :func:`random_deal` draws them, and
+    played in chunks of at most ``CHUNK_GAMES`` games.
+    """
     if games < 1:
         raise ValueError("need at least one game")
-    vals = deck.values
-    shape = deck.shape
-    half = shape.K // 2
-    wins = draws = 0
-    sum_changes = 0
-    sum_tightness = 0.0
+    k = deck.shape.K
+    n_tricks = k // 2
+    wins = draws = sum_changes = sum_tightness = 0
     results: list[GameResult] = []
-    for _ in range(games):
-        perm = rng.permutation(shape.K)
-        starter_is_a = rng.integers(2) == 0
-        result = _play_hands(vals[perm[:half]], vals[perm[half:]], starter_is_a, policies, shape)
-        if result.outcome is Outcome.WIN_A:
-            wins += 1
-        elif result.outcome is Outcome.DRAW:
-            draws += 1
-        sum_changes += result.announcer_changes
-        sum_tightness += result.tightness
+    for start in range(0, games, CHUNK_GAMES):
+        n = min(CHUNK_GAMES, games - start)
+        # rng.permutation(k) shuffles arange(k) in place; shuffling each
+        # row draws the same numbers without allocating a fresh array.
+        perms = np.tile(np.arange(k), (n, 1))
+        a_starts = np.empty(n, dtype=bool)
+        for g in range(n):
+            rng.shuffle(perms[g])
+            a_starts[g] = rng.integers(2) == 0
+        tricks_a, tricks_b, changes = _play_batch(deck.values, perms, a_starts, policies)
+        wins += int(np.count_nonzero(tricks_a > tricks_b))
+        draws += int(np.count_nonzero(tricks_a == tricks_b))
+        sum_changes += int(changes.sum())
+        sum_tightness += int(np.abs(2 * tricks_a - n_tricks).sum())
         if keep_games:
-            results.append(result)
+            results += _game_results(tricks_a, tricks_b, changes, n_tricks)
     return SimulationSummary(
         games=games,
         win_rate_a=wins / games,

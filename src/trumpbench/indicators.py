@@ -9,7 +9,6 @@ not strictly dominate the reference point instead of dropping it.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from trumpbench.deck import read_csv_rows
 from trumpbench.hv import union_box_volume
 
 # The [1, 2] indicator frame: reference point 2 + REF_OFFSET per objective,
@@ -25,6 +25,8 @@ from trumpbench.hv import union_box_volume
 REF_OFFSET = 0.1
 IDEAL_MARGIN = 0.01
 R2_SUBDIVISIONS = 20
+# Bound on the (rows, points) comparison masks of prune_to_front.
+PRUNE_BLOCK_ELEMENTS = 1 << 20
 
 
 def prune_to_front(points: np.ndarray) -> np.ndarray:
@@ -38,16 +40,19 @@ def prune_to_front(points: np.ndarray) -> np.ndarray:
         return pts.copy()
     uniq = np.unique(pts, axis=0)
     n = uniq.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        le = np.all(uniq <= uniq[i], axis=1)
-        lt = np.any(uniq < uniq[i], axis=1)
-        dominated_by = le & lt
-        dominated_by[i] = False
-        if np.any(dominated_by & keep):
-            keep[i] = False
+    # A block of rows is compared with all n points one coordinate at a
+    # time, so the (block, n) masks hold at most PRUNE_BLOCK_ELEMENTS.
+    block = max(1, PRUNE_BLOCK_ELEMENTS // n)
+    keep = np.empty(n, dtype=bool)
+    for start in range(0, n, block):
+        rows = uniq[start : start + block]
+        le = np.ones((rows.shape[0], n), dtype=bool)
+        lt = np.zeros_like(le)
+        for col, row in zip(uniq.T, rows.T):
+            le &= col <= row[:, None]
+            lt |= col < row[:, None]
+        # Points are unique, so <= everywhere and < somewhere is weak dominance.
+        keep[start : start + block] = ~(le & lt).any(axis=1)
     return uniq[keep]
 
 
@@ -228,14 +233,16 @@ def write_front_csv(front: FrontSet, path) -> None:
 
 def read_front_csv(path, origin: str | None = None) -> FrontSet:
     """Read a front file written by write_front_csv."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
+    records = read_csv_rows(path)
+    if len(records) < 2:
         raise ValueError(f"{path}: front file needs a header and at least one point")
-    header, *records = csv.reader(lines)
+    (_, header), *records = records
     rows = []
-    for lineno, fields in enumerate(records, start=2):
+    for lineno, fields in records:
         if len(fields) != len(header):
             raise ValueError(f"{path}, line {lineno}: expected {len(header)} values")
-        rows.append([float(x) for x in fields])
+        try:
+            rows.append([float(x) for x in fields])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: non-numeric value ({exc})") from None
     return FrontSet(np.array(rows), origin=origin if origin is not None else str(path))

@@ -108,6 +108,13 @@ class TestRandomValidDeck:
             assert deck.values.min() >= shape.lo
             assert deck.values.max() <= shape.hi
 
+    def test_single_category_fails_before_drawing(self):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"K=32, L=1"):
+            random_valid_deck(DeckShape(K=32, L=1), rng)
+        assert rng.bit_generator.state == before
+
 
 class TestDeckFiles:
     def test_round_trip(self, tmp_path):
@@ -160,6 +167,12 @@ class TestDeckFiles:
         path = tmp_path / "bad.csv"
         path.write_text("name,a,b\nc1,1,2\nc2,x,4\n")
         with pytest.raises(DeckFormatError, match="line 3"):
+            load_deck(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("name,a,b\n\n  \nc1,1,2\nc2,3\n")
+        with pytest.raises(DeckFormatError, match="line 5"):
             load_deck(path)
 
     def test_out_of_range_without_rescale(self, tmp_path):

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trumpbench.deck import Deck, DeckShape, random_valid_deck
 from trumpbench.game import (
+    CHUNK_GAMES,
     Deal,
+    GameResult,
     Outcome,
     Player,
     Policy,
@@ -15,6 +19,69 @@ from trumpbench.game import (
     range_win_estimate,
     simulate,
 )
+
+
+def _play_hands(
+    hand_a: np.ndarray,
+    hand_b: np.ndarray,
+    announcer_is_a: bool,
+    policies: tuple[Policy, Policy],
+    shape: DeckShape,
+) -> GameResult:
+    """Reference: the game-by-game trick loop the batched kernel replaced."""
+    n_tricks = hand_a.shape[0]
+    lo = shape.lo
+    span = shape.hi - shape.lo
+    informed_a = policies[0] is Policy.INFORMED
+    informed_b = policies[1] is Policy.INFORMED
+    tricks_a = tricks_b = ties = changes = 0
+    for t in range(n_tricks):
+        card_a = hand_a[t]
+        card_b = hand_b[t]
+        if announcer_is_a:
+            if informed_a:
+                remaining = hand_b[t:]
+                est = (remaining < card_a).sum(axis=0)
+            else:
+                est = card_a  # argmax of (v - lo) / span is argmax of v
+        else:
+            if informed_b:
+                remaining = hand_a[t:]
+                est = (remaining < card_b).sum(axis=0)
+            else:
+                est = card_b
+        cat = int(np.argmax(est))
+        va, vb = card_a[cat], card_b[cat]
+        if va > vb:
+            tricks_a += 1
+            if not announcer_is_a:
+                changes += 1
+                announcer_is_a = True
+        elif vb > va:
+            tricks_b += 1
+            if announcer_is_a:
+                changes += 1
+                announcer_is_a = False
+        else:
+            ties += 1
+
+    if tricks_a > tricks_b:
+        outcome = Outcome.WIN_A
+    elif tricks_a == tricks_b:
+        outcome = Outcome.DRAW
+    else:
+        outcome = Outcome.WIN_B
+    return GameResult(
+        tricks_a=tricks_a,
+        tricks_b=tricks_b,
+        ties=ties,
+        announcer_changes=changes,
+        outcome=outcome,
+        tightness=float(abs(2 * tricks_a - n_tricks)),
+    )
+
+
+POLICY_PAIRS = [(pa, pb) for pa in Policy for pb in Policy]
 
 
 def four_card_deck():
@@ -168,3 +235,54 @@ class TestSimulate:
         deck = random_valid_deck(DeckShape(), np.random.default_rng(13))
         with pytest.raises(ValueError):
             simulate(deck, (Policy.INFORMED, Policy.RANGE_ONLY), 0, np.random.default_rng(0))
+
+
+@st.composite
+def integer_games(draw):
+    """A small integer-valued deck (so values tie), a deal and a policy pair."""
+    k = 2 * draw(st.integers(1, 8))
+    l = draw(st.integers(1, 5))
+    cell = st.integers(1, 4).map(float)
+    rows = draw(st.lists(st.lists(cell, min_size=l, max_size=l), min_size=k, max_size=k))
+    perm = draw(st.permutations(range(k)))
+    deal = Deal(tuple(perm[: k // 2]), tuple(perm[k // 2 :]), draw(st.sampled_from(Player)))
+    return Deck(np.array(rows), DeckShape(K=k, L=l)), deal, draw(st.sampled_from(POLICY_PAIRS))
+
+
+class TestKernelMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_games())
+    def test_play_game_equals_trick_loop(self, game):
+        deck, deal, policies = game
+        expected = _play_hands(
+            deck.values[list(deal.hand_a)],
+            deck.values[list(deal.hand_b)],
+            deal.starter is Player.A,
+            policies,
+            deck.shape,
+        )
+        assert play_game(deck, deal, policies) == expected
+
+    @pytest.mark.parametrize("games", [1, 37, CHUNK_GAMES + 3])
+    @pytest.mark.parametrize("policies", POLICY_PAIRS, ids=lambda p: f"{p[0].value}-{p[1].value}")
+    def test_simulate_replays_its_seeded_deals(self, games, policies):
+        shape = DeckShape(K=8, L=3)
+        deck = Deck(np.random.default_rng(5).integers(1, 5, size=(8, 3)).astype(float), shape)
+        summary = simulate(deck, policies, games, np.random.default_rng(17), keep_games=True)
+
+        rng = np.random.default_rng(17)
+        expected = []
+        for _ in range(games):
+            perm = rng.permutation(shape.K)
+            a_starts = rng.integers(2) == 0
+            expected.append(
+                _play_hands(deck.values[perm[:4]], deck.values[perm[4:]], a_starts, policies, shape)
+            )
+        assert summary.per_game == tuple(expected)
+        wins = sum(g.outcome is Outcome.WIN_A for g in expected)
+        draws = sum(g.outcome is Outcome.DRAW for g in expected)
+        assert summary.win_rate_a == wins / games
+        assert summary.draw_rate == draws / games
+        assert summary.loss_rate_a == (games - wins - draws) / games
+        assert summary.mean_announcer_changes == sum(g.announcer_changes for g in expected) / games
+        assert summary.mean_tightness == sum(g.tightness for g in expected) / games

@@ -1,8 +1,13 @@
 """Quality indicators, normalization and front-file round trips."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trumpbench import indicators
 from trumpbench.indicators import (
     FrontSet,
     eps_dominance_check,
@@ -20,7 +25,39 @@ from trumpbench.indicators import (
 from tests.test_hv import mc_union_volume
 
 
+def prune_loop(points: np.ndarray) -> np.ndarray:
+    """Reference: the per-point loop that the blocked comparison replaced."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.shape[0] == 0:
+        return pts.copy()
+    uniq = np.unique(pts, axis=0)
+    n = uniq.shape[0]
+    keep = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not keep[i]:
+            continue
+        le = np.all(uniq <= uniq[i], axis=1)
+        lt = np.any(uniq < uniq[i], axis=1)
+        dominated_by = le & lt
+        dominated_by[i] = False
+        if np.any(dominated_by & keep):
+            keep[i] = False
+    return uniq[keep]
+
+
 class TestPruning:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 4), st.integers(0, 2**31), st.booleans())
+    def test_matches_per_point_loop(self, n, m, seed, tied):
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 4, size=(n, m)).astype(float) if tied else rng.random((n, m))
+        assert np.array_equal(prune_to_front(pts), prune_loop(pts))
+
+    def test_blocks_smaller_than_the_set(self, monkeypatch):
+        monkeypatch.setattr(indicators, "PRUNE_BLOCK_ELEMENTS", 100)
+        pts = np.random.default_rng(3).integers(0, 6, size=(40, 3)).astype(float)
+        assert np.array_equal(prune_to_front(pts), prune_loop(pts))
+
     def test_weakly_dominated_points_removed(self):
         pts = np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 1.0], [1.5, 2.5]])
         front = prune_to_front(pts)
@@ -223,4 +260,16 @@ class TestFrontFiles:
         path = tmp_path / "front.csv"
         path.write_text("f1,f2\n1.0\n")
         with pytest.raises(ValueError, match="line 2"):
+            read_front_csv(path)
+
+    def test_non_numeric_cell_names_path_and_line(self, tmp_path):
+        path = tmp_path / "front.csv"
+        path.write_text("f1,f2\n1.0,2.0\n1.0,x\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: non-numeric value")):
+            read_front_csv(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "front.csv"
+        path.write_text("f1,f2\n\n\n1.0,2.0\n1.0\n")
+        with pytest.raises(ValueError, match="line 5"):
             read_front_csv(path)
