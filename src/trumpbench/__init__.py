@@ -1,67 +1,3 @@
 """Top-trumps balancing workbench: deck generation, game simulation and
 multi-objective optimization of deck designs, plus the statistical machinery
 to compare optimizer performance across runs."""
-
-from trumpbench.deck import (
-    Card,
-    Deck,
-    DeckShape,
-    ValidityReport,
-    card_dominates,
-    deck_is_valid,
-    deck_to_genome,
-    genome_to_deck,
-    load_deck,
-    random_valid_deck,
-    save_deck,
-)
-from trumpbench.game import (
-    Deal,
-    GameResult,
-    Outcome,
-    Player,
-    Policy,
-    SimulationSummary,
-    informed_win_estimate,
-    play_game,
-    range_win_estimate,
-    simulate,
-)
-from trumpbench.objectives import (
-    ObjectiveKind,
-    ObjectiveVector,
-    balance_objectives,
-    deck_hypervolume,
-    dominance_fitness,
-    surrogate_objectives,
-)
-
-__all__ = [
-    "Card",
-    "Deck",
-    "DeckShape",
-    "ValidityReport",
-    "card_dominates",
-    "deck_is_valid",
-    "deck_to_genome",
-    "genome_to_deck",
-    "load_deck",
-    "random_valid_deck",
-    "save_deck",
-    "Deal",
-    "GameResult",
-    "Outcome",
-    "Player",
-    "Policy",
-    "SimulationSummary",
-    "informed_win_estimate",
-    "play_game",
-    "range_win_estimate",
-    "simulate",
-    "ObjectiveKind",
-    "ObjectiveVector",
-    "balance_objectives",
-    "deck_hypervolume",
-    "dominance_fitness",
-    "surrogate_objectives",
-]

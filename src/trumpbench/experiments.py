@@ -17,7 +17,7 @@ import numpy as np
 
 from trumpbench.deck import Deck, DeckShape, genome_to_deck
 from trumpbench.eaf import EAFTestResult, RunGroup, attainment_surface, eaf_test, set_strictly_dominates
-from trumpbench.game import Policy, simulate
+from trumpbench.game import Policy, play_random_games, simulate
 from trumpbench.indicators import (
     IDEAL_MARGIN,
     REF_OFFSET,
@@ -30,7 +30,14 @@ from trumpbench.indicators import (
     simplex_lattice_weights,
     write_front_csv,
 )
-from trumpbench.moea import EAConfig, RunResult, VariationParams, sms_emoa_run, so_ea_run
+from trumpbench.moea import (
+    EAConfig,
+    RunResult,
+    VariationParams,
+    nondominated_sort,
+    sms_emoa_run,
+    so_ea_run,
+)
 from trumpbench.objectives import (
     ObjectiveKind,
     balance_objectives,
@@ -123,6 +130,12 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
 
 
+def _balance(deck: Deck, games: int, rng: np.random.Generator) -> np.ndarray:
+    """Balance objectives of ``deck`` from ``games`` informed vs range-only games."""
+    summary = simulate(deck, (Policy.INFORMED, Policy.RANGE_ONLY), games, rng)
+    return balance_objectives(summary).values
+
+
 def make_evaluator(kind: ObjectiveKind, shape: DeckShape, games: int):
     """Objective callable for the optimizers; simulation noise uses the
     per-evaluation generator handed in by the run loop."""
@@ -131,12 +144,7 @@ def make_evaluator(kind: ObjectiveKind, shape: DeckShape, games: int):
     if kind is ObjectiveKind.SURROGATE:
         return lambda deck, rng: surrogate_objectives(deck, shape).values
     if kind is ObjectiveKind.BALANCE:
-
-        def evaluate(deck: Deck, rng: np.random.Generator) -> np.ndarray:
-            summary = simulate(deck, (Policy.INFORMED, Policy.RANGE_ONLY), games, rng)
-            return balance_objectives(summary, shape).values
-
-        return evaluate
+        return lambda deck, rng: _balance(deck, games, rng)
     raise ValueError(f"unsupported objective kind: {kind}")
 
 
@@ -274,10 +282,8 @@ def reevaluate_genomes(
     """Balance objectives for each deck under one shared game sample."""
     points = np.empty((len(genomes), 3))
     for i, genome in enumerate(genomes):
-        deck = genome_to_deck(genome, shape)
         rng = np.random.default_rng(np.random.SeedSequence(evaluation_seed))
-        summary = simulate(deck, (Policy.INFORMED, Policy.RANGE_ONLY), games, rng)
-        points[i] = balance_objectives(summary, shape).values
+        points[i] = _balance(genome_to_deck(genome, shape), games, rng)
     return points
 
 
@@ -295,8 +301,6 @@ def _indicator_block(front: FrontSet, refset: FrontSet) -> dict:
 
 def _assign_ranks(blocks: dict[str, dict]) -> dict[str, int]:
     """Non-dominated sorting ranks of (hv, eps, r2) triples, 1 = best."""
-    from trumpbench.moea import nondominated_sort
-
     labels = sorted(blocks)
     pts = np.array([[blocks[l]["hv"], blocks[l]["eps"], blocks[l]["r2"]] for l in labels])
     ranks = nondominated_sort(pts)
@@ -445,9 +449,7 @@ def compare_to_reference_decks(
     entries: list[dict] = []
     for name, deck in decks:
         try:
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
-            summary = simulate(deck, (Policy.INFORMED, Policy.RANGE_ONLY), games, rng)
-            balance = balance_objectives(summary, deck.shape).values
+            balance = _balance(deck, games, np.random.default_rng(np.random.SeedSequence(seed)))
             entry = {
                 "name": name,
                 "dominance_fitness": float(dominance_fitness(deck).values[0]),
@@ -545,17 +547,14 @@ def balance_metric_study(
     metrics take their t-interval halfwidth; rows hold the .95 quantile
     over repeats.
     """
+    n_tricks = deck.shape.K // 2
 
     def sampler(size: int, rng: np.random.Generator) -> np.ndarray:
-        games = simulate(
-            deck, (Policy.INFORMED, Policy.RANGE_ONLY), size, rng, keep_games=True
-        ).per_game
+        tricks_a, tricks_b, changes = play_random_games(
+            deck, (Policy.INFORMED, Policy.RANGE_ONLY), size, rng
+        )
         return np.array(
-            [
-                [1.0 if g.tricks_a > g.tricks_b else 0.0 for g in games],
-                [float(g.announcer_changes) for g in games],
-                [g.tightness for g in games],
-            ]
+            [tricks_a > tricks_b, changes, np.abs(2 * tricks_a - n_tricks)], dtype=float
         )
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 99)))

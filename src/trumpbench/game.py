@@ -8,11 +8,12 @@ winner announces the next category, and tied tricks score for nobody and
 leave the announcer unchanged.
 
 All games are played by one batched kernel, ``_play_batch``, which loops
-over the K/2 tricks and never over games; :func:`play_game` is a batch of
-one and :func:`simulate` plays its games in chunks of ``CHUNK_GAMES``.
-:func:`simulate` draws its deals one game at a time, in game order, exactly
-as :func:`random_deal` does (the permutation, then the starter), so a seed
-yields the same games as a game-by-game loop would.
+over the K/2 tricks and never over games.  :func:`play_game` is a batch of
+one.  :func:`play_random_games` plays games on fresh seeded deals, in chunks
+of ``CHUNK_GAMES``, and returns per-game arrays, which :func:`simulate`
+sums.  Deals are drawn one game at a time, in game order, exactly as
+:func:`random_deal` draws them (the permutation, then the starter), so a
+seed yields the same games as a game-by-game loop would.
 """
 
 from __future__ import annotations
@@ -89,22 +90,6 @@ class SimulationSummary:
     loss_rate_a: float
     mean_announcer_changes: float
     mean_tightness: float
-    per_game: tuple[GameResult, ...] | None = None
-
-
-def range_win_estimate(card_values, lo: float, hi: float) -> np.ndarray:
-    """Win-chance estimate assuming opponents draw uniformly from [lo, hi]."""
-    v = np.asarray(card_values, dtype=float)
-    return (v - lo) / (hi - lo)
-
-
-def informed_win_estimate(card_values, opponent_values) -> np.ndarray:
-    """Per-category fraction of the opponent's remaining cards this card beats."""
-    opp = np.atleast_2d(np.asarray(opponent_values, dtype=float))
-    if opp.shape[0] == 0:
-        raise ValueError("opponent has no remaining cards")
-    v = np.asarray(card_values, dtype=float)
-    return (opp < v).sum(axis=0) / opp.shape[0]
 
 
 def play_game(deck: Deck, deal: Deal, policies: tuple[Policy, Policy]) -> GameResult:
@@ -117,8 +102,16 @@ def play_game(deck: Deck, deal: Deal, policies: tuple[Policy, Policy]) -> GameRe
     deal.validate(deck.shape.K)
     perms = np.array([deal.hand_a + deal.hand_b], dtype=np.intp)
     a_starts = np.array([deal.starter is Player.A])
-    tricks_a, tricks_b, changes = _play_batch(deck.values, perms, a_starts, policies)
-    return _game_results(tricks_a, tricks_b, changes, deck.shape.K // 2)[0]
+    a, b, c = (int(x[0]) for x in _play_batch(deck.values, perms, a_starts, policies))
+    n_tricks = deck.shape.K // 2
+    return GameResult(
+        tricks_a=a,
+        tricks_b=b,
+        ties=n_tricks - a - b,
+        announcer_changes=c,
+        outcome=Outcome.WIN_A if a > b else Outcome.DRAW if a == b else Outcome.WIN_B,
+        tightness=float(abs(2 * a - n_tricks)),
+    )
 
 
 def _play_batch(
@@ -167,22 +160,6 @@ def _play_batch(
     return tricks_a, tricks_b, changes
 
 
-def _game_results(
-    tricks_a: np.ndarray, tricks_b: np.ndarray, changes: np.ndarray, n_tricks: int
-) -> list[GameResult]:
-    return [
-        GameResult(
-            tricks_a=a,
-            tricks_b=b,
-            ties=n_tricks - a - b,
-            announcer_changes=c,
-            outcome=Outcome.WIN_A if a > b else Outcome.DRAW if a == b else Outcome.WIN_B,
-            tightness=float(abs(2 * a - n_tricks)),
-        )
-        for a, b, c in zip(tricks_a.tolist(), tricks_b.tolist(), changes.tolist())
-    ]
-
-
 def random_deal(k: int, rng: np.random.Generator) -> Deal:
     """Uniform shuffle; the first K/2 cards form hand A; uniform starter."""
     perm = rng.permutation(k)
@@ -191,14 +168,14 @@ def random_deal(k: int, rng: np.random.Generator) -> Deal:
     return Deal(tuple(int(i) for i in perm[:half]), tuple(int(i) for i in perm[half:]), starter)
 
 
-def simulate(
+def play_random_games(
     deck: Deck,
     policies: tuple[Policy, Policy],
     games: int,
     rng: np.random.Generator,
-    keep_games: bool = False,
-) -> SimulationSummary:
-    """Monte Carlo batch: fresh uniform deal and starter for every game.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Play ``games`` games, each on a fresh uniform deal and starter;
+    returns per-game (tricks_a, tricks_b, announcer_changes) in game order.
 
     Deals are drawn in game order, as :func:`random_deal` draws them, and
     played in chunks of at most ``CHUNK_GAMES`` games.
@@ -206,9 +183,7 @@ def simulate(
     if games < 1:
         raise ValueError("need at least one game")
     k = deck.shape.K
-    n_tricks = k // 2
-    wins = draws = sum_changes = sum_tightness = 0
-    results: list[GameResult] = []
+    chunks = []
     for start in range(0, games, CHUNK_GAMES):
         n = min(CHUNK_GAMES, games - start)
         # rng.permutation(k) shuffles arange(k) in place; shuffling each
@@ -218,19 +193,26 @@ def simulate(
         for g in range(n):
             rng.shuffle(perms[g])
             a_starts[g] = rng.integers(2) == 0
-        tricks_a, tricks_b, changes = _play_batch(deck.values, perms, a_starts, policies)
-        wins += int(np.count_nonzero(tricks_a > tricks_b))
-        draws += int(np.count_nonzero(tricks_a == tricks_b))
-        sum_changes += int(changes.sum())
-        sum_tightness += int(np.abs(2 * tricks_a - n_tricks).sum())
-        if keep_games:
-            results += _game_results(tricks_a, tricks_b, changes, n_tricks)
+        chunks.append(_play_batch(deck.values, perms, a_starts, policies))
+    tricks_a, tricks_b, changes = zip(*chunks)
+    return np.concatenate(tricks_a), np.concatenate(tricks_b), np.concatenate(changes)
+
+
+def simulate(
+    deck: Deck,
+    policies: tuple[Policy, Policy],
+    games: int,
+    rng: np.random.Generator,
+) -> SimulationSummary:
+    """Monte Carlo batch: the rates and means of :func:`play_random_games`."""
+    tricks_a, tricks_b, changes = play_random_games(deck, policies, games, rng)
+    wins = int(np.count_nonzero(tricks_a > tricks_b))
+    draws = int(np.count_nonzero(tricks_a == tricks_b))
     return SimulationSummary(
         games=games,
         win_rate_a=wins / games,
         draw_rate=draws / games,
         loss_rate_a=(games - wins - draws) / games,
-        mean_announcer_changes=sum_changes / games,
-        mean_tightness=sum_tightness / games,
-        per_game=tuple(results) if keep_games else None,
+        mean_announcer_changes=int(changes.sum()) / games,
+        mean_tightness=int(np.abs(2 * tricks_a - deck.shape.K // 2).sum()) / games,
     )

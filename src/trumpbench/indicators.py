@@ -9,7 +9,6 @@ not strictly dominate the reference point instead of dropping it.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -79,25 +78,6 @@ class FrontSet:
         if not isinstance(other, FrontSet):
             return NotImplemented
         return self.origin == other.origin and np.array_equal(self.points, other.points)
-
-
-class IndicatorKind(enum.Enum):
-    HV = "hv"
-    EPS = "eps"
-    R2 = "r2"
-
-
-@dataclass(frozen=True)
-class IndicatorValue:
-    """One indicator measurement and a note about the reference it used."""
-
-    kind: IndicatorKind
-    value: float
-    reference: str = ""
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.value):
-            raise ValueError("indicator values must be finite")
 
 
 def _boxes(points, ref) -> np.ndarray:

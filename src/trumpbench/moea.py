@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from trumpbench.deck import Deck, DeckShape, deck_is_valid, genome_to_deck, random_valid_deck
-from trumpbench.indicators import hv_contributions, hypervolume
+from trumpbench.indicators import hv_contributions
 from trumpbench.objectives import ObjectiveKind
 from trumpbench.ocd import (
     Decision,
@@ -245,21 +245,21 @@ class _RunState:
         optimizer's own convergence test fires at a generation boundary.
 
         A warning inside the run is raised as an error, so a run that would
-        drop data or degenerate a value fails instead of going on."""
+        drop data or degenerate a value fails instead of going on.  Every
+        member is valid when it is created, so the population is checked
+        once, before it is returned."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             self.initialize()
-            self.assert_population_valid()
             mu = self.config.mu
             self.record_generation()
             stop_reason = StopReason.BUDGET
             while self.n_evals < self.config.max_evals:
                 self.step()
-                if self.n_evals % mu == 0:
-                    self.assert_population_valid()
-                    if self.record_generation() is Decision.CONVERGED:
-                        stop_reason = StopReason.CONVERGED
-                        break
+                if self.n_evals % mu == 0 and self.record_generation() is Decision.CONVERGED:
+                    stop_reason = StopReason.CONVERGED
+                    break
+            self.assert_population_valid()
             return RunResult(
                 final_population=tuple(self.population),
                 front=self._front(),
@@ -282,17 +282,9 @@ class SmsEmoa(_RunState):
         )
         self.ocd_state = OCDState(config.ocd)
 
-    def initialize(self) -> None:
-        super().initialize()
-        for ind in self.population:
-            self.tracker.observe(ind.objectives)
-
-    def step(self, record_hv: bool = False) -> dict[str, float] | None:
-        """One offspring, one replacement.  Optionally report the step's
-        population hypervolume before and after, w.r.t. this step's
-        selection reference point."""
+    def step(self) -> None:
+        """One offspring, one replacement."""
         offspring = self.evaluate(self.spawn_offspring())
-        self.tracker.observe(offspring.objectives)
         pool = self.population + [offspring]
         objs = np.array([ind.objectives for ind in pool])
         ref = objs.max(axis=0) + self.REF_OFFSET
@@ -306,15 +298,7 @@ class SmsEmoa(_RunState):
             contribs = hv_contributions(objs[candidates], ref)
             tied = np.flatnonzero(contribs == contribs.min())
             drop = int(max((candidates[t] for t in tied), key=lambda i: pool[i].eval_index))
-
-        info = None
-        if record_hv:
-            before = hypervolume(self.objective_matrix(), ref)
         self.population = [ind for idx, ind in enumerate(pool) if idx != drop]
-        if record_hv:
-            after = hypervolume(self.objective_matrix(), ref)
-            info = {"hv_before": before, "hv_after": after}
-        return info
 
     def record_generation(self) -> Decision:
         values = self.tracker.generation_values(self.objective_matrix())

@@ -65,7 +65,7 @@ def dominance_fitness(deck) -> ObjectiveVector:
     return ObjectiveVector(np.array([value]), ("dominance",))
 
 
-def balance_objectives(summary: SimulationSummary, shape: DeckShape) -> ObjectiveVector:
+def balance_objectives(summary: SimulationSummary) -> ObjectiveVector:
     """Simulation-based deck quality: (-win rate, -mean announcer changes, mean tightness).
 
     The summary must come from an (informed, range-only) pairing so the win

@@ -18,9 +18,9 @@ This gives one series of ``window`` values per indicator.  The generation
 scores a hit when every tracked series has a variance significantly below
 a limit (chi-square test) or every tracked series has a confidently zero
 regression slope; two consecutive hits stop the run
-(:func:`ocd_tracker_update`).  :func:`ocd_update` applies the same rule to
-streams of one value per generation.  The single-objective baseline stops
-on stagnation of the population's min / mean / max fitness.
+(:func:`ocd_tracker_update`, which applies :func:`two_hit_decision` to the
+tracker's window).  The single-objective baseline stops on stagnation of
+the population's min / mean / max fitness.
 """
 
 from __future__ import annotations
@@ -74,18 +74,10 @@ class OCDParams:
 
 @dataclass
 class OCDState:
-    """Ring buffers of the last ``window`` values per indicator (fed by
-    :func:`ocd_update`) plus the hit streak of either decision path."""
+    """The OCD parameters of a run and its current streak of hits."""
 
     params: OCDParams
-    buffers: dict[str, deque] = field(init=False)
     consecutive_hits: int = 0
-    generations: int = 0
-
-    def __post_init__(self) -> None:
-        self.buffers = {
-            name: deque(maxlen=self.params.window) for name in self.params.indicators
-        }
 
 
 def variance_below_limit(values: np.ndarray, var_limit: float, alpha: float) -> bool:
@@ -118,29 +110,6 @@ def slope_is_zero(values: np.ndarray, alpha: float) -> bool:
     return bool(upper_bound < threshold)
 
 
-def ocd_update(state: OCDState, generation_values: dict[str, float]) -> Decision:
-    """Feed one generation's indicator values; returns the stop decision.
-
-    A generation scores a hit when all tracked indicators pass the variance
-    test, or all have a statistically zero trend.  Two consecutive hits
-    terminate the run, which cannot happen before generation window + 1.
-    """
-    params = state.params
-    missing = set(params.indicators) - set(generation_values)
-    if missing:
-        raise ValueError(f"missing indicator values: {sorted(missing)}")
-    for name in params.indicators:
-        value = float(generation_values[name])
-        if not np.isfinite(value):
-            raise ValueError(f"non-finite value for indicator {name!r}")
-        state.buffers[name].append(value)
-    state.generations += 1
-
-    if state.generations < params.window:
-        return Decision.CONTINUE
-    return _two_hit_decision(state, state.buffers)
-
-
 def ocd_tracker_update(state: OCDState, tracker: RunIndicatorTracker) -> Decision:
     """Stop decision on the tracker's whole window, each population
     re-measured against the newest reference set.
@@ -151,15 +120,18 @@ def ocd_tracker_update(state: OCDState, tracker: RunIndicatorTracker) -> Decisio
     """
     if tracker.window != state.params.window:
         raise ValueError("tracker and OCD parameters disagree on the window length")
-    state.generations += 1
     if len(tracker.populations) < tracker.window:
         return Decision.CONTINUE
-    return _two_hit_decision(state, tracker.window_values())
+    return two_hit_decision(state, tracker.window_values())
 
 
-def _two_hit_decision(state: OCDState, windows: Mapping[str, np.ndarray]) -> Decision:
+def two_hit_decision(state: OCDState, windows: Mapping[str, np.ndarray]) -> Decision:
     """Score this generation's windows (one per tracked indicator) as a hit
-    or not, and stop on the second hit in a row."""
+    or not, and stop on the second hit in a row.
+
+    A hit needs every tracked window to pass the variance test, or every
+    tracked window to have a confidently zero slope.
+    """
     params = state.params
     all_variance = True
     all_slope = True
@@ -197,14 +169,11 @@ class StagnationState:
 def so_convergence(
     state: StagnationState,
     min_mean_max: tuple[float, float, float],
-    window: int | None = None,
     tol: float = 1e-9,
 ) -> Decision:
     """Stagnation check: every series' spread over the window below ``tol``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if window is not None and window != state.window:
-        raise ValueError("window does not match the tracked state")
     state.triples.append(tuple(float(v) for v in min_mean_max))
     if len(state.triples) < state.window:
         return Decision.CONTINUE
@@ -233,9 +202,6 @@ class RunIndicatorTracker:
     All three are 0 for a population that is the reference set itself.
     ``window_values()`` re-measures every population of the window in the
     newest frame, which is the series the OCD tests take.
-
-    ``observe`` keeps the all-time non-dominated ``archive`` of every
-    evaluated vector; the indicators do not use it.
     """
 
     def __init__(self, n_objectives: int, window: int = 10):
@@ -243,7 +209,6 @@ class RunIndicatorTracker:
             raise ValueError("window must be at least one generation")
         self.m = n_objectives
         self.window = window
-        self.archive: np.ndarray | None = None
         self.weights = simplex_lattice_weights(n_objectives)
         self.ref_point = np.full(n_objectives, 2.0 + REF_OFFSET)
         self.ideal = np.full(n_objectives, 1.0 - IDEAL_MARGIN)
@@ -251,18 +216,6 @@ class RunIndicatorTracker:
         self.transform = None
         self.reference: FrontSet | None = None
         self._reference_hv = self._reference_r2 = 0.0
-
-    def observe(self, point: np.ndarray) -> None:
-        """Add one evaluated objective vector to the running archive."""
-        p = np.asarray(point, dtype=float).reshape(1, -1)
-        if self.archive is None:
-            self.archive = p.copy()
-            return
-        dominated = np.all(self.archive <= p, axis=1) & np.any(self.archive < p, axis=1)
-        if np.any(dominated) or any(np.array_equal(row, p[0]) for row in self.archive):
-            return
-        keep = ~(np.all(p <= self.archive, axis=1) & np.any(p < self.archive, axis=1))
-        self.archive = np.vstack([self.archive[keep], p])
 
     def generation_values(self, population: np.ndarray) -> dict[str, float]:
         """Add ``population`` (one objective vector per row) to the window

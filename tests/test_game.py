@@ -1,4 +1,4 @@
-"""Game rules, agent estimates and Monte Carlo batches."""
+"""Game rules and Monte Carlo batches."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,9 @@ from trumpbench.game import (
     Outcome,
     Player,
     Policy,
-    informed_win_estimate,
     play_game,
+    play_random_games,
     random_deal,
-    range_win_estimate,
     simulate,
 )
 
@@ -87,33 +86,6 @@ POLICY_PAIRS = [(pa, pb) for pa in Policy for pb in Policy]
 def four_card_deck():
     shape = DeckShape(K=4, L=2)
     return Deck(np.array([[10.0, 1.0], [9.0, 2.0], [1.0, 10.0], [2.0, 9.0]]), shape)
-
-
-class TestEstimates:
-    def test_range_extremes_and_midpoint(self):
-        est = range_win_estimate([10.0, 1.0, 5.5], 1.0, 10.0)
-        assert est == pytest.approx([1.0, 0.0, 0.5])
-
-    def test_informed_counts(self):
-        opp = np.array([[2.0], [5.0], [9.0]])
-        assert informed_win_estimate([6.0], opp) == pytest.approx([2 / 3])
-        assert informed_win_estimate([1.0], opp) == pytest.approx([0.0])
-        assert informed_win_estimate([10.0], opp) == pytest.approx([1.0])
-
-    def test_informed_requires_remaining_cards(self):
-        with pytest.raises(ValueError):
-            informed_win_estimate([1.0], np.empty((0, 1)))
-
-    def test_informed_equals_enumerated_win_probability(self):
-        # Against a uniformly random card from the remaining set, the win
-        # probability per category is exactly the fraction of beatable cards.
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            opp = rng.uniform(1, 10, size=(7, 4))
-            card = rng.uniform(1, 10, size=4)
-            est = informed_win_estimate(card, opp)
-            brute = np.mean([(opp[i] < card).astype(float) for i in range(7)], axis=0)
-            assert est == pytest.approx(brute)
 
 
 class TestPlayGame:
@@ -214,12 +186,11 @@ class TestSimulate:
 
     def test_single_game_means(self):
         deck = random_valid_deck(DeckShape(), np.random.default_rng(6))
-        summary = simulate(
-            deck, (Policy.INFORMED, Policy.RANGE_ONLY), 1, np.random.default_rng(8), keep_games=True
-        )
-        only = summary.per_game[0]
-        assert summary.mean_announcer_changes == only.announcer_changes
-        assert summary.mean_tightness == only.tightness
+        policies = (Policy.INFORMED, Policy.RANGE_ONLY)
+        summary = simulate(deck, policies, 1, np.random.default_rng(8))
+        (tricks_a,), _, (changes,) = play_random_games(deck, policies, 1, np.random.default_rng(8))
+        assert summary.mean_announcer_changes == changes
+        assert summary.mean_tightness == abs(2 * tricks_a - DeckShape().K // 2)
 
     def test_rates_partition_unity(self):
         deck = random_valid_deck(DeckShape(), np.random.default_rng(10))
@@ -268,7 +239,10 @@ class TestKernelMatchesOracle:
     def test_simulate_replays_its_seeded_deals(self, games, policies):
         shape = DeckShape(K=8, L=3)
         deck = Deck(np.random.default_rng(5).integers(1, 5, size=(8, 3)).astype(float), shape)
-        summary = simulate(deck, policies, games, np.random.default_rng(17), keep_games=True)
+        tricks_a, tricks_b, changes = play_random_games(
+            deck, policies, games, np.random.default_rng(17)
+        )
+        summary = simulate(deck, policies, games, np.random.default_rng(17))
 
         rng = np.random.default_rng(17)
         expected = []
@@ -278,7 +252,9 @@ class TestKernelMatchesOracle:
             expected.append(
                 _play_hands(deck.values[perm[:4]], deck.values[perm[4:]], a_starts, policies, shape)
             )
-        assert summary.per_game == tuple(expected)
+        assert tricks_a.tolist() == [g.tricks_a for g in expected]
+        assert tricks_b.tolist() == [g.tricks_b for g in expected]
+        assert changes.tolist() == [g.announcer_changes for g in expected]
         wins = sum(g.outcome is Outcome.WIN_A for g in expected)
         draws = sum(g.outcome is Outcome.DRAW for g in expected)
         assert summary.win_rate_a == wins / games

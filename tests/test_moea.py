@@ -21,6 +21,7 @@ from trumpbench.moea import (
     so_ea_run,
 )
 from trumpbench.experiments import make_evaluator
+from trumpbench.indicators import hypervolume
 from trumpbench.objectives import ObjectiveKind, dominance_fitness, surrogate_objectives
 from trumpbench.ocd import OCDParams
 
@@ -206,12 +207,41 @@ class TestRuns:
         assert len(checked) == result.n_evals
 
     def test_step_hypervolume_never_drops(self):
+        # The step's selection reference point is the worst of the old
+        # population and the offspring, plus REF_OFFSET.  A surviving
+        # offspring is in the new population; a dropped one leaves the
+        # population as it was, so any reference point gives equal volumes.
         config = self.small_config(ObjectiveKind.SURROGATE, max_evals=200)
         algo = SmsEmoa(config, surrogate_evaluator)
         algo.initialize()
         for _ in range(150):
-            info = algo.step(record_hv=True)
-            assert info["hv_after"] >= info["hv_before"] - 1e-9
+            before = algo.objective_matrix()
+            algo.step()
+            after = algo.objective_matrix()
+            ref = np.vstack([before, after]).max(axis=0) + SmsEmoa.REF_OFFSET
+            assert hypervolume(after, ref) >= hypervolume(before, ref) - 1e-9
+
+    @pytest.mark.parametrize(
+        "kind", [ObjectiveKind.DOMINANCE, ObjectiveKind.SURROGATE, ObjectiveKind.BALANCE]
+    )
+    def test_population_valid_at_every_generation_boundary(self, kind, monkeypatch):
+        # record_generation runs at every generation boundary, the initial
+        # population's included; the run checks only the population it returns.
+        optimizer = SingleObjectiveEA if kind is ObjectiveKind.DOMINANCE else SmsEmoa
+        original = optimizer.record_generation
+        boundaries = []
+
+        def checked_record_generation(self):
+            for ind in self.population:
+                assert deck_is_valid(genome_to_deck(ind.genome, self.shape)).valid
+            boundaries.append(self.n_evals)
+            return original(self)
+
+        monkeypatch.setattr(optimizer, "record_generation", checked_record_generation)
+        config = self.small_config(kind, seed=0, games=20)
+        result = optimizer(config, make_evaluator(kind, config.shape, config.games)).run()
+        assert boundaries == list(range(config.mu, result.n_evals + 1, config.mu))
+        assert result.n_evals > (config.ocd.window + 1) * config.mu
 
     def test_front_members_are_mutually_nondominated(self):
         config = self.small_config(ObjectiveKind.SURROGATE)

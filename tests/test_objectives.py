@@ -60,7 +60,7 @@ class TestBalanceObjectives:
             mean_announcer_changes=3.4,
             mean_tightness=5.2,
         )
-        vec = balance_objectives(summary, DeckShape())
+        vec = balance_objectives(summary)
         assert vec.values == pytest.approx([-0.6, -3.4, 5.2])
 
     def test_total_sweep_extreme(self):
@@ -72,7 +72,7 @@ class TestBalanceObjectives:
             mean_announcer_changes=0.0,
             mean_tightness=16.0,
         )
-        vec = balance_objectives(summary, DeckShape())
+        vec = balance_objectives(summary)
         assert vec.values == pytest.approx([-1.0, 0.0, 16.0])
 
     def test_component_ranges_on_simulated_decks(self):
@@ -83,7 +83,7 @@ class TestBalanceObjectives:
             summary = simulate(
                 deck, (Policy.INFORMED, Policy.RANGE_ONLY), 100, np.random.default_rng(seed)
             )
-            vec = balance_objectives(summary, shape).values
+            vec = balance_objectives(summary).values
             assert -1.0 <= vec[0] <= 0.0
             assert 0.0 <= vec[2] <= shape.K / 2
 
