@@ -88,6 +88,44 @@ def four_card_deck():
     return Deck(np.array([[10.0, 1.0], [9.0, 2.0], [1.0, 10.0], [2.0, 9.0]]), shape)
 
 
+class TestAnnouncedCategory:
+    """The category an announcer picks: the informed agent maximises the count
+    of the opponent's remaining cards its card beats, the range-only agent
+    maximises (v - lo) / (hi - lo), that is its raw value."""
+
+    @staticmethod
+    def count_beats_value_deck():
+        # Card 0 is highest in category 0, where it beats neither of B's
+        # cards; in category 1 it beats both.
+        shape = DeckShape(K=4, L=2)
+        return Deck(np.array([[9.0, 5.0], [1.0, 1.0], [10.0, 1.0], [10.0, 2.0]]), shape)
+
+    def test_informed_announces_most_beaten_category(self):
+        deck = self.count_beats_value_deck()
+        deal = Deal((0, 1), (2, 3), Player.A)
+        result = play_game(deck, deal, (Policy.INFORMED, Policy.RANGE_ONLY))
+        # Trick 1 in category 1 (5 > 1) goes to A; trick 2 (no category
+        # beats anything, so category 0) goes to B.
+        assert (result.tricks_a, result.tricks_b, result.announcer_changes) == (1, 1, 1)
+
+    def test_range_only_announces_highest_value(self):
+        deck = self.count_beats_value_deck()
+        deal = Deal((0, 1), (2, 3), Player.A)
+        result = play_game(deck, deal, (Policy.RANGE_ONLY, Policy.RANGE_ONLY))
+        # Trick 1 in category 0 (9 < 10) goes to B, who then leads with 10.
+        assert (result.tricks_a, result.tricks_b, result.announcer_changes) == (0, 2, 1)
+
+    def test_informed_counts_only_remaining_cards(self):
+        # At trick 2, card [6, 6] beats one remaining card in each category
+        # and the tie goes to category 0 (6 > 5).  Counting B's played card
+        # [9, 2] too would favour category 1, which B takes (7 > 6).
+        shape = DeckShape(K=6, L=2)
+        values = np.array([[10.0, 1.0], [6.0, 6.0], [1.0, 2.0], [9.0, 2.0], [5.0, 7.0], [7.0, 1.0]])
+        deal = Deal((0, 1, 2), (3, 4, 5), Player.A)
+        result = play_game(Deck(values, shape), deal, (Policy.INFORMED, Policy.INFORMED))
+        assert (result.tricks_a, result.tricks_b, result.announcer_changes) == (3, 0, 0)
+
+
 class TestPlayGame:
     def test_informed_starter_sweeps(self):
         deck = four_card_deck()

@@ -99,6 +99,14 @@ class TestOcdUpdate:
         assert feed(params, {"hv": stream}) == expected
 
 
+    def test_a_miss_resets_the_hit_streak(self):
+        state = OCDState(OCDParams(window=5, indicators=("hv",)))
+        hit = {"hv": np.full(5, 0.5)}
+        miss = {"hv": np.arange(5, dtype=float)}
+        decisions = [two_hit_decision(state, w) for w in (hit, miss, hit, hit)]
+        assert decisions == [Decision.CONTINUE] * 3 + [Decision.CONVERGED]
+
+
 class TestParams:
     def test_window_floor(self):
         with pytest.raises(ValueError):
@@ -171,6 +179,28 @@ class TestRunIndicatorTracker:
         assert newest == {name: series[name][-1] for name in series}
         assert series["hv"][0] > series["hv"][1] > series["hv"][2] == pytest.approx(0.0)
         assert np.all(series["eps"] >= 0.0)
+
+    def test_reference_is_nondominated_union_of_window(self):
+        # The first population dominates everything but leaves the window;
+        # of the two it holds, [3, 3] is dominated.
+        tracker = RunIndicatorTracker(2, window=2)
+        for pop in ([[0.0, 0.0]], [[1.0, 2.0], [3.0, 3.0]], [[2.0, 1.0]]):
+            tracker.generation_values(np.array(pop))
+        assert len(tracker.populations) == 2
+        assert len(tracker.reference) == 2
+        expected = tracker.transform.apply(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert sorted(map(tuple, tracker.reference.points)) == sorted(map(tuple, expected))
+
+    def test_rejects_malformed_population(self):
+        tracker = RunIndicatorTracker(2)
+        with pytest.raises(ValueError):
+            tracker.generation_values(np.empty((0, 2)))
+        with pytest.raises(ValueError):
+            tracker.generation_values(np.array([[1.0, 2.0, 3.0]]))
+
+    def test_window_values_need_a_generation(self):
+        with pytest.raises(RuntimeError):
+            RunIndicatorTracker(2).window_values()
 
     def test_window_length_must_match(self):
         tracker = RunIndicatorTracker(2, window=4)
