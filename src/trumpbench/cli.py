@@ -190,11 +190,15 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _front_paths(pattern: str) -> list[str]:
+    paths = sorted(glob.glob(pattern))
+    if not paths:
+        raise FileNotFoundError(f"no front files match {pattern}")
+    return paths
+
+
 def cmd_indicators(args) -> int:
-    front_paths = sorted(glob.glob(args.fronts))
-    if not front_paths:
-        print(f"no front files match {args.fronts}", file=sys.stderr)
-        return 1
+    front_paths = _front_paths(args.fronts)
     fronts = [read_front_csv(p) for p in front_paths]
     refset = read_front_csv(args.refset, origin="reference")
     normalized, _ = normalize_sets(fronts + [refset])
@@ -208,10 +212,7 @@ def cmd_indicators(args) -> int:
 
 
 def _load_group(pattern: str, label: str) -> RunGroup:
-    paths = sorted(glob.glob(pattern))
-    if not paths:
-        raise FileNotFoundError(f"no front files match {pattern}")
-    return RunGroup(tuple(read_front_csv(p, origin=p) for p in paths), label)
+    return RunGroup(tuple(read_front_csv(p, origin=p) for p in _front_paths(pattern)), label)
 
 
 def cmd_eaf(args) -> int:
@@ -326,9 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; a bad argument or an unreadable or unwritable
+    file ends it with one ``trumpbench <command>: <message>`` line on
+    stderr and exit status 1."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"trumpbench {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

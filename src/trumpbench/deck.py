@@ -35,20 +35,10 @@ class DeckShape:
         return self.K * self.L
 
 
-@dataclass(frozen=True)
-class Card:
-    """One card: a tuple of category values."""
-
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
 def card_dominates(a, b) -> bool:
     """True iff ``a`` beats ``b`` in every category (strictly greater everywhere)."""
-    av = np.asarray(a.values if isinstance(a, Card) else a, dtype=float)
-    bv = np.asarray(b.values if isinstance(b, Card) else b, dtype=float)
+    av = np.asarray(a, dtype=float)
+    bv = np.asarray(b, dtype=float)
     if av.shape != bv.shape:
         raise ValueError(f"cards have different category counts: {av.shape} vs {bv.shape}")
     return bool(np.all(av > bv))
@@ -69,10 +59,6 @@ class Deck:
             )
         mat.setflags(write=False)
         object.__setattr__(self, "values", mat)
-
-    @property
-    def cards(self) -> tuple[Card, ...]:
-        return tuple(Card(tuple(row)) for row in self.values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Deck):

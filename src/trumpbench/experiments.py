@@ -98,6 +98,16 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError("need at least one run per approach")
+        if self.games < 1:
+            raise ValueError("need at least one game per evaluation")
+        if not 0.0 < self.surface_level <= 1.0:
+            raise ValueError("surface_level must lie in (0, 1]")
+        if self.permutations < 1:
+            raise ValueError("need at least one permutation")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        if self.workers < 1:
+            raise ValueError("need at least one worker")
         labels = [a.label for a in self.approaches]
         if len(labels) != len(set(labels)):
             raise ValueError(f"approach labels must be unique, got {labels}")

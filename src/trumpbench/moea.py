@@ -19,15 +19,7 @@ import numpy as np
 from trumpbench.deck import Deck, DeckShape, deck_is_valid, genome_to_deck, random_valid_deck
 from trumpbench.indicators import hv_contributions
 from trumpbench.objectives import ObjectiveKind
-from trumpbench.ocd import (
-    Decision,
-    OCDParams,
-    OCDState,
-    RunIndicatorTracker,
-    StagnationState,
-    ocd_tracker_update,
-    so_convergence,
-)
+from trumpbench.ocd import Decision, OCDParams, RunIndicatorTracker, Stagnation
 
 Evaluator = Callable[[Deck, np.random.Generator], np.ndarray]
 
@@ -179,8 +171,10 @@ def _eval_rng(seed: int, eval_index: int) -> np.random.Generator:
 class _RunState:
     """Shared machinery of both optimizers: init, variation, evaluation and
     the run loop.  Each optimizer supplies ``step`` (one offspring, one
-    replacement), ``record_generation`` (its convergence test) and
-    ``_front`` (the individuals a finished run reports)."""
+    replacement), ``_front`` (the individuals a finished run reports) and
+    ``record_generation``, which hands the population to the optimizer's
+    ``detector`` (see :mod:`trumpbench.ocd`), appends the trace row it
+    returns and returns its ``Decision``."""
 
     def __init__(self, config: EAConfig, evaluator: Evaluator):
         self.config = config
@@ -277,10 +271,7 @@ class SmsEmoa(_RunState):
 
     def __init__(self, config: EAConfig, evaluator: Evaluator):
         super().__init__(config, evaluator)
-        self.tracker = RunIndicatorTracker(
-            config.objective.n_objectives, window=config.ocd.window
-        )
-        self.ocd_state = OCDState(config.ocd)
+        self.detector = RunIndicatorTracker(config.objective.n_objectives, config.ocd)
 
     def step(self) -> None:
         """One offspring, one replacement."""
@@ -301,9 +292,9 @@ class SmsEmoa(_RunState):
         self.population = [ind for idx, ind in enumerate(pool) if idx != drop]
 
     def record_generation(self) -> Decision:
-        values = self.tracker.generation_values(self.objective_matrix())
-        self.trace.append(values)
-        return ocd_tracker_update(self.ocd_state, self.tracker)
+        row, decision = self.detector.update(self.objective_matrix())
+        self.trace.append(row)
+        return decision
 
     def _front(self) -> tuple[Individual, ...]:
         ranks = nondominated_sort(self.objective_matrix())
@@ -317,7 +308,7 @@ class SingleObjectiveEA(_RunState):
         if config.objective.n_objectives != 1:
             raise ValueError("the single-objective baseline needs a 1-D objective")
         super().__init__(config, evaluator)
-        self.stagnation = StagnationState(config.so_window)
+        self.detector = Stagnation(config.so_window, config.so_tol)
 
     def step(self) -> None:
         offspring = self.evaluate(self.spawn_offspring())
@@ -329,10 +320,9 @@ class SingleObjectiveEA(_RunState):
         self.population = [ind for idx, ind in enumerate(pool) if idx != drop]
 
     def record_generation(self) -> Decision:
-        fitness = np.array([ind.objectives[0] for ind in self.population])
-        triple = (float(fitness.min()), float(fitness.mean()), float(fitness.max()))
-        self.trace.append({"min": triple[0], "mean": triple[1], "max": triple[2]})
-        return so_convergence(self.stagnation, triple, tol=self.config.so_tol)
+        row, decision = self.detector.update(self.objective_matrix()[:, 0])
+        self.trace.append(row)
+        return decision
 
     def _front(self) -> tuple[Individual, ...]:
         pop = sorted(self.population, key=lambda ind: (ind.objectives[0], ind.eval_index))

@@ -1,26 +1,21 @@
-"""Online convergence detection (OCD).
+"""Convergence detectors: when an optimizer run stops before its budget.
 
-Multi-objective runs stop by OCD as published by Wagner, Trautmann &
-Naujoks (EMO 2009), with the regression test of Wagner & Trautmann
-(CEC 2010).  Each generation, :class:`RunIndicatorTracker` measures the
-populations of the last ``window`` generations against a reference set
-built from those same generations:
+Each run owns one detector, and calls ``update(x) -> (trace_row, Decision)``
+on it once per generation: the row goes into the run's indicator trace, and
+``Decision.CONVERGED`` stops the run.
 
-- the reference set is the non-dominated union of the window's populations;
-- every objective is mapped onto [1, 2] by its range over the window, fitted
-  afresh each generation, so no point falls outside the scale;
-- each population scores three gaps to the reference set:
-  ``hv`` = HV(reference) - HV(population), ``eps`` = the additive epsilon
-  of the population against the reference, and
-  ``r2`` = R2(population) - R2(reference).
-
-This gives one series of ``window`` values per indicator.  The generation
-scores a hit when every tracked series has a variance significantly below
-a limit (chi-square test) or every tracked series has a confidently zero
-regression slope; two consecutive hits stop the run
-(:func:`ocd_tracker_update`, which applies :func:`two_hit_decision` to the
-tracker's window).  The single-objective baseline stops on stagnation of
-the population's min / mean / max fitness.
+- :class:`RunIndicatorTracker` stops a multi-objective run by online
+  convergence detection (OCD) as published by Wagner, Trautmann & Naujoks
+  (EMO 2009), with the regression test of Wagner & Trautmann (CEC 2010).
+  It measures the populations of the last ``window`` generations against
+  the non-dominated union of those same generations, each objective mapped
+  onto [1, 2] by its range over the window, fitted afresh each generation.
+  This gives one series of ``window`` values per indicator (hv, eps, r2).
+  The generation scores a hit when every tracked series has a variance
+  significantly below a limit (chi-square test) or every tracked series has
+  a confidently zero regression slope; two consecutive hits stop the run.
+- :class:`Stagnation` stops the single-objective baseline once the
+  population's min / mean / max fitness have all stalled over a window.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as sps
@@ -72,14 +67,6 @@ class OCDParams:
             raise ValueError("need at least one tracked indicator")
 
 
-@dataclass
-class OCDState:
-    """The OCD parameters of a run and its current streak of hits."""
-
-    params: OCDParams
-    consecutive_hits: int = 0
-
-
 def variance_below_limit(values: np.ndarray, var_limit: float, alpha: float) -> bool:
     """One-sided chi-square test: is the variance significantly below var_limit?"""
     v = np.asarray(values, dtype=float)
@@ -110,139 +97,100 @@ def slope_is_zero(values: np.ndarray, alpha: float) -> bool:
     return bool(upper_bound < threshold)
 
 
-def ocd_tracker_update(state: OCDState, tracker: RunIndicatorTracker) -> Decision:
-    """Stop decision on the tracker's whole window, each population
-    re-measured against the newest reference set.
+class Stagnation:
+    """Stagnation detector of one single-objective run.
 
-    Call once per generation, after ``tracker.generation_values``.  No
-    decision is taken before the window holds ``window`` populations, so a
-    run cannot stop before generation window + 1.
+    ``update(fitness)`` records the population's (min, mean, max) fitness
+    and stops the run once each of the three has spread less than ``tol``
+    over the last ``window`` generations.
     """
-    if tracker.window != state.params.window:
-        raise ValueError("tracker and OCD parameters disagree on the window length")
-    if len(tracker.populations) < tracker.window:
-        return Decision.CONTINUE
-    return two_hit_decision(state, tracker.window_values())
 
-
-def two_hit_decision(state: OCDState, windows: Mapping[str, np.ndarray]) -> Decision:
-    """Score this generation's windows (one per tracked indicator) as a hit
-    or not, and stop on the second hit in a row.
-
-    A hit needs every tracked window to pass the variance test, or every
-    tracked window to have a confidently zero slope.
-    """
-    params = state.params
-    all_variance = True
-    all_slope = True
-    for name in params.indicators:
-        window = np.asarray(windows[name], dtype=float)
-        if not variance_below_limit(window, params.var_limit, params.alpha):
-            all_variance = False
-        if not slope_is_zero(window, params.alpha):
-            all_slope = False
-        if not (all_variance or all_slope):
-            break
-
-    if all_variance or all_slope:
-        state.consecutive_hits += 1
-    else:
-        state.consecutive_hits = 0
-    if state.consecutive_hits >= 2:
-        return Decision.CONVERGED
-    return Decision.CONTINUE
-
-
-@dataclass
-class StagnationState:
-    """Window of (min, mean, max) population fitness triples."""
-
-    window: int
-    triples: deque = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.window < 2:
+    def __init__(self, window: int, tol: float):
+        if window < 2:
             raise ValueError("window must be at least 2")
-        self.triples = deque(maxlen=self.window)
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        self.tol = tol
+        self.rows: deque[tuple[float, ...]] = deque(maxlen=window)
 
-
-def so_convergence(
-    state: StagnationState,
-    min_mean_max: tuple[float, float, float],
-    tol: float = 1e-9,
-) -> Decision:
-    """Stagnation check: every series' spread over the window below ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    state.triples.append(tuple(float(v) for v in min_mean_max))
-    if len(state.triples) < state.window:
-        return Decision.CONTINUE
-    series = np.array(state.triples)
-    spread = series.max(axis=0) - series.min(axis=0)
-    if np.all(spread < tol):
-        return Decision.CONVERGED
-    return Decision.CONTINUE
+    def update(self, fitness: np.ndarray) -> tuple[dict[str, float], Decision]:
+        f = np.asarray(fitness, dtype=float)
+        row = {"min": float(f.min()), "mean": float(f.mean()), "max": float(f.max())}
+        self.rows.append(tuple(row.values()))
+        if len(self.rows) < self.rows.maxlen:
+            return row, Decision.CONTINUE
+        series = np.array(self.rows)
+        stagnant = np.all(series.max(axis=0) - series.min(axis=0) < self.tol)
+        return row, Decision.CONVERGED if stagnant else Decision.CONTINUE
 
 
 class RunIndicatorTracker:
-    """OCD indicator values of the last ``window`` populations of a run.
+    """OCD detector of one multi-objective run.
 
-    ``generation_values(population)`` adds a population's objective matrix
-    to the window (the oldest population leaves once ``window`` are held)
-    and refits the measuring frame on the window as a whole: the reference
-    set is the non-dominated union of the window's populations, and every
-    objective is mapped onto [1, 2] by its range over the window.  Measured
-    in that frame, a population scores three gaps to the reference set
-    (Wagner, Trautmann & Naujoks, EMO 2009):
+    ``update(population)`` adds a population's objective matrix to the
+    window of the last ``params.window`` populations (the oldest leaves
+    once the window is full) and fits the measuring frame on the window as
+    a whole: the reference set is the non-dominated union of the window's
+    populations, and every objective is mapped onto [1, 2] by its range
+    over the window.  Measured in that frame, a population scores three
+    gaps to the reference set (Wagner, Trautmann & Naujoks, EMO 2009):
 
     - ``hv``: HV(reference) - HV(population), reference point 2.1 per objective;
     - ``eps``: the additive epsilon of the population against the reference;
     - ``r2``: R2(population) - R2(reference), ideal point 0.99 per objective.
 
     All three are 0 for a population that is the reference set itself.
-    ``window_values()`` re-measures every population of the window in the
-    newest frame, which is the series the OCD tests take.
+    The trace row ``update`` returns is the newest population's gaps.  Until
+    the window is full only that population is measured and the run goes
+    on; from then on every population of the window is measured once in
+    the newest frame, and :meth:`decide` scores that series.
     """
 
-    def __init__(self, n_objectives: int, window: int = 10):
-        if window < 1:
-            raise ValueError("window must be at least one generation")
+    def __init__(self, n_objectives: int, params: OCDParams):
         self.m = n_objectives
-        self.window = window
+        self.params = params
         self.weights = simplex_lattice_weights(n_objectives)
         self.ref_point = np.full(n_objectives, 2.0 + REF_OFFSET)
         self.ideal = np.full(n_objectives, 1.0 - IDEAL_MARGIN)
-        self.populations: deque[np.ndarray] = deque(maxlen=window)
-        self.transform = None
-        self.reference: FrontSet | None = None
-        self._reference_hv = self._reference_r2 = 0.0
+        self.populations: deque[np.ndarray] = deque(maxlen=params.window)
+        self.consecutive_hits = 0
 
-    def generation_values(self, population: np.ndarray) -> dict[str, float]:
-        """Add ``population`` (one objective vector per row) to the window
-        and return its (hv, eps, r2) gaps to the window's reference set."""
+    def update(self, population: np.ndarray) -> tuple[dict[str, float], Decision]:
         pop = np.array(population, dtype=float, ndmin=2)
         if pop.shape[0] == 0 or pop.shape[1] != self.m:
             raise ValueError(f"population must be a non-empty (n, {self.m}) matrix")
         self.populations.append(pop)
         window_points = np.vstack(self.populations)
-        self.transform = fit_normalize_transform(window_points)
-        self.reference = FrontSet(self.transform.apply(window_points), "reference")
-        self._reference_hv = hypervolume(self.reference.points, self.ref_point)
-        self._reference_r2 = r2_indicator(self.reference, self.weights, self.ideal)
-        return self._gaps(pop)
+        transform = fit_normalize_transform(window_points)
+        reference = FrontSet(transform.apply(window_points), "reference")
+        reference_hv = hypervolume(reference.points, self.ref_point)
+        reference_r2 = r2_indicator(reference, self.weights, self.ideal)
 
-    def window_values(self) -> dict[str, np.ndarray]:
-        """Gaps of every population in the window, oldest first, measured
-        in the frame of the newest generation."""
-        if self.reference is None:
-            raise RuntimeError("no generation recorded yet")
-        rows = [self._gaps(pop) for pop in self.populations]
-        return {name: np.array([row[name] for row in rows]) for name in DEFAULT_INDICATORS}
+        def gaps(points: np.ndarray) -> dict[str, float]:
+            front = FrontSet(transform.apply(points), "population")
+            return {
+                "hv": reference_hv - hypervolume(front.points, self.ref_point),
+                "eps": eps_indicator(front, reference),
+                "r2": r2_indicator(front, self.weights, self.ideal) - reference_r2,
+            }
 
-    def _gaps(self, population: np.ndarray) -> dict[str, float]:
-        front = FrontSet(self.transform.apply(population), "population")
-        return {
-            "hv": self._reference_hv - hypervolume(front.points, self.ref_point),
-            "eps": eps_indicator(front, self.reference),
-            "r2": r2_indicator(front, self.weights, self.ideal) - self._reference_r2,
-        }
+        if len(self.populations) < self.params.window:
+            return gaps(pop), Decision.CONTINUE
+        rows = [gaps(p) for p in self.populations]
+        series = {name: np.array([row[name] for row in rows]) for name in DEFAULT_INDICATORS}
+        return rows[-1], self.decide(series)
+
+    def decide(self, series: Mapping[str, np.ndarray]) -> Decision:
+        """Score one generation's series (one per tracked indicator, oldest
+        first) as a hit or not, and stop on the second hit in a row.
+
+        A hit needs every tracked series to pass the variance test, or every
+        tracked series to have a confidently zero slope.
+        """
+        p = self.params
+        tracked = [np.asarray(series[name], dtype=float) for name in p.indicators]
+        hit = all(variance_below_limit(v, p.var_limit, p.alpha) for v in tracked) or all(
+            slope_is_zero(v, p.alpha) for v in tracked
+        )
+        self.consecutive_hits = self.consecutive_hits + 1 if hit else 0
+        return Decision.CONVERGED if self.consecutive_hits >= 2 else Decision.CONTINUE

@@ -90,6 +90,8 @@ def sample_size_study(
     names = (metric,) if isinstance(metric, str) else tuple(metric)
     if repeats < 2:
         raise ValueError("need at least two repeats")
+    if any(size < 2 for size in sizes):
+        raise ValueError(f"every sample size must be at least 2, got {list(sizes)}")
     rows = []
     for size in sizes:
         halfwidths = np.empty((len(names), repeats))

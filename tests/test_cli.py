@@ -247,3 +247,66 @@ class TestMakeDecks:
         assert len(files) == 8
         deck = load_deck(files[0])
         assert deck.shape.K == 32
+
+
+class TestCommandErrors:
+    """A bad argument or a missing file ends any command with one line on
+    stderr and exit status 1, not a traceback."""
+
+    def fails(self, capsys, *argv):
+        code = main([str(a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        return captured.err
+
+    def test_simulate_without_games(self, deck_file, capsys):
+        err = self.fails(capsys, "simulate", "--deck", deck_file, "--games", 0)
+        assert err.startswith("trumpbench simulate: need at least one game")
+
+    def test_simulate_missing_deck(self, tmp_path, capsys):
+        err = self.fails(capsys, "simulate", "--deck", tmp_path / "absent.csv")
+        assert err.startswith("trumpbench simulate: ")
+        assert "absent.csv" in err
+
+    def test_sample_size_rejects_size_one_before_simulating(self, deck_file, capsys, monkeypatch):
+        def no_games(*args, **kwargs):
+            raise AssertionError("simulated before the sizes were checked")
+
+        monkeypatch.setattr("trumpbench.experiments.play_random_games", no_games)
+        err = self.fails(capsys, "sample-size", "--deck", deck_file, "--sizes", "30,1")
+        assert err.startswith("trumpbench sample-size: every sample size must be at least 2")
+
+    def test_eaf_glob_without_match(self, tmp_path, capsys):
+        err = self.fails(
+            capsys,
+            "eaf", "--group-a", str(tmp_path / "a_*.csv"), "--group-b", str(tmp_path / "b_*.csv"),
+            "--out", tmp_path / "eaf",
+        )
+        assert err.startswith("trumpbench eaf: no front files match")
+        assert not (tmp_path / "eaf").exists()
+
+    def test_indicators_glob_without_match(self, tmp_path, capsys):
+        err = self.fails(
+            capsys,
+            "indicators", "--fronts", str(tmp_path / "front_*.csv"),
+            "--refset", tmp_path / "ref.csv",
+        )
+        assert err.startswith("trumpbench indicators: no front files match")
+
+    def test_experiment_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("approaches = D4\nevlas = 100\n")
+        err = self.fails(capsys, "experiment", "--config", cfg)
+        assert err.startswith("trumpbench experiment: ")
+        assert "line 2: unknown key 'evlas'" in err
+
+    def test_experiment_invalid_setting_fails_before_any_run(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"approaches = D4\nk = 8\nl = 2\nsurface_level = 0\nout = {tmp_path / 'out'}\n"
+        )
+        err = self.fails(capsys, "experiment", "--config", cfg)
+        assert err.startswith("trumpbench experiment: surface_level must lie in (0, 1]")
+        assert not (tmp_path / "out").exists()

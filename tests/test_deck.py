@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trumpbench.deck import (
-    Card,
     Deck,
     DeckFormatError,
     DeckShape,
@@ -23,7 +22,7 @@ from trumpbench.deck import (
 
 class TestCardDominance:
     def test_strictly_greater_everywhere(self):
-        assert card_dominates(Card((3, 5)), Card((2, 4)))
+        assert card_dominates((3, 5), (2, 4))
 
     def test_incomparable(self):
         assert not card_dominates((3, 5), (5, 3))

@@ -50,6 +50,30 @@ class TestConfig:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"games": 0},
+            {"surface_level": 0.0},
+            {"surface_level": 1.5},
+            {"permutations": 0},
+            {"alpha": 0.0},
+            {"alpha": 1.0},
+            {"workers": 0},
+        ],
+    )
+    def test_invalid_setting_rejected_by_the_config(self, setting):
+        # Caught when the config is built, so no optimizer run is wasted.
+        with pytest.raises(ValueError):
+            mini_config(**setting)
+
+    def test_boundary_settings_accepted(self):
+        config = mini_config(games=1, surface_level=1.0, permutations=1, alpha=0.5, workers=1)
+        assert config.surface_level == 1.0
+
+    def test_hash_of_default_config_is_stable(self):
+        assert ExperimentConfig().config_hash() == "4bf71bb1b5760e97"
+
     def test_hash_ignores_output_dir(self):
         a = mini_config(output_dir=None)
         b = mini_config(output_dir="/somewhere/else")

@@ -314,3 +314,91 @@ class TestRuns:
 def test_hv_contributions_alias():
     front = np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]])
     assert hv_contributions(front, np.array([4.0, 4.0])) == pytest.approx([1.0, 1.0, 1.0])
+
+
+# Indicator traces of two pinned runs on the 8x2 deck with mu=4, as (hv, eps,
+# r2) per generation for the B run and as (min, mean, max, generations)
+# run-length pairs for the D run.
+PINNED_B_TRACE = [
+    (0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0),
+    (0.01365914786967426, 0.11111111111111116, 0.0020204099715377816),
+    (0.018089668615984378, 0.11111111111111116, 0.003513214855320107),
+    (0.0012698412698413097, 0.06666666666666665, 0.0005069057926200687),
+    (0.0012698412698413097, 0.06666666666666665, 0.0005069057926200826),
+    (0.0012698412698413097, 0.06666666666666665, 0.0005069057926200826),
+    (0.03803110469777127, 0.14285714285714302, 0.004762707470499686),
+    (0.03803110469777127, 0.14285714285714302, 0.004762707470499686),
+    (0.06611351611351612, 0.11111111111111116, 0.008208310688830156),
+    (0.05848965848965848, 0.09523809523809512, 0.008178891574995475),
+    (0.0524290524290526, 0.11111111111111116, 0.00781057326511872),
+    (0.0524290524290526, 0.11111111111111116, 0.00781057326511872),
+    (0.05005411255411252, 0.125, 0.007741440377803999),
+    (0.05005411255411252, 0.125, 0.007741440377803999),
+    (0.05005411255411252, 0.125, 0.007741440377803999),
+    (0.041883116883116744, 0.09090909090909105, 0.006390420906654648),
+    (0.041883116883116744, 0.09090909090909105, 0.006390420906654648),
+    (0.013157114624505861, 0.18181818181818188, 0.005911402990948472),
+    (0.013157114624505861, 0.18181818181818188, 0.005911402990948472),
+    (0.0018181818181818299, 0.18181818181818188, 0.00395769382133021),
+    (0.0018181818181818299, 0.18181818181818188, 0.00395769382133021),
+    (0.0018181818181818299, 0.18181818181818188, 0.00395769382133021),
+    (0.0018181818181818299, 0.18181818181818188, 0.00395769382133021),
+    (0.0018181818181818299, 0.18181818181818188, 0.00395769382133021),
+    (0.0018181818181818299, 0.18181818181818188, 0.00395769382133021),
+    (0.0018181818181818299, 0.18181818181818188, 0.00395769382133021),
+    (0.0, 0.0, 0.0),
+    (0.0, 0.0, 0.0),
+]
+PINNED_D_TRACE = [
+    (-5.75, -5.25, -4.75, 1),
+    (-5.875, -5.5625, -5.25, 1),
+    (-5.875, -5.8125, -5.75, 1),
+    (-5.875, -5.84375, -5.75, 1),
+    (-5.875, -5.875, -5.875, 2),
+    (-6.0, -5.90625, -5.875, 1),
+    (-6.125, -6.0, -5.875, 1),
+    (-6.125, -6.09375, -6.0, 1),
+    (-6.375, -6.1875, -6.125, 1),
+    (-6.375, -6.25, -6.125, 1),
+    (-6.375, -6.34375, -6.25, 1),
+    (-6.375, -6.375, -6.375, 39),
+    (-6.5, -6.40625, -6.375, 2),
+    (-6.625, -6.53125, -6.5, 2),
+    (-6.625, -6.59375, -6.5, 2),
+    (-6.625, -6.625, -6.625, 5),
+    (-6.75, -6.65625, -6.625, 4),
+    (-6.75, -6.6875, -6.625, 3),
+    (-6.75, -6.75, -6.75, 37),
+    (-6.875, -6.78125, -6.75, 2),
+    (-6.875, -6.8125, -6.75, 1),
+    (-6.875, -6.875, -6.875, 30),
+    (-7.0, -6.9375, -6.875, 1),
+    (-7.0, -7.0, -7.0, 500),
+]
+
+
+class TestPinnedRuns:
+    """Two runs stopped by their convergence detectors, pinned to the
+    evaluation count, stop reason and indicator trace they produce."""
+
+    def run(self, kind, **kw):
+        config = EAConfig(mu=4, objective=kind, shape=DeckShape(K=8, L=2), **kw)
+        optimize = so_ea_run if kind is ObjectiveKind.DOMINANCE else sms_emoa_run
+        return optimize(config, make_evaluator(kind, config.shape, config.games))
+
+    def test_balance_run_stops_by_ocd(self):
+        result = self.run(ObjectiveKind.BALANCE, games=30, max_evals=200, seed=0)
+        assert (result.n_evals, result.stop_reason) == (120, StopReason.CONVERGED)
+        assert len(result.indicator_trace) == len(PINNED_B_TRACE) == 30
+        trace = [(row["hv"], row["eps"], row["r2"]) for row in result.indicator_trace]
+        assert trace == [pytest.approx(row, rel=1e-9) for row in PINNED_B_TRACE]
+
+    def test_dominance_run_stops_by_stagnation(self):
+        result = self.run(ObjectiveKind.DOMINANCE, max_evals=6000, seed=1)
+        assert (result.n_evals, result.stop_reason) == (2560, StopReason.CONVERGED)
+        assert len(result.indicator_trace) == 640
+        expected = [row[:3] for row in PINNED_D_TRACE for _ in range(row[3])]
+        trace = [(row["min"], row["mean"], row["max"]) for row in result.indicator_trace]
+        assert trace == [pytest.approx(row, rel=1e-9) for row in expected]

@@ -1,26 +1,19 @@
-"""Convergence detection on synthetic indicator streams."""
+"""Convergence detectors on synthetic indicator streams and populations."""
 
 from collections import deque
 
 import numpy as np
 import pytest
 
-from trumpbench.ocd import (
-    Decision,
-    OCDParams,
-    OCDState,
-    RunIndicatorTracker,
-    StagnationState,
-    ocd_tracker_update,
-    so_convergence,
-    two_hit_decision,
-)
+from trumpbench.ocd import Decision, OCDParams, RunIndicatorTracker, Stagnation
+
+FRONT = np.array([[1.0, 2.0], [2.0, 1.0]])
 
 
 def feed(params, streams):
     """Slide a window of ``params.window`` values over parallel streams and
     decide on every full window; return the stop generation or None."""
-    state = OCDState(params)
+    tracker = RunIndicatorTracker(1, params)
     windows = {n: deque(maxlen=params.window) for n in params.indicators}
     length = len(next(iter(streams.values())))
     for t in range(length):
@@ -28,8 +21,17 @@ def feed(params, streams):
             windows[n].append(streams[n][t])
         if t + 1 < params.window:
             continue
-        if two_hit_decision(state, windows) is Decision.CONVERGED:
+        if tracker.decide(windows) is Decision.CONVERGED:
             return t + 1
+    return None
+
+
+def stop_generation(tracker, populations):
+    """Update ``tracker`` with each population in turn; return the
+    1-based generation that converged, or None."""
+    for generation, population in enumerate(populations, 1):
+        if tracker.update(population)[1] is Decision.CONVERGED:
+            return generation
     return None
 
 
@@ -100,10 +102,10 @@ class TestOcdUpdate:
 
 
     def test_a_miss_resets_the_hit_streak(self):
-        state = OCDState(OCDParams(window=5, indicators=("hv",)))
+        tracker = RunIndicatorTracker(1, OCDParams(window=5, indicators=("hv",)))
         hit = {"hv": np.full(5, 0.5)}
         miss = {"hv": np.arange(5, dtype=float)}
-        decisions = [two_hit_decision(state, w) for w in (hit, miss, hit, hit)]
+        decisions = [tracker.decide(w) for w in (hit, miss, hit, hit)]
         assert decisions == [Decision.CONTINUE] * 3 + [Decision.CONVERGED]
 
 
@@ -123,34 +125,61 @@ class TestParams:
 
 class TestStagnation:
     def test_constant_series_converge(self):
-        state = StagnationState(window=5)
-        decisions = [so_convergence(state, (-31.0, -31.0, -30.0)) for _ in range(5)]
+        detector = Stagnation(window=5, tol=1e-9)
+        decisions = [detector.update([-31.0, -31.0, -30.0])[1] for _ in range(5)]
         assert decisions[-1] is Decision.CONVERGED
         assert all(d is Decision.CONTINUE for d in decisions[:-1])
 
     def test_improving_series_continue(self):
-        state = StagnationState(window=5)
+        detector = Stagnation(window=5, tol=1e-9)
         for t in range(20):
-            decision = so_convergence(state, (-30.0 - 1e-3 * t, -29.0, -28.0))
+            row, decision = detector.update([-30.0 - 1e-3 * t, -29.0, -28.0])
         assert decision is Decision.CONTINUE
+        assert row["min"] == pytest.approx(-30.019)
 
     def test_spread_below_tol_in_every_series_required(self):
-        state = StagnationState(window=3)
-        so_convergence(state, (0.0, 0.0, 0.0))
-        so_convergence(state, (0.0, 0.0, 0.5))
-        assert so_convergence(state, (0.0, 0.0, 0.0)) is Decision.CONTINUE
+        # min and mean stay put; only max moves, and it alone keeps the run going.
+        detector = Stagnation(window=3, tol=1e-9)
+        detector.update([0.0, 0.0, 0.0])
+        detector.update([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, -0.5])
+        assert detector.update([0.0, 0.0, 0.0])[1] is Decision.CONTINUE
+
+    def test_trace_row_is_min_mean_max(self):
+        row, _ = Stagnation(window=2, tol=1e-9).update([-3.0, -1.0, -2.0])
+        assert row == {"min": -3.0, "mean": -2.0, "max": -1.0}
+
+    def test_rejects_bad_window_or_tol(self):
+        with pytest.raises(ValueError, match="window"):
+            Stagnation(window=1, tol=1e-9)
+        with pytest.raises(ValueError, match="tol"):
+            Stagnation(window=5, tol=0.0)
 
 
 class TestRunIndicatorTracker:
     def test_stable_population_yields_constant_values(self):
-        tracker = RunIndicatorTracker(2)
-        pts = np.array([[1.0, 2.0], [2.0, 1.0]])
-        first = tracker.generation_values(pts)
-        second = tracker.generation_values(pts)
+        tracker = RunIndicatorTracker(2, OCDParams())
+        first, _ = tracker.update(FRONT)
+        second, _ = tracker.update(FRONT)
         assert first == second
         assert first["hv"] == pytest.approx(0.0)
         assert first["eps"] == pytest.approx(0.0)
         assert all(np.isfinite(v) for v in first.values())
+
+    @pytest.mark.parametrize("window", [3, 5, 10])
+    def test_stable_population_stops_at_window_plus_one(self, window):
+        # No decision before the window is full; the first full window is
+        # a hit and the next one stops the run.
+        tracker = RunIndicatorTracker(2, OCDParams(window=window))
+        assert stop_generation(tracker, [FRONT] * (3 * window)) == window + 1
+
+    def test_a_miss_resets_the_streak_of_a_run(self):
+        # One hit at generation `window`; a single step of the front keeps
+        # every window that holds both fronts a miss.  Without the reset the
+        # first hit after the step would already be the second one.
+        window = 5
+        tracker = RunIndicatorTracker(2, OCDParams(window=window))
+        populations = [FRONT] * window + [FRONT - 0.5] * (3 * window)
+        assert stop_generation(tracker, populations) == 2 * window + 1
 
     def test_moving_front_stops_only_after_it_holds_still(self):
         # A front that gains a fixed step each generation scores 0 against
@@ -159,51 +188,50 @@ class TestRunIndicatorTracker:
         # front stops moving, within window + 1 generations.
         window, moves = 10, 40
         base = np.array([[1.0, 3.0], [1.5, 2.0], [2.0, 1.5], [3.0, 1.0]]) + 5.0
-        tracker = RunIndicatorTracker(2, window=window)
-        state = OCDState(OCDParams(window=window))
-        stop = None
-        for generation in range(1, moves + 3 * window):
-            tracker.generation_values(base - 0.05 * min(generation, moves))
-            if ocd_tracker_update(state, tracker) is Decision.CONVERGED:
-                stop = generation
-                break
+        tracker = RunIndicatorTracker(2, OCDParams(window=window))
+        populations = [base - 0.05 * min(g, moves) for g in range(1, moves + 3 * window)]
+        stop = stop_generation(tracker, populations)
         assert stop is not None
         assert moves < stop <= moves + window + 1
 
-    def test_window_values_remeasure_older_populations(self):
-        tracker = RunIndicatorTracker(2, window=3)
-        front = np.array([[1.0, 2.0], [2.0, 1.0]])
+    def test_full_window_remeasures_older_populations(self, monkeypatch):
+        # Each population is measured once, in the newest generation's frame;
+        # the trace row is the newest population's entry of the series.
+        tracker = RunIndicatorTracker(2, OCDParams(window=3))
+        decided = []
+        decide = tracker.decide
+
+        def recording_decide(series):
+            decided.append(series)
+            return decide(series)
+
+        monkeypatch.setattr(tracker, "decide", recording_decide)
         for shift in (0.0, 0.5, 1.0):
-            newest = tracker.generation_values(front - shift)
-        series = tracker.window_values()
+            newest, _ = tracker.update(FRONT - shift)
+        assert len(decided) == 1
+        series = decided[0]
         assert newest == {name: series[name][-1] for name in series}
         assert series["hv"][0] > series["hv"][1] > series["hv"][2] == pytest.approx(0.0)
         assert np.all(series["eps"] >= 0.0)
 
     def test_reference_is_nondominated_union_of_window(self):
         # The first population dominates everything but leaves the window;
-        # of the two it holds, [3, 3] is dominated.
-        tracker = RunIndicatorTracker(2, window=2)
+        # of the two points the second holds, [3, 3] is dominated.  The
+        # newest population is then exactly the reference set, and scores 0.
+        tracker = RunIndicatorTracker(2, OCDParams(window=3))
         for pop in ([[0.0, 0.0]], [[1.0, 2.0], [3.0, 3.0]], [[2.0, 1.0]]):
-            tracker.generation_values(np.array(pop))
-        assert len(tracker.populations) == 2
-        assert len(tracker.reference) == 2
-        expected = tracker.transform.apply(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        assert sorted(map(tuple, tracker.reference.points)) == sorted(map(tuple, expected))
+            row, _ = tracker.update(np.array(pop))
+        assert row["hv"] > 0.0 and row["eps"] > 0.0
+        row, _ = tracker.update(FRONT)
+        assert len(tracker.populations) == 3
+        assert row == pytest.approx({"hv": 0.0, "eps": 0.0, "r2": 0.0}, abs=1e-12)
+        # [1, 2] of the generation before still belongs to the reference.
+        row, _ = tracker.update(np.array([[2.0, 1.0]]))
+        assert row["eps"] > 0.0
 
     def test_rejects_malformed_population(self):
-        tracker = RunIndicatorTracker(2)
+        tracker = RunIndicatorTracker(2, OCDParams())
         with pytest.raises(ValueError):
-            tracker.generation_values(np.empty((0, 2)))
+            tracker.update(np.empty((0, 2)))
         with pytest.raises(ValueError):
-            tracker.generation_values(np.array([[1.0, 2.0, 3.0]]))
-
-    def test_window_values_need_a_generation(self):
-        with pytest.raises(RuntimeError):
-            RunIndicatorTracker(2).window_values()
-
-    def test_window_length_must_match(self):
-        tracker = RunIndicatorTracker(2, window=4)
-        tracker.generation_values(np.array([[1.0, 2.0]]))
-        with pytest.raises(ValueError):
-            ocd_tracker_update(OCDState(OCDParams(window=5)), tracker)
+            tracker.update(np.array([[1.0, 2.0, 3.0]]))
