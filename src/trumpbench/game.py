@@ -11,9 +11,8 @@ All games are played by one batched kernel, ``_play_batch``, which loops
 over the K/2 tricks and never over games.  :func:`play_game` is a batch of
 one.  :func:`play_random_games` plays games on fresh seeded deals, in chunks
 of ``CHUNK_GAMES``, and returns per-game arrays, which :func:`simulate`
-sums.  Deals are drawn one game at a time, in game order, exactly as
-:func:`random_deal` draws them (the permutation, then the starter), so a
-seed yields the same games as a game-by-game loop would.
+sums.  Each chunk draws all its deals in one call (the hand orders, then
+the starters), so the games a seed yields depend on ``CHUNK_GAMES``.
 """
 
 from __future__ import annotations
@@ -129,43 +128,43 @@ def _play_batch(
     hand-over runs trick by trick, over (G,) vectors.
     """
     n_tricks = perms.shape[1] // 2
-    # Trick-major (K, G, L), so that each trick is one contiguous slab.
-    vals = np.take(values, perms.T, axis=0)
-    hand_a, hand_b = vals[:n_tricks], vals[n_tricks:]
-    # outcome[p][t, g]: +1 if A takes trick t when player p announces, -1 if B does, 0 on a tie.
+    # Global ranks keep every comparison, within a category and across
+    # categories, in the smallest integer type that holds them.
+    distinct, ranks = np.unique(values, return_inverse=True)
+    ranks = ranks.reshape(values.shape).astype(np.min_scalar_type(distinct.size - 1))
+    # Category-major (L, K, G), so that each category is one contiguous slab.
+    vals = np.take(ranks.T, perms.T, axis=1)
+    hand_a, hand_b = vals[:, :n_tricks], vals[:, n_tricks:]
+    # beats[c, t, g]: +1 if A takes trick t in category c, -1 if B does, 0 on a tie.
+    beats = (hand_a > hand_b).astype(np.int8) - (hand_b > hand_a)
+    # outcome[p][t, g]: the result of trick t when player p announces.
     outcome = []
     for own, opp, policy in ((hand_a, hand_b, policies[0]), (hand_b, hand_a, policies[1])):
         if policy is Policy.INFORMED:
             # Count of the opponent's remaining cards that own card t beats, per category.
-            est = np.empty(own.shape, dtype=np.intp)
-            for t in range(n_tricks):
-                np.sum(opp[t:] < own[t], axis=0, out=est[t])
+            est = np.zeros(own.shape, dtype=np.min_scalar_type(n_tricks))
+            for s in range(n_tricks):
+                est[:, : s + 1] += opp[:, s, None] < own[:, : s + 1]
         else:
             est = own  # argmax of (v - lo) / span is argmax of v
-        cat = np.argmax(est, axis=2)[..., None]
-        va = np.take_along_axis(hand_a, cat, axis=2)[..., 0]
-        vb = np.take_along_axis(hand_b, cat, axis=2)[..., 0]
-        outcome.append((va > vb).astype(np.int8) - (vb > va))
-    announcer_a = np.array(a_starts, dtype=bool)
-    tricks_a = np.zeros(perms.shape[0], dtype=np.intp)
-    tricks_b = np.zeros_like(tricks_a)
-    changes = np.zeros_like(tricks_a)
+        # Running argmax over the categories, ties to the lowest index.  The
+        # select is arithmetic: np.where on int8 is several times slower.
+        best, chosen = est[0], beats[0]
+        for c in range(1, est.shape[0]):
+            better = est[c] > best
+            best = np.maximum(best, est[c])
+            chosen = chosen + better * (beats[c] - chosen)
+        outcome.append(chosen)
+    announcer_a = np.empty((n_tricks + 1, perms.shape[0]), dtype=bool)
+    announcer_a[0] = a_starts
+    result = np.empty((n_tricks, perms.shape[0]), dtype=np.int8)
+    # The trick goes by the announcer's choice; A announces next after a
+    # trick A takes, or after a tie A announced.
     for t in range(n_tricks):
-        result = np.where(announcer_a, outcome[0][t], outcome[1][t])
-        won_a, won_b = result > 0, result < 0
-        tricks_a += won_a
-        tricks_b += won_b
-        changes += (won_a & ~announcer_a) | (won_b & announcer_a)
-        announcer_a = (announcer_a | won_a) & ~won_b
-    return tricks_a, tricks_b, changes
-
-
-def random_deal(k: int, rng: np.random.Generator) -> Deal:
-    """Uniform shuffle; the first K/2 cards form hand A; uniform starter."""
-    perm = rng.permutation(k)
-    half = k // 2
-    starter = Player.A if rng.integers(2) == 0 else Player.B
-    return Deal(tuple(int(i) for i in perm[:half]), tuple(int(i) for i in perm[half:]), starter)
+        r = result[t] = outcome[1][t] + announcer_a[t] * (outcome[0][t] - outcome[1][t])
+        announcer_a[t + 1] = (announcer_a[t] | (r > 0)) & (r >= 0)
+    changes = (announcer_a[1:] != announcer_a[:-1]).sum(axis=0)
+    return (result > 0).sum(axis=0), (result < 0).sum(axis=0), changes
 
 
 def play_random_games(
@@ -177,8 +176,10 @@ def play_random_games(
     """Play ``games`` games, each on a fresh uniform deal and starter;
     returns per-game (tricks_a, tricks_b, announcer_changes) in game order.
 
-    Deals are drawn in game order, as :func:`random_deal` draws them, and
-    played in chunks of at most ``CHUNK_GAMES`` games.
+    Games are played in chunks of at most ``CHUNK_GAMES``.  Each chunk of n
+    games draws its deals at once: ``rng.permuted`` shuffles every row of an
+    (n, K) table of card indices (an exact Fisher-Yates shuffle per row),
+    whose first K/2 entries form hand A; then one starter per game, A on 0.
     """
     if games < 1:
         raise ValueError("need at least one game")
@@ -186,13 +187,8 @@ def play_random_games(
     chunks = []
     for start in range(0, games, CHUNK_GAMES):
         n = min(CHUNK_GAMES, games - start)
-        # rng.permutation(k) shuffles arange(k) in place; shuffling each
-        # row draws the same numbers without allocating a fresh array.
-        perms = np.tile(np.arange(k), (n, 1))
-        a_starts = np.empty(n, dtype=bool)
-        for g in range(n):
-            rng.shuffle(perms[g])
-            a_starts[g] = rng.integers(2) == 0
+        perms = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+        a_starts = rng.integers(2, size=n) == 0
         chunks.append(_play_batch(deck.values, perms, a_starts, policies))
     tricks_a, tricks_b, changes = zip(*chunks)
     return np.concatenate(tricks_a), np.concatenate(tricks_b), np.concatenate(changes)

@@ -1,10 +1,14 @@
 """Game rules and Monte Carlo batches."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chisquare
 
+from trumpbench import game
 from trumpbench.deck import Deck, DeckShape, random_valid_deck
 from trumpbench.game import (
     CHUNK_GAMES,
@@ -15,9 +19,16 @@ from trumpbench.game import (
     Policy,
     play_game,
     play_random_games,
-    random_deal,
     simulate,
 )
+
+
+def random_deal(k: int, rng: np.random.Generator) -> Deal:
+    """Uniform shuffle; the first K/2 cards form hand A; uniform starter."""
+    perm = rng.permutation(k)
+    half = k // 2
+    starter = Player.A if rng.integers(2) == 0 else Player.B
+    return Deal(tuple(int(i) for i in perm[:half]), tuple(int(i) for i in perm[half:]), starter)
 
 
 def _play_hands(
@@ -236,9 +247,15 @@ class TestSimulate:
         assert summary.win_rate_a + summary.draw_rate + summary.loss_rate_a == pytest.approx(1.0, abs=1e-12)
 
     def test_self_play_is_roughly_fair(self):
+        # Self-play draws about 10% of games, so A wins about 45%, not 50%;
+        # what symmetry fixes is that A wins as often as it loses.  The bound
+        # is 4 standard errors of the difference of the two rates.
+        games = 20_000
         deck = random_valid_deck(DeckShape(), np.random.default_rng(12))
-        summary = simulate(deck, (Policy.RANGE_ONLY, Policy.RANGE_ONLY), 2000, np.random.default_rng(3))
-        assert abs(summary.win_rate_a - 0.5) < 0.04
+        summary = simulate(deck, (Policy.RANGE_ONLY, Policy.RANGE_ONLY), games, np.random.default_rng(3))
+        win, loss = summary.win_rate_a, summary.loss_rate_a
+        stderr = np.sqrt((win + loss - (win - loss) ** 2) / games)
+        assert abs(win - loss) < 4 * stderr
 
     def test_rejects_zero_games(self):
         deck = random_valid_deck(DeckShape(), np.random.default_rng(13))
@@ -276,7 +293,10 @@ class TestKernelMatchesOracle:
     @pytest.mark.parametrize("policies", POLICY_PAIRS, ids=lambda p: f"{p[0].value}-{p[1].value}")
     def test_simulate_replays_its_seeded_deals(self, games, policies):
         shape = DeckShape(K=8, L=3)
-        deck = Deck(np.random.default_rng(5).integers(1, 5, size=(8, 3)).astype(float), shape)
+        # Tied values within each category, on scales that differ between
+        # categories, so the range-only choice compares across categories.
+        values = np.random.default_rng(5).integers(1, 5, size=(8, 3)) * np.array([1.0, 2.0, 2.5])
+        deck = Deck(values, shape)
         tricks_a, tricks_b, changes = play_random_games(
             deck, policies, games, np.random.default_rng(17)
         )
@@ -284,12 +304,14 @@ class TestKernelMatchesOracle:
 
         rng = np.random.default_rng(17)
         expected = []
-        for _ in range(games):
-            perm = rng.permutation(shape.K)
-            a_starts = rng.integers(2) == 0
-            expected.append(
-                _play_hands(deck.values[perm[:4]], deck.values[perm[4:]], a_starts, policies, shape)
-            )
+        for start in range(0, games, CHUNK_GAMES):
+            n = min(CHUNK_GAMES, games - start)
+            perms = rng.permuted(np.tile(np.arange(shape.K), (n, 1)), axis=1)
+            a_starts = rng.integers(2, size=n) == 0
+            expected += [
+                _play_hands(deck.values[perm[:4]], deck.values[perm[4:]], a, policies, shape)
+                for perm, a in zip(perms, a_starts)
+            ]
         assert tricks_a.tolist() == [g.tricks_a for g in expected]
         assert tricks_b.tolist() == [g.tricks_b for g in expected]
         assert changes.tolist() == [g.announcer_changes for g in expected]
@@ -300,3 +322,44 @@ class TestKernelMatchesOracle:
         assert summary.loss_rate_a == (games - wins - draws) / games
         assert summary.mean_announcer_changes == sum(g.announcer_changes for g in expected) / games
         assert summary.mean_tightness == sum(g.tightness for g in expected) / games
+
+
+class TestDealDraw:
+    """The deals :func:`play_random_games` hands to the kernel."""
+
+    def test_hand_orders_and_starters_are_uniform(self, monkeypatch):
+        # K=4 has 4! = 24 hand orders (hand A, then hand B) and 2 starters.
+        # With a fixed seed the test is deterministic; the threshold only
+        # says how far from uniform the counts of that seed may look.
+        p_threshold = 1e-3
+        games = 6 * CHUNK_GAMES
+        seen = []
+        play_batch = game._play_batch
+
+        def record(values, perms, a_starts, policies):
+            seen.append((perms.copy(), a_starts.copy()))
+            return play_batch(values, perms, a_starts, policies)
+
+        monkeypatch.setattr(game, "_play_batch", record)
+        deck = four_card_deck()
+        play_random_games(deck, (Policy.INFORMED, Policy.RANGE_ONLY), games, np.random.default_rng(23))
+        assert [len(a) for _, a in seen] == [CHUNK_GAMES] * 6
+        perms = np.concatenate([p for p, _ in seen])
+        a_starts = np.concatenate([a for _, a in seen])
+        assert (np.sort(perms, axis=1) == np.arange(4)).all()
+
+        orders = {order: i for i, order in enumerate(itertools.permutations(range(4)))}
+        order_counts = np.bincount([orders[tuple(p)] for p in perms.tolist()], minlength=24)
+        assert order_counts.min() > 0
+        assert chisquare(order_counts).pvalue > p_threshold
+        assert chisquare(np.bincount(a_starts, minlength=2)).pvalue > p_threshold
+
+    def test_games_equal_their_per_chunk_replays(self):
+        policies = (Policy.INFORMED, Policy.RANGE_ONLY)
+        deck = random_valid_deck(DeckShape(K=8, L=3), np.random.default_rng(29))
+        whole = play_random_games(deck, policies, CHUNK_GAMES + 3, np.random.default_rng(31))
+        rng = np.random.default_rng(31)
+        first = play_random_games(deck, policies, CHUNK_GAMES, rng)
+        rest = play_random_games(deck, policies, 3, rng)
+        for got, head, tail in zip(whole, first, rest):
+            assert got.tolist() == head.tolist() + tail.tolist()
