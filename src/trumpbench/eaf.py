@@ -5,6 +5,15 @@ of runs whose front reaches it (some front point weakly dominates it).
 Because these functions are piecewise constant with breakpoints only at
 observed coordinates, surfaces and the two-group test statistic are exact
 when evaluated on the grid of componentwise coordinate combinations.
+
+That grid is never built whole. One sweep visits the distinct values of
+the last objective in increasing order and keeps a single slab over the
+other m-1 objectives: each slab cell holds the set of runs that attain
+it, as bits in ceil(runs/64) uint64 words. When the sweep reaches a
+point's last coordinate, the point sets its run's bit in its upper
+quadrant of the slab, so after each value the slab is one layer of the
+grid. Memory is that of one slab (and its predecessor), whatever the run
+count; ``MAX_SLAB_BYTES`` bounds it before anything is allocated.
 """
 
 from __future__ import annotations
@@ -15,8 +24,10 @@ import numpy as np
 
 from trumpbench.indicators import FrontSet
 
-# Refuse to materialize evaluation grids beyond this many cells.
-MAX_GRID_CELLS = 50_000_000
+# Refuse a sweep whose slab (cells x code words x 8 bytes) exceeds this.
+MAX_SLAB_BYTES = 2**27
+# Entries of one (patterns, permutations) block of the permutation test.
+BLOCK_ELEMENTS = 2**18
 
 
 @dataclass(frozen=True)
@@ -68,24 +79,39 @@ def _axes(point_sets: list[np.ndarray]) -> list[np.ndarray]:
     return [np.unique(stacked[:, d]) for d in range(stacked.shape[1])]
 
 
-def _grid_shape(axes: list[np.ndarray]) -> tuple[int, ...]:
-    shape = tuple(len(a) for a in axes)
-    cells = int(np.prod(shape))
-    if cells > MAX_GRID_CELLS:
-        raise ValueError(
-            f"evaluation grid of {cells} cells exceeds the supported size; "
-            "reduce the number of distinct coordinates"
-        )
-    return shape
+def _slabs(point_sets: list[np.ndarray], axes: list[np.ndarray]):
+    """Run codes of each grid layer, one per distinct last coordinate, in order.
 
-def _attained_grid(points: np.ndarray, axes: list[np.ndarray]) -> np.ndarray:
-    """Boolean grid: cell z is True when some point is <= z componentwise."""
-    shape = tuple(len(a) for a in axes)
-    attained = np.zeros(shape, dtype=bool)
-    for p in points:
-        idx = tuple(int(np.searchsorted(axes[d], p[d], side="left")) for d in range(len(axes)))
-        attained[tuple(slice(i, None) for i in idx)] = True
-    return attained
+    Each yielded slab has shape (len(axes[0]), ..., len(axes[m-2]), words):
+    bit r of a cell's code is set when run r has a point <= the cell in
+    the first m-1 coordinates and <= the layer's value in the last. The
+    same array is updated in place between yields.
+    """
+    words = -(-len(point_sets) // 64)
+    shape = tuple(len(a) for a in axes[:-1]) + (words,)
+    nbytes = 8 * int(np.prod(shape))
+    if nbytes > MAX_SLAB_BYTES:
+        raise ValueError(
+            f"attainment sweep needs a slab of {nbytes} bytes, more than the "
+            f"{MAX_SLAB_BYTES} supported; reduce the runs or distinct coordinates"
+        )
+    points = np.vstack(point_sets)
+    runs = np.repeat(np.arange(len(point_sets)), [len(p) for p in point_sets])
+    cells = np.column_stack([np.searchsorted(a, points[:, d]) for d, a in enumerate(axes)])
+    slab = np.zeros(shape, dtype=np.uint64)
+    for k in range(len(axes[-1])):
+        for i in np.flatnonzero(cells[:, -1] == k):
+            quadrant = tuple(slice(j, None) for j in cells[i, :-1])
+            slab[quadrant + (runs[i] // 64,)] |= np.uint64(1) << np.uint64(runs[i] % 64)
+        yield slab
+
+
+def _distinct_rows(codes: np.ndarray) -> np.ndarray:
+    """Distinct rows of a 2-D code array, by a lexsort and a neighbour compare."""
+    ordered = codes[np.lexsort(codes.T)]
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[fresh]
 
 
 def attainment_surface(group: RunGroup, level: float) -> FrontSet:
@@ -96,47 +122,62 @@ def attainment_surface(group: RunGroup, level: float) -> FrontSet:
     """
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
-    axes = _axes([f.points for f in group.fronts])
-    shape = _grid_shape(axes)
-    counts = np.zeros(shape, dtype=np.int32)
-    for front in group.fronts:
-        counts += _attained_grid(front.points, axes)
+    fronts = [f.points for f in group.fronts]
+    axes = _axes(fronts)
     needed = level * len(group) - 1e-9
-    eligible = counts >= needed
-
-    # The eligible region is upward closed, so a cell is minimal exactly
-    # when no single-coordinate step down stays eligible.
-    dominated_from_below = np.zeros(shape, dtype=bool)
-    for d in range(len(axes)):
-        shifted = np.zeros(shape, dtype=bool)
-        src = [slice(None)] * len(axes)
-        dst = [slice(None)] * len(axes)
-        src[d] = slice(None, -1)
-        dst[d] = slice(1, None)
-        shifted[tuple(dst)] = eligible[tuple(src)]
-        dominated_from_below |= shifted
-    minimal = eligible & ~dominated_from_below
-    idx = np.argwhere(minimal)
-    points = np.column_stack([axes[d][idx[:, d]] for d in range(len(axes))])
-    return FrontSet(points, origin=f"{group.label}_{level:g}")
+    found = []
+    before = np.False_  # no cell is eligible below the first layer
+    for k, slab in enumerate(_slabs(fronts, axes)):
+        eligible = np.bitwise_count(slab).sum(axis=-1) >= needed
+        # The eligible region is upward closed, so a cell is minimal exactly
+        # when no single-coordinate step down, the last one included, stays
+        # eligible.
+        minimal = eligible & ~before
+        for d in range(eligible.ndim):
+            lead = (slice(None),) * d
+            minimal[lead + (slice(1, None),)] &= ~eligible[lead + (slice(None, -1),)]
+        idx = np.argwhere(minimal)
+        last = np.full(len(idx), axes[-1][k])
+        found.append(np.column_stack([a[i] for a, i in zip(axes, idx.T)] + [last]))
+        before = eligible
+    return FrontSet(np.vstack(found), origin=f"{group.label}_{level:g}")
 
 
 def _pattern_matrix(groups: list[RunGroup]) -> np.ndarray:
     """Distinct per-cell attainment patterns across all runs, (patterns, runs).
 
-    Collapsing identical grid columns keeps the permutation loop exact while
-    shrinking it to at most 2^runs patterns.
+    Collapsing identical grid cells keeps the permutation test exact while
+    shrinking it to at most 2^runs patterns. A cell's code only changes
+    when a point reaches it, so after the first layer only the codes of
+    changed cells can be new.
     """
     fronts = [f.points for g in groups for f in g.fronts]
-    axes = _axes(fronts)
-    shape = _grid_shape(axes)
-    n_cells = int(np.prod(shape))
-    per_run = np.empty((len(fronts), n_cells), dtype=bool)
-    for r, pts in enumerate(fronts):
-        per_run[r] = _attained_grid(pts, axes).reshape(-1)
-    packed = np.packbits(per_run, axis=0)
-    uniq = np.unique(packed, axis=1)
-    return np.unpackbits(uniq, axis=0, count=len(fronts)).astype(bool).T
+    codes = []
+    before = None
+    for slab in _slabs(fronts, _axes(fronts)):
+        cells = slab.reshape(-1, slab.shape[-1])
+        changed = cells if before is None else cells[(cells != before).any(axis=1)]
+        codes.append(_distinct_rows(changed))
+        before = cells.copy()
+    distinct = _distinct_rows(np.vstack(codes))
+    runs = np.arange(len(fronts))
+    bits = distinct[:, runs // 64] >> (runs % 64).astype(np.uint64)
+    return (bits & np.uint64(1)).astype(bool)
+
+
+def _statistics(patterns: np.ndarray, orders: np.ndarray, n_a: int) -> np.ndarray:
+    """Largest attainment difference of each row of ``orders``, whose first
+    ``n_a`` runs form the first group.
+
+    The counts are exact integers, and each mean is a count divided by its
+    group size, as ``np.mean`` of the boolean pattern rows computes it.
+    """
+    n_b = patterns.shape[1] - n_a
+    members = np.zeros((patterns.shape[1], len(orders)), dtype=patterns.dtype)
+    members[orders[:, :n_a], np.arange(len(orders))[:, None]] = 1
+    counts_a = patterns @ members
+    counts_b = patterns.sum(axis=1, keepdims=True) - counts_a
+    return np.abs(counts_a / n_a - counts_b / n_b).max(axis=0)
 
 
 def eaf_test(
@@ -151,7 +192,8 @@ def eaf_test(
 
     The statistic is the largest absolute attainment difference over the
     joint evaluation grid; its null distribution comes from random
-    reassignments of run labels with group sizes preserved.
+    reassignments of run labels with group sizes preserved. The
+    permutations are scored in blocks of one matrix product each.
     """
     if len(group_a) < 2 or len(group_b) < 2:
         raise ValueError("both groups need at least two runs")
@@ -162,19 +204,15 @@ def eaf_test(
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    patterns = _pattern_matrix([group_a, group_b])
+    patterns = _pattern_matrix([group_a, group_b]).astype(np.int64)
     n_a = len(group_a)
     n_total = n_a + len(group_b)
-
-    def statistic(order: np.ndarray) -> float:
-        part_a = patterns[:, order[:n_a]].mean(axis=1)
-        part_b = patterns[:, order[n_a:]].mean(axis=1)
-        return float(np.abs(part_a - part_b).max())
-
-    observed = statistic(np.arange(n_total))
+    observed = float(_statistics(patterns, np.arange(n_total)[None, :], n_a)[0])
     null_stats = np.empty(permutations)
-    for b in range(permutations):
-        null_stats[b] = statistic(rng.permutation(n_total))
+    block = max(1, BLOCK_ELEMENTS // len(patterns))
+    for start in range(0, permutations, block):
+        orders = np.array([rng.permutation(n_total) for _ in range(min(block, permutations - start))])
+        null_stats[start : start + len(orders)] = _statistics(patterns, orders, n_a)
 
     p_value = float(np.mean(null_stats >= observed - 1e-12))
     critical_value = _critical_value(null_stats, alpha)

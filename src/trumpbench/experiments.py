@@ -9,7 +9,8 @@ import dataclasses
 import enum
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -193,6 +194,25 @@ def execute_run(config: EAConfig) -> tuple[dict | None, str | None]:
         return None, describe_error(exc)
 
 
+def _submit(pool: ProcessPoolExecutor, config: EAConfig) -> Future:
+    """One run in the pool; a pool that is already broken fails the run."""
+    try:
+        return pool.submit(execute_run, config)
+    except BrokenProcessPool as exc:
+        failed = Future()
+        failed.set_exception(exc)
+        return failed
+
+
+def _outcome(future: Future) -> tuple[dict | None, str | None]:
+    """The (artifact, error) of a submitted run; a run lost with its worker
+    process is an error."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return None, describe_error(exc)
+
+
 @dataclass
 class ApproachResult:
     approach: Approach
@@ -332,12 +352,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 seed = derive_seed(config.master_seed, approach.label, run_idx)
                 slot.fail(seed, describe_error(exc))
 
-    run_configs = [job for _, job in jobs]
     if config.workers > 1:
+        # Runs are submitted one by one, so a worker that dies (the pool is
+        # then broken) fails the runs it takes down, not the experiment.
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(execute_run, run_configs))
+            futures = [_submit(pool, job) for _, job in jobs]
+            outcomes = [_outcome(future) for future in futures]
     else:
-        outcomes = [execute_run(job) for job in run_configs]
+        outcomes = [execute_run(job) for _, job in jobs]
 
     for (slot, job), (artifact, error) in zip(jobs, outcomes):
         if error is not None:

@@ -1,5 +1,6 @@
 """CLI subcommands: behavior and byte-identical reproducibility."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -225,6 +226,51 @@ class TestEafCommand:
                 + (tmp_path / sub / "surface_a.csv").read_bytes()
             )
         assert outs[0] == outs[1]
+
+
+# SHA-256 of eaf_test.json, surface_a.csv and surface_b.csv as written by the
+# dense-grid implementation that the sweep replaced.
+EAF_GOLDEN = {
+    # seed, runs per group, points per run, m, integer coordinates below, permutations, test seed
+    (2024, 40, 4, 3, 6, 300, 5): (
+        "dd065c942a39df9b4e5260dcf6e060e52fbe86b00ade0c6a95c64de93becc205",
+        "36e25b12bafb5abb74420f8585cc0008ce3d128ee9ce1e5afac0831549b16cc3",
+        "a35da19e1e5adeaebd10e73bbcda5408679d3be0113494d8541d77f5515239cc",
+    ),
+    (7, 5, 6, 3, None, 500, 8): (
+        "33567ee83effb08789cc04eaec37bc0a89ffc603e0fea9b95c366e9a2f53e330",
+        "9e2a9d2d22726c09b4f3737976c04805470d97a7714e438d6fa0d1652a21cafc",
+        "9bf871fbd4ab5d460a160782d9ae9bb43ec67437a34f190f53d1b2c74f907856",
+    ),
+    (11, 6, 8, 2, None, 400, 3): (
+        "53731309f8106c0622c492f15b7272288cf8d70886d5eeaaf0d67c405990f898",
+        "b307828c5c308eb63c585912318f6c133b66b0e8289b45662e69b089990f6fb9",
+        "97b63837167673ace4346ef9088953428dce345358cbe9f72faafef74a027e1e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EAF_GOLDEN))
+def test_eaf_outputs_match_dense_grid_bytes(tmp_path, capsys, case):
+    seed, runs, points, m, high, permutations, test_seed = case
+    rng = np.random.default_rng(seed)
+    for grp, shift in (("a", 0), ("b", 1)):
+        for i in range(runs):
+            if high is None:
+                pts = rng.uniform(0, 1, size=(points, m)) + 0.2 * shift
+            else:
+                pts = rng.integers(shift, high + shift, size=(points, m)).astype(float)
+            write_front_csv(FrontSet(pts, f"{grp}{i}"), tmp_path / f"{grp}_{i:02d}.csv")
+    run_cli(
+        capsys,
+        "eaf", "--group-a", str(tmp_path / "a_*.csv"), "--group-b", str(tmp_path / "b_*.csv"),
+        "--permutations", permutations, "--seed", test_seed, "--out", tmp_path / "eaf",
+    )
+    digests = tuple(
+        hashlib.sha256((tmp_path / "eaf" / name).read_bytes()).hexdigest()
+        for name in ("eaf_test.json", "surface_a.csv", "surface_b.csv")
+    )
+    assert digests == EAF_GOLDEN[case]
 
 
 class TestSampleSizeCommand:

@@ -1,8 +1,13 @@
 """Attainment values, surfaces, the permutation test and set dominance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trumpbench import eaf
 from trumpbench.eaf import (
     EAFTestResult,
     RunGroup,
@@ -19,6 +24,119 @@ def group_of(points_per_run, label="g"):
         tuple(FrontSet(np.array(p, dtype=float), f"{label}-{i}") for i, p in enumerate(points_per_run)),
         label,
     )
+
+
+# The dense-grid implementation the sweep replaced, kept as the oracle: one
+# boolean grid per run over every combination of distinct coordinates.
+
+
+def grid_axes(point_sets):
+    stacked = np.vstack(point_sets)
+    return [np.unique(stacked[:, d]) for d in range(stacked.shape[1])]
+
+
+def attained_grid(points, axes):
+    """Boolean grid: cell z is True when some point is <= z componentwise."""
+    attained = np.zeros(tuple(len(a) for a in axes), dtype=bool)
+    for p in points:
+        idx = tuple(int(np.searchsorted(axes[d], p[d], side="left")) for d in range(len(axes)))
+        attained[tuple(slice(i, None) for i in idx)] = True
+    return attained
+
+
+def grid_surface(group, level):
+    axes = grid_axes([f.points for f in group.fronts])
+    shape = tuple(len(a) for a in axes)
+    counts = np.zeros(shape, dtype=np.int32)
+    for front in group.fronts:
+        counts += attained_grid(front.points, axes)
+    eligible = counts >= level * len(group) - 1e-9
+    dominated_from_below = np.zeros(shape, dtype=bool)
+    for d in range(len(axes)):
+        shifted = np.zeros(shape, dtype=bool)
+        src = [slice(None)] * len(axes)
+        dst = [slice(None)] * len(axes)
+        src[d] = slice(None, -1)
+        dst[d] = slice(1, None)
+        shifted[tuple(dst)] = eligible[tuple(src)]
+        dominated_from_below |= shifted
+    idx = np.argwhere(eligible & ~dominated_from_below)
+    points = np.column_stack([axes[d][idx[:, d]] for d in range(len(axes))])
+    return FrontSet(points, origin=f"{group.label}_{level:g}")
+
+
+def grid_patterns(groups):
+    """Distinct columns of the stacked per-run grids, as a set of run tuples."""
+    fronts = [f.points for g in groups for f in g.fronts]
+    axes = grid_axes(fronts)
+    per_run = np.array([attained_grid(pts, axes).reshape(-1) for pts in fronts])
+    return {tuple(column) for column in per_run.T.tolist()}
+
+
+def grid_eaf_test(group_a, group_b, permutations, alpha, seed):
+    """The per-permutation loop over the grid patterns."""
+    patterns = np.array(sorted(grid_patterns([group_a, group_b])), dtype=bool)
+    rng = np.random.default_rng(seed)
+    n_a = len(group_a)
+    n_total = n_a + len(group_b)
+
+    def statistic(order):
+        part_a = patterns[:, order[:n_a]].mean(axis=1)
+        part_b = patterns[:, order[n_a:]].mean(axis=1)
+        return float(np.abs(part_a - part_b).max())
+
+    observed = statistic(np.arange(n_total))
+    null_stats = np.array([statistic(rng.permutation(n_total)) for _ in range(permutations)])
+    p_value = float(np.mean(null_stats >= observed - 1e-12))
+    return EAFTestResult(
+        statistic=observed,
+        critical_value=eaf._critical_value(null_stats, alpha),
+        p_value=p_value,
+        permutations=permutations,
+        alpha=alpha,
+        reject=p_value < alpha,
+        seed=seed,
+    )
+
+
+@st.composite
+def run_groups(draw, many_runs=False):
+    """Two groups of small-integer fronts, so coordinates tie and points
+    repeat within and across runs; ``many_runs`` needs two code words."""
+    m = draw(st.sampled_from([2, 3]))
+    low, high = (33, 40) if many_runs else (2, 6)
+    front = st.lists(st.tuples(*[st.integers(0, 4)] * m), min_size=1, max_size=5)
+    return [group_of(draw(st.lists(front, min_size=low, max_size=high)), label) for label in "ab"]
+
+
+def assert_sweep_matches_grid(groups, level, seed):
+    patterns = eaf._pattern_matrix(groups)
+    rows = {tuple(row) for row in patterns.tolist()}
+    assert len(rows) == len(patterns)
+    assert rows == grid_patterns(groups)
+    joint = RunGroup(groups[0].fronts + groups[1].fronts, "ab")
+    for group in (*groups, joint):
+        assert attainment_surface(group, level) == grid_surface(group, level)
+    assert eaf_test(*groups, permutations=50, alpha=0.2, seed=seed) == grid_eaf_test(
+        *groups, permutations=50, alpha=0.2, seed=seed
+    )
+
+
+class TestSweepMatchesGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(run_groups(), st.sampled_from([0.2, 0.5, 0.75, 1.0]), st.integers(0, 2**31))
+    def test_patterns_surfaces_and_test(self, groups, level, seed):
+        assert_sweep_matches_grid(groups, level, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(run_groups(many_runs=True), st.sampled_from([0.3, 0.5, 1.0]), st.integers(0, 2**31))
+    def test_more_than_64_runs(self, groups, level, seed):
+        assert len(groups[0]) + len(groups[1]) > 64
+        assert_sweep_matches_grid(groups, level, seed)
+
+    def test_one_objective(self):
+        groups = [group_of([[[1.0]], [[2.0]], [[2.0]]], "a"), group_of([[[0.0]], [[3.0]]], "b")]
+        assert_sweep_matches_grid(groups, 0.5, 1)
 
 
 class TestEafValue:
@@ -164,6 +282,43 @@ class TestEafTest:
             result = eaf_test(a, b, permutations=300, alpha=0.05, rng=rng)
             rejections += result.reject
         assert rejections / reps <= 0.15
+
+
+class TestScale:
+    def test_paper_scale_in_bounded_memory(self):
+        # 2 x 10 runs of 15 mutually non-dominated 3-D points: the dense
+        # grid needed 891 MB here.
+        rng = np.random.default_rng(43)
+        groups = [
+            group_of([shift + rng.dirichlet(np.ones(3), size=15) for _ in range(10)], label)
+            for label, shift in (("a", 0.0), ("b", 0.1))
+        ]
+        tracemalloc.start()
+        try:
+            surface = attainment_surface(groups[0], 0.5)
+            eaf_test(*groups, permutations=200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert len(surface) > 0
+        for z in surface.points:
+            assert eaf_value(groups[0], z) >= 0.5
+
+    def test_oversized_sweep_fails_before_allocation(self):
+        # 2 runs of 600 points in 4-D need a slab of 1,200^3 cells.
+        rng = np.random.default_rng(47)
+        groups = [group_of([rng.dirichlet(np.ones(4), size=600)], label) for label in "ab"]
+        group = RunGroup(groups[0].fronts + groups[1].fronts, "ab")
+        for analysis in (lambda: attainment_surface(group, 0.5), lambda: eaf_test(group, group)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=f"{8 * 1200**3} bytes"):
+                    analysis()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
 
 
 class TestSetDominance:

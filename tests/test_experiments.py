@@ -1,10 +1,13 @@
 """Experiment pipeline: orchestration, report structure, determinism."""
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
 
+from trumpbench import experiments
 from trumpbench.deck import DeckShape
 from trumpbench.experiments import (
     Approach,
@@ -172,6 +175,50 @@ class TestRunExperiment:
         assert (tmp_path / "serial" / "report.json").read_bytes() == (
             tmp_path / "pool" / "report.json"
         ).read_bytes()
+
+    def test_eaf_tests_match_dense_grid_values(self, tmp_path):
+        # The eaf_tests block of report.json as the dense-grid
+        # implementation that the sweep replaced wrote it.
+        approaches = tuple(
+            Approach(kind, 5)
+            for kind in (ObjectiveKind.SURROGATE, ObjectiveKind.DOMINANCE, ObjectiveKind.BALANCE)
+        )
+        run_experiment(mini_config(approaches=approaches, runs=3, output_dir=str(tmp_path)))
+        report = json.loads((tmp_path / "report.json").read_text())
+        common = {"alpha": 0.05, "critical_value": 1.0, "permutations": 200, "reject": False}
+        assert report["eaf_tests"] == {
+            "B5_vs_D5": {**common, "p_value": 0.29, "seed": 3407220621908119944, "statistic": 1.0},
+            "B5_vs_S5": {
+                **common, "p_value": 1.0, "seed": 8162290882414918802, "statistic": 0.6666666666666667
+            },
+            "D5_vs_S5": {**common, "p_value": 0.29, "seed": 1915316874147300777, "statistic": 1.0},
+        }
+
+    def test_killed_worker_fails_only_its_run(self, tmp_path, monkeypatch):
+        config = mini_config(output_dir=str(tmp_path), workers=2)
+        doomed = config.run_config(config.approaches[1], 1).seed  # submitted last
+        so_ea_run = experiments.so_ea_run
+
+        def dies_on_the_doomed_seed(run_config, evaluator):
+            if run_config.seed == doomed:
+                time.sleep(1.5)  # the other runs finish first
+                os._exit(1)
+            return so_ea_run(run_config, evaluator)
+
+        # Pool workers are forked, so they inherit the patched module.
+        monkeypatch.setattr(experiments, "so_ea_run", dies_on_the_doomed_seed)
+        report = run_experiment(config)
+
+        assert report.approaches["S5"].complete
+        assert len(report.approaches["S5"].run_artifacts) == 2
+        d5 = report.approaches["D5"]
+        assert not d5.complete
+        assert [art["seed"] for art in d5.run_artifacts] == [config.run_config(config.approaches[1], 0).seed]
+        assert len(d5.errors) == 1
+        assert d5.errors[0].startswith(f"seed {doomed}: BrokenProcessPool: ")
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["approaches"]["D5"]["errors"] == d5.errors
+        assert (tmp_path / "runs" / "D5" / "run_000.json").is_file()
 
     def test_failed_approach_marked_incomplete(self):
         # An impossible evaluation budget triggers per-run config errors.
