@@ -21,17 +21,13 @@ from trumpbench.eaf import RunGroup, attainment_surface, eaf_test
 from trumpbench.experiments import (
     Approach,
     ExperimentConfig,
-    _indicator_block,
     balance_metric_study,
-    compare_to_reference_decks,
-    derive_seed,
     describe_error,
     execute_run,
     run_experiment,
-    write_report_json,
 )
 from trumpbench.game import Policy, simulate
-from trumpbench.indicators import normalize_sets, read_front_csv, write_front_csv
+from trumpbench.indicators import indicator_block, normalize_sets, read_front_csv, write_front_csv
 from trumpbench.moea import EAConfig, VariationParams
 from trumpbench.objectives import ObjectiveKind
 from trumpbench.ocd import OCDParams
@@ -146,7 +142,8 @@ CONFIG_KEYS = {
 
 def parse_config_file(path) -> ExperimentConfig:
     """Flat key=value config; '#' starts a comment.  Keys left out take the
-    defaults of the config dataclasses; an unknown key is an error."""
+    defaults of the config dataclasses; an unknown key or a value that does
+    not parse is an error naming the file and line."""
     found: dict[str, dict] = {"experiment": {}, "shape": {}, "variation": {}, "ocd": {}}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -158,7 +155,10 @@ def parse_config_file(path) -> ExperimentConfig:
         if key.lower() not in CONFIG_KEYS:
             raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
         section, name, parse = CONFIG_KEYS[key.lower()]
-        found[section][name] = parse(value)
+        try:
+            found[section][name] = parse(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: invalid value for {key!r} ({exc})") from None
     return ExperimentConfig(
         **found["experiment"],
         shape=DeckShape(**found["shape"]),
@@ -171,17 +171,12 @@ def cmd_experiment(args) -> int:
     config = parse_config_file(args.config)
     if args.out is not None:
         config = dataclasses.replace(config, output_dir=args.out)
-    report = run_experiment(config)
-    if args.reference_decks:
-        decks = []
-        for pattern in args.reference_decks:
-            for path in sorted(glob.glob(pattern)):
-                decks.append((Path(path).stem, load_deck(path, rescale=args.rescale)))
-        report = compare_to_reference_decks(
-            decks, report, config.games, derive_seed(config.master_seed, "reference-decks")
-        )
-        if config.output_dir is not None:
-            write_report_json(report, config.output_dir)
+    decks = [
+        (Path(path).stem, load_deck(path, rescale=args.rescale))
+        for pattern in args.reference_decks
+        for path in _matching_paths(pattern, "deck")
+    ]
+    report = run_experiment(config, decks)
     incomplete = [l for l, a in report.approaches.items() if not a.complete]
     status = "complete" if not incomplete else f"incomplete: {', '.join(incomplete)}"
     print(f"experiment {report.config.config_hash()} {status}")
@@ -190,29 +185,30 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _front_paths(pattern: str) -> list[str]:
+def _matching_paths(pattern: str, kind: str) -> list[str]:
     paths = sorted(glob.glob(pattern))
     if not paths:
-        raise FileNotFoundError(f"no front files match {pattern}")
+        raise FileNotFoundError(f"no {kind} files match {pattern}")
     return paths
 
 
 def cmd_indicators(args) -> int:
-    front_paths = _front_paths(args.fronts)
+    front_paths = _matching_paths(args.fronts, "front")
     fronts = [read_front_csv(p) for p in front_paths]
     refset = read_front_csv(args.refset, origin="reference")
     normalized, _ = normalize_sets(fronts + [refset])
     norm_fronts, norm_ref = normalized[:-1], normalized[-1]
     lines = ["front,hv,eps,r2"]
     for path, fs in zip(front_paths, norm_fronts):
-        block = _indicator_block(fs, norm_ref)
+        block = indicator_block(fs, norm_ref)
         lines.append(",".join([path, repr(block["hv"]), repr(block["eps"]), repr(block["r2"])]))
     print("\n".join(lines))
     return 0
 
 
 def _load_group(pattern: str, label: str) -> RunGroup:
-    return RunGroup(tuple(read_front_csv(p, origin=p) for p in _front_paths(pattern)), label)
+    paths = _matching_paths(pattern, "front")
+    return RunGroup(tuple(read_front_csv(p, origin=p) for p in paths), label)
 
 
 def cmd_eaf(args) -> int:

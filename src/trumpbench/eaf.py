@@ -185,7 +185,6 @@ def eaf_test(
     group_b: RunGroup,
     permutations: int = 10_000,
     alpha: float = 0.05,
-    rng: np.random.Generator | None = None,
     seed: int | None = None,
 ) -> EAFTestResult:
     """Compare two attainment functions with a KS-style permutation test.
@@ -201,8 +200,7 @@ def eaf_test(
         raise ValueError("groups must share the objective count")
     if permutations < 1:
         raise ValueError("need at least one permutation")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
 
     patterns = _pattern_matrix([group_a, group_b]).astype(np.int64)
     n_a = len(group_a)

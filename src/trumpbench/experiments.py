@@ -1,14 +1,22 @@
-"""Experiment orchestration: repeated optimizer runs per approach, shared
-re-evaluation of every collected deck under the simulation objectives,
-joint normalization, indicator tables with confidence intervals,
-attainment analysis, pairwise attainment tests and report artifacts."""
+"""Experiment orchestration, from finished runs to artifacts in one pass.
+
+:func:`run_experiment` runs every approach's optimizer repeatedly, then
+re-evaluates the decks of each run under the balance objectives with one
+shared game sample.  From those points alone it derives the joint
+normalization onto [1, 2], each approach's front and attainment surface,
+indicator tables with confidence intervals and ranks, the pairwise
+attainment tests, the set relations and the placement of any reference
+decks.  The report is built once from the results and written once.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import enum
 import hashlib
+import itertools
 import json
+from collections.abc import Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -20,15 +28,10 @@ from trumpbench.deck import Deck, DeckShape, genome_to_deck
 from trumpbench.eaf import EAFTestResult, RunGroup, attainment_surface, eaf_test, set_strictly_dominates
 from trumpbench.game import Policy, play_random_games, simulate
 from trumpbench.indicators import (
-    IDEAL_MARGIN,
-    REF_OFFSET,
     FrontSet,
     NormalizeTransform,
-    eps_indicator,
     fit_normalize_transform,
-    hv_indicator,
-    r2_indicator,
-    simplex_lattice_weights,
+    indicator_block,
     write_front_csv,
 )
 from trumpbench.moea import (
@@ -213,15 +216,15 @@ def _outcome(future: Future) -> tuple[dict | None, str | None]:
         return None, describe_error(exc)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ApproachResult:
+    """One approach's runs and what the analysis derived from them; the
+    derived fields stay None when none of its runs finished."""
+
     approach: Approach
-    complete: bool
     errors: list[str]
     run_artifacts: list[dict]
-    collected_genomes: list[list[np.ndarray]]  # per run
-    union_points: np.ndarray | None = None  # raw re-evaluated triples
-    run_points: list[np.ndarray] | None = None
+    run_points: list[np.ndarray] | None = None  # raw re-evaluated triples, per run
     front_normalized: FrontSet | None = None
     surface_normalized: FrontSet | None = None
     indicators_front: dict | None = None
@@ -230,24 +233,51 @@ class ApproachResult:
     rank_front: int | None = None
     rank_surface: int | None = None
 
-    def fail(self, seed: int, error: str) -> None:
-        self.errors.append(f"seed {seed}: {error}")
-        self.complete = False
+    @property
+    def complete(self) -> bool:
+        return not self.errors
+
+    @property
+    def union_points(self) -> np.ndarray | None:
+        return None if self.run_points is None else np.vstack(self.run_points)
+
+    def to_json_dict(self) -> dict:
+        arts = self.run_artifacts
+        return {
+            "complete": self.complete,
+            "errors": self.errors,
+            "runs": len(arts),
+            "seeds": [art["seed"] for art in arts],
+            "n_evals": [art["n_evals"] for art in arts],
+            "stop_reasons": [art["stop_reason"] for art in arts],
+            "union_size": None if self.run_points is None else sum(map(len, self.run_points)),
+            "front": None
+            if self.front_normalized is None
+            else self.front_normalized.points.tolist(),
+            "surface50": None
+            if self.surface_normalized is None
+            else self.surface_normalized.points.tolist(),
+            "indicators_front": self.indicators_front,
+            "indicators_surface": self.indicators_surface,
+            "ci_halfwidths": self.ci_halfwidths,
+            "rank_front": self.rank_front,
+            "rank_surface": self.rank_surface,
+        }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig
     evaluation_seed: int
-    transform: NormalizeTransform | None
-    reference_front: np.ndarray | None
     approaches: dict[str, ApproachResult]
-    eaf_tests: dict[str, EAFTestResult]
-    set_relations: list[dict]
+    transform: NormalizeTransform | None = None
+    reference_front: np.ndarray | None = None
+    eaf_tests: dict[str, EAFTestResult] = field(default_factory=dict)
+    set_relations: list[dict] = field(default_factory=list)
     reference_decks: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "config_hash": self.config.config_hash(),
             "master_seed": self.config.master_seed,
             "evaluation_seed": self.evaluation_seed,
@@ -255,102 +285,70 @@ class ExperimentReport:
             "games_per_evaluation": self.config.games,
             "normalization": None
             if self.transform is None
-            else {
-                "lo": [float(x) for x in self.transform.lo],
-                "span": [float(x) for x in self.transform.span],
-            },
+            else {"lo": self.transform.lo.tolist(), "span": self.transform.span.tolist()},
             "reference_front": None
             if self.reference_front is None
-            else [[float(x) for x in row] for row in self.reference_front],
-            "approaches": {},
+            else self.reference_front.tolist(),
+            "approaches": {
+                label: self.approaches[label].to_json_dict() for label in sorted(self.approaches)
+            },
             "eaf_tests": {
                 key: dataclasses.asdict(t) for key, t in sorted(self.eaf_tests.items())
             },
             "set_relations": self.set_relations,
             "reference_decks": self.reference_decks,
         }
-        for label in sorted(self.approaches):
-            a = self.approaches[label]
-            out["approaches"][label] = {
-                "complete": a.complete,
-                "errors": a.errors,
-                "runs": len(a.run_artifacts),
-                "seeds": [art["seed"] for art in a.run_artifacts],
-                "n_evals": [art["n_evals"] for art in a.run_artifacts],
-                "stop_reasons": [art["stop_reason"] for art in a.run_artifacts],
-                "union_size": None if a.union_points is None else int(len(a.union_points)),
-                "front": None
-                if a.front_normalized is None
-                else [[float(x) for x in row] for row in a.front_normalized.points],
-                "surface50": None
-                if a.surface_normalized is None
-                else [[float(x) for x in row] for row in a.surface_normalized.points],
-                "indicators_front": a.indicators_front,
-                "indicators_surface": a.indicators_surface,
-                "ci_halfwidths": a.ci_halfwidths,
-                "rank_front": a.rank_front,
-                "rank_surface": a.rank_surface,
-            }
-        return out
 
 
-def _collect_run_genomes(artifact: dict, kind: ObjectiveKind) -> list[np.ndarray]:
-    """Decks one run contributes: the front for multi-objective runs, the
-    single best individual for the dominance baseline."""
-    if kind is ObjectiveKind.DOMINANCE:
-        best = min(artifact["front"], key=lambda ind: (ind["objectives"][0], ind["eval_index"]))
-        return [np.array(best["genome"])]
-    return [np.array(ind["genome"]) for ind in artifact["front"]]
-
-
-def reevaluate_genomes(
-    genomes: list[np.ndarray],
-    shape: DeckShape,
-    games: int,
-    evaluation_seed: int,
+def _reevaluate_run(
+    artifact: dict, kind: ObjectiveKind, config: ExperimentConfig, seed: int
 ) -> np.ndarray:
-    """Balance objectives for each deck under one shared game sample."""
-    points = np.empty((len(genomes), 3))
-    for i, genome in enumerate(genomes):
-        rng = np.random.default_rng(np.random.SeedSequence(evaluation_seed))
-        points[i] = _balance(genome_to_deck(genome, shape), games, rng)
-    return points
+    """Balance objectives of the decks one run contributes, each deck under
+    the same game sample: the front of a multi-objective run, the single
+    best individual of the dominance baseline."""
+    decks = artifact["front"]
+    if kind is ObjectiveKind.DOMINANCE:
+        decks = [min(decks, key=lambda ind: (ind["objectives"][0], ind["eval_index"]))]
+    return np.array([
+        _balance(
+            genome_to_deck(ind["genome"], config.shape),
+            config.games,
+            np.random.default_rng(np.random.SeedSequence(seed)),
+        )
+        for ind in decks
+    ])
 
 
-def _indicator_block(front: FrontSet, refset: FrontSet) -> dict:
-    """hv, eps and r2 of a front on the [1,2] scale against a reference set."""
-    ref_point = np.full(refset.m, 2.0 + REF_OFFSET)
-    weights = simplex_lattice_weights(refset.m)
-    ideal = refset.points.min(axis=0) - IDEAL_MARGIN
+def _ranks(blocks: list[dict]) -> list[int]:
+    """Non-dominated sorting ranks of indicator blocks, 1 = best."""
+    return [int(r) for r in nondominated_sort(np.array([list(b.values()) for b in blocks]))]
+
+
+def _ci_halfwidths(group: RunGroup, reference: FrontSet, alpha: float) -> dict:
+    """Confidence-interval halfwidth of each indicator over the runs; None
+    for a single run."""
+    blocks = [indicator_block(fs, reference) for fs in group.fronts]
     return {
-        "hv": hv_indicator(front, refset, ref_point),
-        "eps": eps_indicator(front, refset),
-        "r2": r2_indicator(front, weights, ideal),
+        key: ci_halfwidth([b[key] for b in blocks], alpha).halfwidth if len(blocks) >= 2 else None
+        for key in blocks[0]
     }
 
 
-def _assign_ranks(blocks: dict[str, dict]) -> dict[str, int]:
-    """Non-dominated sorting ranks of (hv, eps, r2) triples, 1 = best."""
-    labels = sorted(blocks)
-    pts = np.array([[blocks[l]["hv"], blocks[l]["eps"], blocks[l]["r2"]] for l in labels])
-    ranks = nondominated_sort(pts)
-    return {l: int(r) for l, r in zip(labels, ranks)}
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute the full pipeline and, if configured, write all artifacts."""
-    by_label: dict[str, ApproachResult] = {
-        a.label: ApproachResult(a, True, [], [], []) for a in config.approaches
-    }
-    jobs: list[tuple[ApproachResult, EAConfig]] = []
+def run_experiment(
+    config: ExperimentConfig, reference_decks: Sequence[tuple[str, Deck]] = ()
+) -> ExperimentReport:
+    """Run every approach, analyze the runs, place the named reference
+    decks and, if an output directory is configured, write all artifacts."""
+    errors: dict[str, list[str]] = {a.label: [] for a in config.approaches}
+    artifacts: dict[str, list[dict]] = {a.label: [] for a in config.approaches}
+    jobs: list[tuple[str, EAConfig]] = []
     for approach in config.approaches:
-        slot = by_label[approach.label]
         for run_idx in range(config.runs):
             try:
-                jobs.append((slot, config.run_config(approach, run_idx)))
+                jobs.append((approach.label, config.run_config(approach, run_idx)))
             except ValueError as exc:
                 seed = derive_seed(config.master_seed, approach.label, run_idx)
-                slot.fail(seed, describe_error(exc))
+                errors[approach.label].append(f"seed {seed}: {describe_error(exc)}")
 
     if config.workers > 1:
         # Runs are submitted one by one, so a worker that dies (the pool is
@@ -361,123 +359,124 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     else:
         outcomes = [execute_run(job) for _, job in jobs]
 
-    for (slot, job), (artifact, error) in zip(jobs, outcomes):
+    for (label, job), (artifact, error) in zip(jobs, outcomes):
         if error is not None:
-            slot.fail(job.seed, error)
+            errors[label].append(f"seed {job.seed}: {error}")
         else:
-            slot.run_artifacts.append(artifact)
-            slot.collected_genomes.append(
-                _collect_run_genomes(artifact, slot.approach.kind)
-            )
+            artifacts[label].append(artifact)
 
     evaluation_seed = derive_seed(config.master_seed, "balance-reevaluation")
-    for slot in by_label.values():
-        if not slot.run_artifacts:
-            continue
-        run_points = [
-            reevaluate_genomes(genomes, config.shape, config.games, evaluation_seed)
-            for genomes in slot.collected_genomes
+    run_points = {
+        a.label: [
+            _reevaluate_run(art, a.kind, config, evaluation_seed) for art in artifacts[a.label]
         ]
-        slot.run_points = run_points
-        slot.union_points = np.vstack(run_points)
-
+        for a in config.approaches
+        if artifacts[a.label]
+    }
+    shared, derived = _analyze(config, run_points)
     report = ExperimentReport(
         config=config,
         evaluation_seed=evaluation_seed,
-        transform=None,
-        reference_front=None,
-        approaches=by_label,
-        eaf_tests={},
-        set_relations=[],
+        approaches={
+            a.label: ApproachResult(
+                a, errors[a.label], artifacts[a.label], run_points.get(a.label),
+                **derived.get(a.label, {}),
+            )
+            for a in config.approaches
+        },
+        reference_decks=_place_reference_decks(
+            reference_decks,
+            shared.get("transform"),
+            {label: fields["front_normalized"] for label, fields in derived.items()},
+            config.games,
+            derive_seed(config.master_seed, "reference-decks"),
+        ),
+        **shared,
     )
-    _analyze(report)
     if config.output_dir is not None:
         write_report_artifacts(report, Path(config.output_dir))
     return report
 
 
-def _analyze(report: ExperimentReport) -> None:
-    config = report.config
-    usable = {l: s for l, s in report.approaches.items() if s.union_points is not None}
-    if not usable:
-        return
+def _analyze(
+    config: ExperimentConfig, run_points: dict[str, list[np.ndarray]]
+) -> tuple[dict, dict[str, dict]]:
+    """Report fields and per-approach result fields derived from the
+    re-evaluated decks of the approaches with finished runs."""
+    if not run_points:
+        return {}, {}
+    labels = sorted(run_points)
+    transform = fit_normalize_transform(np.vstack([np.vstack(r) for r in run_points.values()]))
+    normalized = {label: [transform.apply(p) for p in run_points[label]] for label in labels}
+    unions = {label: np.vstack(normalized[label]) for label in labels}
+    reference = FrontSet(np.vstack(list(unions.values())), "reference")
 
-    all_points = np.vstack([s.union_points for s in usable.values()])
-    transform = fit_normalize_transform(all_points)
-    report.transform = transform
-    reference = FrontSet(transform.apply(all_points), "reference")
-    report.reference_front = reference.points
-
-    front_blocks: dict[str, dict] = {}
-    surface_blocks: dict[str, dict] = {}
-    groups: dict[str, RunGroup] = {}
-    for label, slot in usable.items():
-        union_norm = transform.apply(slot.union_points)
-        slot.front_normalized = FrontSet(union_norm, f"{label}_p")
-        run_fronts = tuple(
-            FrontSet(transform.apply(pts), f"{label}_run{idx}")
-            for idx, pts in enumerate(slot.run_points)
+    fronts = {label: FrontSet(unions[label], f"{label}_p") for label in labels}
+    groups = {
+        label: RunGroup(
+            tuple(FrontSet(pts, f"{label}_run{idx}") for idx, pts in enumerate(normalized[label])),
+            label,
         )
-        groups[label] = RunGroup(run_fronts, label)
-        slot.surface_normalized = attainment_surface(groups[label], config.surface_level)
-        slot.indicators_front = _indicator_block(slot.front_normalized, reference)
-        slot.indicators_surface = _indicator_block(slot.surface_normalized, reference)
-        per_run = {
-            "hv": [], "eps": [], "r2": [],
+        for label in labels
+    }
+    surfaces = {label: attainment_surface(groups[label], config.surface_level) for label in labels}
+    front_blocks = [indicator_block(fronts[label], reference) for label in labels]
+    surface_blocks = [indicator_block(surfaces[label], reference) for label in labels]
+    derived = {
+        label: {
+            "front_normalized": fronts[label],
+            "surface_normalized": surfaces[label],
+            "indicators_front": front_block,
+            "indicators_surface": surface_block,
+            "ci_halfwidths": _ci_halfwidths(groups[label], reference, config.alpha),
+            "rank_front": rank_front,
+            "rank_surface": rank_surface,
         }
-        for fs in run_fronts:
-            block = _indicator_block(fs, reference)
-            for key in per_run:
-                per_run[key].append(block[key])
-        slot.ci_halfwidths = {
-            key: (ci_halfwidth(vals, config.alpha).halfwidth if len(vals) >= 2 else None)
-            for key, vals in per_run.items()
-        }
-        front_blocks[label] = slot.indicators_front
-        surface_blocks[label] = slot.indicators_surface
+        for label, front_block, surface_block, rank_front, rank_surface in zip(
+            labels, front_blocks, surface_blocks, _ranks(front_blocks), _ranks(surface_blocks)
+        )
+    }
 
-    for label, rank in _assign_ranks(front_blocks).items():
-        usable[label].rank_front = rank
-    for label, rank in _assign_ranks(surface_blocks).items():
-        usable[label].rank_surface = rank
-
-    labels = sorted(usable)
-    for i, la in enumerate(labels):
-        for lb in labels[i + 1 :]:
-            if len(groups[la]) < 2 or len(groups[lb]) < 2:
-                continue
-            test_seed = derive_seed(config.master_seed, "eaf", la, lb)
-            report.eaf_tests[f"{la}_vs_{lb}"] = eaf_test(
-                groups[la],
-                groups[lb],
-                permutations=config.permutations,
-                alpha=config.alpha,
-                seed=test_seed,
-            )
+    eaf_tests = {
+        f"{la}_vs_{lb}": eaf_test(
+            groups[la],
+            groups[lb],
+            permutations=config.permutations,
+            alpha=config.alpha,
+            seed=derive_seed(config.master_seed, "eaf", la, lb),
+        )
+        for la, lb in itertools.combinations(labels, 2)
+        if len(groups[la]) >= 2 and len(groups[lb]) >= 2
+    }
 
     named_sets: dict[str, np.ndarray] = {}
-    for label, slot in usable.items():
-        named_sets[f"{label}_union"] = transform.apply(slot.union_points)
-        named_sets[f"{label}_p"] = slot.front_normalized.points
-        named_sets[f"{label}_{config.surface_level:g}"] = slot.surface_normalized.points
-    for name_a in sorted(named_sets):
-        for name_b in sorted(named_sets):
-            if name_a == name_b:
-                continue
-            if set_strictly_dominates(named_sets[name_a], named_sets[name_b]):
-                report.set_relations.append(
-                    {"dominator": name_a, "dominated": name_b}
-                )
+    for label in labels:
+        named_sets[f"{label}_union"] = unions[label]
+        named_sets[f"{label}_p"] = fronts[label].points
+        named_sets[f"{label}_{config.surface_level:g}"] = surfaces[label].points
+    set_relations = [
+        {"dominator": name_a, "dominated": name_b}
+        for name_a, name_b in itertools.permutations(sorted(named_sets), 2)
+        if set_strictly_dominates(named_sets[name_a], named_sets[name_b])
+    ]
+    shared = {
+        "transform": transform,
+        "reference_front": reference.points,
+        "eaf_tests": eaf_tests,
+        "set_relations": set_relations,
+    }
+    return shared, derived
 
 
-def compare_to_reference_decks(
-    decks: list[tuple[str, Deck]],
-    report: ExperimentReport,
+def _place_reference_decks(
+    decks: Sequence[tuple[str, Deck]],
+    transform: NormalizeTransform | None,
+    fronts: dict[str, FrontSet],
     games: int,
     seed: int,
-) -> ExperimentReport:
-    """Evaluate external decks under the shared pipeline and record how they
-    relate to each approach's front."""
+) -> list[dict]:
+    """Evaluate external decks under one shared game sample and record which
+    approaches' fronts strictly dominate them."""
     entries: list[dict] = []
     for name, deck in decks:
         try:
@@ -485,21 +484,20 @@ def compare_to_reference_decks(
             entry = {
                 "name": name,
                 "dominance_fitness": float(dominance_fitness(deck).values[0]),
-                "balance": [float(x) for x in balance],
+                "balance": balance.tolist(),
             }
-            if report.transform is not None:
-                norm = report.transform.apply(balance.reshape(1, -1))[0]
-                entry["normalized"] = [float(x) for x in norm]
+            if transform is not None:
+                norm = transform.apply(balance)[0]
+                entry["normalized"] = norm.tolist()
                 entry["dominated_by"] = sorted(
                     label
-                    for label, slot in report.approaches.items()
-                    if slot.front_normalized is not None
-                    and bool(np.any(np.all(slot.front_normalized.points < norm, axis=1)))
+                    for label, front in fronts.items()
+                    if np.any(np.all(front.points < norm, axis=1))
                 )
             entries.append(entry)
         except Exception as exc:
-            entries.append({"name": name, "error": f"{type(exc).__name__}: {exc}"})
-    return dataclasses.replace(report, reference_decks=report.reference_decks + entries)
+            entries.append({"name": name, "error": describe_error(exc)})
+    return entries
 
 
 def write_report_artifacts(report: ExperimentReport, out_dir: Path) -> None:
@@ -513,56 +511,34 @@ def write_report_artifacts(report: ExperimentReport, out_dir: Path) -> None:
         for idx, artifact in enumerate(slot.run_artifacts):
             path = run_dir / f"run_{idx:03d}.json"
             path.write_text(json.dumps(artifact, indent=1), encoding="utf-8")
-        if slot.union_points is not None:
-            write_front_csv(
-                FrontSet(slot.union_points, f"{label}_union"),
-                out_dir / "fronts" / f"{label}_union.csv",
-            )
-        if slot.front_normalized is not None:
-            write_front_csv(slot.front_normalized, out_dir / "fronts" / f"{label}_front.csv")
-        if slot.surface_normalized is not None:
-            write_front_csv(
-                slot.surface_normalized, out_dir / "fronts" / f"{label}_surface50.csv"
-            )
+        if slot.run_points is not None:
+            fronts = out_dir / "fronts"
+            union = FrontSet(slot.union_points, f"{label}_union")
+            write_front_csv(union, fronts / f"{label}_union.csv")
+            write_front_csv(slot.front_normalized, fronts / f"{label}_front.csv")
+            write_front_csv(slot.surface_normalized, fronts / f"{label}_surface50.csv")
     _write_indicator_csv(report, out_dir / "indicators.csv")
-    write_report_json(report, out_dir)
-
-
-def write_report_json(report: ExperimentReport, out_dir: Path) -> None:
-    (Path(out_dir) / "report.json").write_text(
+    (out_dir / "report.json").write_text(
         json.dumps(report.to_json_dict(), indent=1, sort_keys=True), encoding="utf-8"
     )
 
 
 def _write_indicator_csv(report: ExperimentReport, path: Path) -> None:
+    def fmt(value):
+        return "" if value is None else repr(float(value))
+
+    keys = ("hv", "eps", "r2")
     lines = ["set,hv,eps,r2,hv_ci,eps_ci,r2_ci,rank"]
     for label in sorted(report.approaches):
         slot = report.approaches[label]
-        if slot.indicators_front is None:
+        if slot.run_points is None:
             continue
-        ci = slot.ci_halfwidths or {}
-
-        def fmt(value):
-            return "" if value is None else repr(float(value))
-
         for suffix, block, rank in (
             ("_p", slot.indicators_front, slot.rank_front),
             ("_50", slot.indicators_surface, slot.rank_surface),
         ):
-            lines.append(
-                ",".join(
-                    [
-                        f"{label}{suffix}",
-                        repr(float(block["hv"])),
-                        repr(float(block["eps"])),
-                        repr(float(block["r2"])),
-                        fmt(ci.get("hv")),
-                        fmt(ci.get("eps")),
-                        fmt(ci.get("r2")),
-                        str(rank),
-                    ]
-                )
-            )
+            values = [block[k] for k in keys] + [slot.ci_halfwidths[k] for k in keys]
+            lines.append(",".join([f"{label}{suffix}", *map(fmt, values), str(rank)]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

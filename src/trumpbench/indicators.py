@@ -170,6 +170,18 @@ def r2_indicator(front: FrontSet, weights: np.ndarray, ideal) -> float:
     return float(utility.min(axis=1).mean())
 
 
+def indicator_block(front: FrontSet, refset: FrontSet) -> dict[str, float]:
+    """hv, eps and r2 of ``front`` in the [1, 2] frame against ``refset``."""
+    ref_point = np.full(refset.m, 2.0 + REF_OFFSET)
+    weights = simplex_lattice_weights(refset.m)
+    ideal = refset.points.min(axis=0) - IDEAL_MARGIN
+    return {
+        "hv": hv_indicator(front, refset, ref_point),
+        "eps": eps_indicator(front, refset),
+        "r2": r2_indicator(front, weights, ideal),
+    }
+
+
 @dataclass(frozen=True)
 class NormalizeTransform:
     """Per-objective affine map sending observed min to 1 and max to 2."""

@@ -149,6 +149,49 @@ class TestExperimentCommand:
             parse_config_file(cfg)
 
 
+# SHA-256 of the artifacts of one experiment with placed reference decks, as
+# written by the two-pass report code (which wrote report.json a second time
+# after placing the decks).
+EXPERIMENT_GOLDEN = {
+    "report.json": "d27bda52d3551ab846573889333bfbce54d7a14945d965867c4bbbfde252c439",
+    "indicators.csv": "4787292d44ade67452e58cb0f5201b7162b64eed3e502ef733b4173a021390c7",
+    "fronts/B4_front.csv": "c7f030e2828c8cf133af1e29c5838a7b92c7161380d56973dc9e808349495570",
+    "fronts/B4_surface50.csv": "c7f030e2828c8cf133af1e29c5838a7b92c7161380d56973dc9e808349495570",
+    "fronts/B4_union.csv": "7dc95d977723d1e64fd5e19710fc20ddbd3a56b0cea50d148e9640f9d22ba325",
+    "fronts/D4_front.csv": "060a83fb8a381a1932ca34f43495edbbc47ef0dbc6db15a667224a925759b903",
+    "fronts/D4_surface50.csv": "060a83fb8a381a1932ca34f43495edbbc47ef0dbc6db15a667224a925759b903",
+    "fronts/D4_union.csv": "08b12771c6d47a724d756719b3c72ba9c5d29f496e23d8e8d230d7b1d4d2847e",
+    "fronts/S4_front.csv": "a4d666313ef5023f38d20745e7e070d306c03563e8c1c9d2362cd4d4d7b6cb71",
+    "fronts/S4_surface50.csv": "a4d666313ef5023f38d20745e7e070d306c03563e8c1c9d2362cd4d4d7b6cb71",
+    "fronts/S4_union.csv": "d36e98846996ac76bc909544d75336bb9d1e64cecadabf6107c9f7d06a7bad15",
+}
+
+
+def test_experiment_with_reference_decks_matches_golden_bytes(tmp_path, capsys):
+    run_cli(capsys, "make-decks", "--out", tmp_path / "decks")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "approaches = S4,D4,B4\nruns = 2\ngames = 200\nevals = 150\n"
+        "k = 8\nl = 2\nseed = 7\npermutations = 200\n"
+    )
+    out = tmp_path / "out"
+    run_cli(
+        capsys,
+        "experiment", "--config", cfg, "--out", out,
+        "--reference-decks", str(tmp_path / "decks" / "*.csv"),
+    )
+    report = json.loads((out / "report.json").read_text())
+    assert [deck["name"] for deck in report["reference_decks"]] == [
+        f"synthetic_{i:02d}" for i in range(1, 9)
+    ]
+    paths = [out / "report.json", out / "indicators.csv", *sorted((out / "fronts").glob("*.csv"))]
+    digests = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in paths
+    }
+    assert digests == EXPERIMENT_GOLDEN
+
+
 class TestIndicatorsCommand:
     def test_csv_output(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -355,4 +398,20 @@ class TestCommandErrors:
         )
         err = self.fails(capsys, "experiment", "--config", cfg)
         assert err.startswith("trumpbench experiment: surface_level must lie in (0, 1]")
+        assert not (tmp_path / "out").exists()
+
+    def test_experiment_unparsable_value_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("approaches = D4\nruns = abc\n")
+        err = self.fails(capsys, "experiment", "--config", cfg)
+        assert err.startswith(f"trumpbench experiment: {cfg}, line 2: invalid value for 'runs'")
+
+    def test_experiment_reference_glob_without_match_fails_before_any_run(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"approaches = D4\nk = 8\nl = 2\nout = {tmp_path / 'out'}\n")
+        err = self.fails(
+            capsys,
+            "experiment", "--config", cfg, "--reference-decks", str(tmp_path / "decks" / "*.csv"),
+        )
+        assert err.startswith("trumpbench experiment: no deck files match")
         assert not (tmp_path / "out").exists()

@@ -279,7 +279,8 @@ class TestEafTest:
             pool = [rng.uniform(0, 1, (3, 2)) for _ in range(10)]
             a = group_of(pool[:5], "a")
             b = group_of(pool[5:], "b")
-            result = eaf_test(a, b, permutations=300, alpha=0.05, rng=rng)
+            seed = int(rng.integers(2**63))
+            result = eaf_test(a, b, permutations=300, alpha=0.05, seed=seed)
             rejections += result.reject
         assert rejections / reps <= 0.15
 

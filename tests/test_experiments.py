@@ -13,7 +13,6 @@ from trumpbench.experiments import (
     Approach,
     ExperimentConfig,
     balance_metric_study,
-    compare_to_reference_decks,
     derive_seed,
     make_evaluator,
     run_experiment,
@@ -240,20 +239,18 @@ class TestRunExperiment:
 
 class TestCompareReferenceDecks:
     def test_empty_deck_list_is_noop(self):
-        report = run_experiment(mini_config())
-        augmented = compare_to_reference_decks([], report, games=20, seed=1)
-        assert augmented.reference_decks == []
+        report = run_experiment(mini_config(), reference_decks=[])
+        assert report.reference_decks == []
 
     def test_decks_are_placed_and_scored(self):
         shape = DeckShape(K=8, L=2)
-        report = run_experiment(mini_config())
         decks = [
             ("good", nondominated_deck(shape, np.random.default_rng(1))),
             ("bad", deck_with_dominating_pairs(shape, 10)),
         ]
-        augmented = compare_to_reference_decks(decks, report, games=30, seed=2)
-        assert len(augmented.reference_decks) == 2
-        good, bad = augmented.reference_decks
+        report = run_experiment(mini_config(), reference_decks=decks)
+        assert len(report.reference_decks) == 2
+        good, bad = report.reference_decks
         assert good["dominance_fitness"] == pytest.approx(-7.0)
         assert bad["dominance_fitness"] > good["dominance_fitness"]
         assert len(good["balance"]) == 3
