@@ -27,7 +27,13 @@ from trumpbench.experiments import (
     run_experiment,
 )
 from trumpbench.game import Policy, simulate
-from trumpbench.indicators import indicator_block, normalize_sets, read_front_csv, write_front_csv
+from trumpbench.indicators import (
+    FrontSet,
+    fit_normalize_transform,
+    indicator_block,
+    read_front_csv,
+    write_front_csv,
+)
 from trumpbench.moea import EAConfig, VariationParams
 from trumpbench.objectives import ObjectiveKind
 from trumpbench.ocd import OCDParams
@@ -172,7 +178,7 @@ def cmd_experiment(args) -> int:
     if args.out is not None:
         config = dataclasses.replace(config, output_dir=args.out)
     decks = [
-        (Path(path).stem, load_deck(path, rescale=args.rescale))
+        (Path(path).stem, load_deck(path, shape=config.shape, rescale=args.rescale))
         for pattern in args.reference_decks
         for path in _matching_paths(pattern, "deck")
     ]
@@ -196,11 +202,11 @@ def cmd_indicators(args) -> int:
     front_paths = _matching_paths(args.fronts, "front")
     fronts = [read_front_csv(p) for p in front_paths]
     refset = read_front_csv(args.refset, origin="reference")
-    normalized, _ = normalize_sets(fronts + [refset])
-    norm_fronts, norm_ref = normalized[:-1], normalized[-1]
+    transform = fit_normalize_transform(np.vstack([fs.points for fs in fronts + [refset]]))
+    norm_ref = FrontSet(transform.apply(refset.points))
     lines = ["front,hv,eps,r2"]
-    for path, fs in zip(front_paths, norm_fronts):
-        block = indicator_block(fs, norm_ref)
+    for path, fs in zip(front_paths, fronts):
+        block = indicator_block(FrontSet(transform.apply(fs.points)), norm_ref)
         lines.append(",".join([path, repr(block["hv"]), repr(block["eps"]), repr(block["r2"])]))
     print("\n".join(lines))
     return 0
@@ -236,7 +242,7 @@ def cmd_sample_size(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     table = balance_metric_study(deck, sizes, args.repeats, args.alpha, args.seed)
     if args.out is not None:
-        table.write_csv(args.out)
+        Path(args.out).write_text(table.to_csv(), encoding="utf-8")
     print(table.to_csv(), end="")
     return 0
 

@@ -133,11 +133,6 @@ def genome_to_deck(genome: np.ndarray, shape: DeckShape) -> Deck:
     return Deck(g.reshape(shape.K, shape.L), shape)
 
 
-def deck_to_genome(deck: Deck) -> np.ndarray:
-    """Flatten a deck back into its genome vector (inverse of genome_to_deck)."""
-    return deck.values.reshape(-1).copy()
-
-
 def random_valid_deck(
     shape: DeckShape, rng: np.random.Generator, max_tries: int = 10_000
 ) -> Deck:

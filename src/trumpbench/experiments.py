@@ -329,7 +329,7 @@ def _ci_halfwidths(group: RunGroup, reference: FrontSet, alpha: float) -> dict:
     for a single run."""
     blocks = [indicator_block(fs, reference) for fs in group.fronts]
     return {
-        key: ci_halfwidth([b[key] for b in blocks], alpha).halfwidth if len(blocks) >= 2 else None
+        key: ci_halfwidth([b[key] for b in blocks], alpha) if len(blocks) >= 2 else None
         for key in blocks[0]
     }
 
@@ -338,7 +338,13 @@ def run_experiment(
     config: ExperimentConfig, reference_decks: Sequence[tuple[str, Deck]] = ()
 ) -> ExperimentReport:
     """Run every approach, analyze the runs, place the named reference
-    decks and, if an output directory is configured, write all artifacts."""
+    decks and, if an output directory is configured, write all artifacts.
+
+    A reference deck of another shape than ``config.shape`` raises
+    ValueError before any run starts."""
+    for name, deck in reference_decks:
+        if deck.shape != config.shape:
+            raise ValueError(f"reference deck {name} has shape {deck.shape}, not {config.shape}")
     errors: dict[str, list[str]] = {a.label: [] for a in config.approaches}
     artifacts: dict[str, list[dict]] = {a.label: [] for a in config.approaches}
     jobs: list[tuple[str, EAConfig]] = []

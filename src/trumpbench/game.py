@@ -39,10 +39,6 @@ class Player(enum.Enum):
     A = 0
     B = 1
 
-    @property
-    def other(self) -> "Player":
-        return Player.B if self is Player.A else Player.A
-
 
 class Outcome(enum.Enum):
     WIN_A = "win_a"

@@ -204,16 +204,6 @@ def fit_normalize_transform(points: np.ndarray) -> NormalizeTransform:
     return NormalizeTransform(lo=lo, span=span)
 
 
-def normalize_sets(sets: list[FrontSet]) -> tuple[list[FrontSet], NormalizeTransform]:
-    """Map all sets jointly onto [1, 2] per objective; constant objectives go to 1."""
-    if not sets or all(len(s) == 0 for s in sets):
-        raise ValueError("need at least one point to normalize")
-    stacked = np.vstack([s.points for s in sets if len(s)])
-    transform = fit_normalize_transform(stacked)
-    normalized = [FrontSet(transform.apply(s.points), origin=s.origin) for s in sets]
-    return normalized, transform
-
-
 def write_front_csv(front: FrontSet, path) -> None:
     """Write one point per row under a ``f1,...,fm`` header."""
     m = front.m

@@ -187,8 +187,7 @@ class _RunState:
         self.population: list[Individual] = []
         self.trace: list[dict[str, float]] = []
 
-    def evaluate(self, genome: np.ndarray) -> Individual:
-        deck = genome_to_deck(genome, self.shape)
+    def evaluate(self, deck: Deck) -> Individual:
         rng = _eval_rng(self.config.seed, self.n_evals)
         try:
             objectives = np.asarray(self.evaluator(deck, rng), dtype=float)
@@ -197,16 +196,15 @@ class _RunState:
                 f"objective {self.config.objective.value} failed at evaluation "
                 f"{self.n_evals} (seed {self.config.seed}): {exc}"
             ) from exc
-        individual = Individual(genome=genome, objectives=objectives, eval_index=self.n_evals)
+        individual = Individual(deck.values.reshape(-1), objectives, self.n_evals)
         self.n_evals += 1
         return individual
 
     def initialize(self) -> None:
         for _ in range(self.config.mu):
-            deck = random_valid_deck(self.shape, self.init_rng)
-            self.population.append(self.evaluate(deck.values.reshape(-1)))
+            self.population.append(self.evaluate(random_valid_deck(self.shape, self.init_rng)))
 
-    def spawn_offspring(self, max_tries: int = 1000) -> np.ndarray:
+    def spawn_offspring(self, max_tries: int = 1000) -> Deck:
         """Variation with rejection of invalid decks; retries are free."""
         mu = len(self.population)
         for _ in range(max_tries):
@@ -219,9 +217,10 @@ class _RunState:
                 self.var_rng,
             )
             child = polynomial_mutation(child, self.config.variation, self.bounds, self.var_rng)
-            if deck_is_valid(genome_to_deck(child, self.shape)).valid:
-                return child
-        return random_valid_deck(self.shape, self.var_rng).values.reshape(-1)
+            deck = genome_to_deck(child, self.shape)
+            if deck_is_valid(deck).valid:
+                return deck
+        return random_valid_deck(self.shape, self.var_rng)
 
     def assert_population_valid(self) -> None:
         for ind in self.population:

@@ -81,19 +81,15 @@ def balance_objectives(summary: SimulationSummary) -> ObjectiveVector:
     return ObjectiveVector(values, ("neg_win_rate", "neg_announcer_changes", "tightness"))
 
 
-def deck_hypervolume(deck, ref=None) -> float:
-    """Volume jointly covered by the deck's cards above ``ref`` (default origin).
+def deck_hypervolume(deck) -> float:
+    """Volume jointly covered by the boxes from the origin to the deck's cards.
 
-    Every card must lie strictly above the reference point in every
-    category.
+    Every card must lie strictly above the origin in every category.
     """
     vals = card_matrix(deck)
-    if ref is None:
-        ref = np.zeros(vals.shape[1])
-    ref = np.asarray(ref, dtype=float)
-    if not np.all(vals > ref):
-        raise ValueError("every card must lie strictly above the reference point")
-    return union_box_volume(vals - ref)
+    if not np.all(vals > 0):
+        raise ValueError("every card must lie strictly above the origin")
+    return union_box_volume(vals)
 
 
 def surrogate_objectives(deck, shape: DeckShape) -> ObjectiveVector:

@@ -4,21 +4,10 @@ games per evaluation and how many optimizer runs per approach."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats as sps
-
-
-@dataclass(frozen=True)
-class CIResult:
-    """Two-sided t confidence interval for a mean: center and halfwidth."""
-
-    mean: float
-    halfwidth: float
-    n: int
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -32,27 +21,14 @@ class SampleSizeRow:
 class SampleSizeTable:
     rows: tuple[SampleSizeRow, ...]
 
-    def for_metric(self, metric: str) -> list[SampleSizeRow]:
-        return [r for r in self.rows if r.metric == metric]
-
     def to_csv(self) -> str:
         lines = ["size,metric,halfwidth_q95"]
         for r in self.rows:
             lines.append(f"{r.sample_size},{r.metric},{r.halfwidth_q95!r}")
         return "\n".join(lines) + "\n"
 
-    def write_csv(self, path) -> None:
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
 
-
-def t_quantile(prob: float, dof: int) -> float:
-    """Student-t quantile (via the regularized incomplete beta inverse)."""
-    if dof < 1:
-        raise ValueError("degrees of freedom must be >= 1")
-    return float(sps.t.ppf(prob, dof))
-
-
-def ci_halfwidth(samples: Sequence[float], alpha: float = 0.05) -> CIResult:
+def ci_halfwidth(samples: Sequence[float], alpha: float = 0.05) -> float:
     """Halfwidth of the two-sided (1 - alpha) t interval for the mean."""
     x = np.asarray(samples, dtype=float)
     n = x.size
@@ -61,8 +37,7 @@ def ci_halfwidth(samples: Sequence[float], alpha: float = 0.05) -> CIResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     sd = float(np.std(x, ddof=1))
-    half = t_quantile(1.0 - alpha / 2.0, n - 1) * sd / np.sqrt(n)
-    return CIResult(mean=float(x.mean()), halfwidth=half, n=n, alpha=alpha)
+    return sps.t.ppf(1.0 - alpha / 2.0, n - 1) * sd / np.sqrt(n)
 
 
 # A sampler draws `size` per-observation metric values (e.g. one win
@@ -103,7 +78,7 @@ def sample_size_study(
                     f"{len(names)} metric(s) of requested size {size}"
                 )
             for j, row in enumerate(values):
-                halfwidths[j, r] = ci_halfwidth(row, alpha).halfwidth
+                halfwidths[j, r] = ci_halfwidth(row, alpha)
         for name, widths in zip(names, halfwidths):
             q95 = float(np.quantile(widths, 0.95))
             rows.append(SampleSizeRow(sample_size=int(size), metric=name, halfwidth_q95=q95))
@@ -125,4 +100,4 @@ def playtest_feasibility(
     if n < 2:
         raise ValueError("need at least two observations in total")
     sd = np.asarray(sd_vector, dtype=float)
-    return t_quantile(1.0 - alpha / 2.0, n - 1) * sd / np.sqrt(n)
+    return sps.t.ppf(1.0 - alpha / 2.0, n - 1) * sd / np.sqrt(n)

@@ -1,9 +1,8 @@
-"""Constructed decks with controlled dominance structure.
+"""Constructed decks with an exact dominated-pair count.
 
-Used for benchmark baselines: decks whose dominated-pair count is exact
-(stand-ins for commercial reference decks whose data cannot be shipped),
-decks with no dominated card at all, and randomly degraded decks whose
-gameplay is deliberately luck-heavy.
+``make-decks`` writes :func:`synthetic_reference_decks`, stand-ins for
+commercial reference decks whose data cannot be shipped; each is built by
+:func:`deck_with_dominating_pairs` from disjoint chains of dominating cards.
 """
 
 from __future__ import annotations
@@ -82,79 +81,6 @@ def deck_with_dominating_pairs(shape: DeckShape, pairs: int) -> Deck:
     if not report.valid:
         raise AssertionError(f"constructed deck is invalid: {report}")
     return deck
-
-
-def nondominated_deck(
-    shape: DeckShape,
-    rng: np.random.Generator,
-    tilt: float = 0.8,
-    concentration: float = 0.5,
-    max_tries: int = 100,
-) -> Deck:
-    """Random deck in which no card dominates another.
-
-    All cards sit on one positively weighted hyperplane: strict domination
-    in every category would force a strictly larger weighted sum, so none
-    can exist.  Random per-deck weights skew the category scales the way
-    real card data does, which keeps the range-only agent's uniform
-    assumption imperfect.
-    """
-    if shape.L < 2:
-        raise ValueError("need at least two categories")
-    span = shape.hi - shape.lo
-    for _ in range(max_tries):
-        weights = np.exp(rng.normal(0.0, tilt, size=shape.L))
-        budget = 0.5 * span * weights.sum()
-        rows = []
-        guard = 0
-        while len(rows) < shape.K and guard < 200 * shape.K:
-            guard += 1
-            part = rng.dirichlet(np.full(shape.L, concentration))
-            y = budget * part / weights
-            if np.any(y >= 0.999 * span):
-                continue
-            rows.append(shape.lo + y)
-        if len(rows) < shape.K:
-            continue
-        deck = Deck(np.array(rows), shape)
-        if deck_is_valid(deck).valid:
-            assert dominating_pair_count(deck) == 0
-            return deck
-    raise RuntimeError("failed to sample a fully non-dominated deck")
-
-
-def degraded_deck(
-    shape: DeckShape,
-    rng: np.random.Generator,
-    min_pairs: int,
-    max_tries: int = 10_000,
-) -> Deck:
-    """Random valid deck degraded until at least ``min_pairs`` dominated pairs.
-
-    Repeatedly replaces a random card with a shrunk copy of a stronger one,
-    creating cards that cannot win against it in any category.
-    """
-    from trumpbench.deck import random_valid_deck
-
-    values = random_valid_deck(shape, rng).values.copy()
-    for _ in range(max_tries):
-        deck = Deck(values, shape)
-        if dominating_pair_count(deck) >= min_pairs and deck_is_valid(deck).valid:
-            return deck
-        donor = int(rng.integers(shape.K))
-        if values[donor].min() <= shape.lo + 0.5:
-            continue
-        victim = int(rng.integers(shape.K))
-        if victim == donor:
-            continue
-        shrink = rng.uniform(0.3, 0.8)
-        candidate = shape.lo + (values[donor] - shape.lo) * shrink
-        old = values[victim].copy()
-        values[victim] = candidate
-        report = deck_is_valid(Deck(values, shape))
-        if not report.valid:
-            values[victim] = old
-    raise RuntimeError(f"could not reach {min_pairs} dominated pairs in {max_tries} steps")
 
 
 # Pair targets for the eight stand-in reference decks.  One deck has very

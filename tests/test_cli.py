@@ -9,13 +9,19 @@ import pytest
 from trumpbench.cli import main, parse_config_file
 from trumpbench.deck import DeckShape, load_deck, save_deck
 from trumpbench.experiments import ExperimentConfig
-from trumpbench.indicators import FrontSet, read_front_csv, write_front_csv
-from trumpbench.synth import nondominated_deck
+from trumpbench.indicators import (
+    FrontSet,
+    fit_normalize_transform,
+    indicator_block,
+    read_front_csv,
+    write_front_csv,
+)
+from trumpbench.synth import deck_with_dominating_pairs
 
 
 @pytest.fixture()
 def deck_file(tmp_path):
-    deck = nondominated_deck(DeckShape(), np.random.default_rng(3))
+    deck = deck_with_dominating_pairs(DeckShape(), 0)
     path = tmp_path / "deck.csv"
     save_deck(deck, path)
     return path
@@ -149,11 +155,11 @@ class TestExperimentCommand:
             parse_config_file(cfg)
 
 
-# SHA-256 of the artifacts of one experiment with placed reference decks, as
-# written by the two-pass report code (which wrote report.json a second time
-# after placing the decks).
+# SHA-256 of the artifacts of one experiment with eight placed 8x2 reference
+# decks.  The fronts and indicators.csv are those the two-pass report code
+# wrote (it wrote report.json a second time after placing the decks).
 EXPERIMENT_GOLDEN = {
-    "report.json": "d27bda52d3551ab846573889333bfbce54d7a14945d965867c4bbbfde252c439",
+    "report.json": "7940477ccb0a0b4624b919fd08c89632d2f2ecfc6b321ce13847159cd5530f81",
     "indicators.csv": "4787292d44ade67452e58cb0f5201b7162b64eed3e502ef733b4173a021390c7",
     "fronts/B4_front.csv": "c7f030e2828c8cf133af1e29c5838a7b92c7161380d56973dc9e808349495570",
     "fronts/B4_surface50.csv": "c7f030e2828c8cf133af1e29c5838a7b92c7161380d56973dc9e808349495570",
@@ -167,8 +173,15 @@ EXPERIMENT_GOLDEN = {
 }
 
 
+# Dominated-pair counts of the 8x2 reference decks of the golden experiment.
+REFERENCE_PAIRS_8X2 = (0, 1, 2, 3, 5, 6, 10, 15)
+
+
 def test_experiment_with_reference_decks_matches_golden_bytes(tmp_path, capsys):
-    run_cli(capsys, "make-decks", "--out", tmp_path / "decks")
+    (tmp_path / "decks").mkdir()
+    for i, pairs in enumerate(REFERENCE_PAIRS_8X2, start=1):
+        deck = deck_with_dominating_pairs(DeckShape(K=8, L=2), pairs)
+        save_deck(deck, tmp_path / "decks" / f"synthetic_{i:02d}.csv")
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         "approaches = S4,D4,B4\nruns = 2\ngames = 200\nevals = 150\n"
@@ -211,6 +224,36 @@ class TestIndicatorsCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "front,hv,eps,r2"
         assert len(lines) == 4
+
+    def test_values_from_joint_normalization(self, tmp_path, capsys):
+        # Fronts and reference set share one [1, 2] map fitted on all their
+        # points, so the rows equal the indicators of the mapped sets and do
+        # not change when every file is rescaled by the same affine map.
+        rng = np.random.default_rng(9)
+        # FrontSet drops dominated points, as reading a front file does.
+        fronts = [FrontSet(rng.uniform(0, 50, size=(4, 2)) + 20 * i).points for i in range(2)]
+        ref = FrontSet(rng.uniform(0, 40, size=(3, 2))).points
+        transform = fit_normalize_transform(np.vstack([*fronts, ref]))
+        norm_ref = FrontSet(transform.apply(ref))
+        expected = [
+            indicator_block(FrontSet(transform.apply(points)), norm_ref) for points in fronts
+        ]
+        rows = {}
+        for scale, shift in ((1.0, 0.0), (7.0, -3.0)):
+            for i, points in enumerate(fronts):
+                write_front_csv(FrontSet(scale * points + shift), tmp_path / f"front_{i}.csv")
+            write_front_csv(FrontSet(scale * ref + shift), tmp_path / "ref.csv")
+            out = run_cli(
+                capsys,
+                "indicators", "--fronts", str(tmp_path / "front_*.csv"),
+                "--refset", tmp_path / "ref.csv",
+            )
+            rows[scale] = [
+                [float(cell) for cell in line.split(",")[1:]]
+                for line in out.strip().splitlines()[1:]
+            ]
+        assert rows[1.0] == [[b["hv"], b["eps"], b["r2"]] for b in expected]
+        assert np.allclose(rows[7.0], rows[1.0], rtol=1e-9, atol=1e-12)
 
     def test_three_objective_values_are_plain_numbers(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
@@ -415,3 +458,17 @@ class TestCommandErrors:
         )
         assert err.startswith("trumpbench experiment: no deck files match")
         assert not (tmp_path / "out").exists()
+
+    def test_experiment_reference_decks_of_another_shape_fail_before_any_run(
+        self, tmp_path, capsys
+    ):
+        run_cli(capsys, "make-decks", "--out", tmp_path / "decks")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"approaches = D4\nk = 8\nl = 2\nout = {tmp_path / 'out'}\n")
+        err = self.fails(
+            capsys,
+            "experiment", "--config", cfg, "--reference-decks", str(tmp_path / "decks" / "*.csv"),
+        )
+        assert err.startswith(f"trumpbench experiment: {tmp_path / 'decks' / 'synthetic_01.csv'}")
+        assert "32 cards x 4 categories, expected 8 x 2" in err
+        assert not (tmp_path / "out" / "runs").exists()

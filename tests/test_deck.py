@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trumpbench.deck import (
-    Deck,
     DeckFormatError,
     DeckShape,
     card_dominates,
     deck_is_valid,
-    deck_to_genome,
     genome_to_deck,
     load_deck,
     random_valid_deck,
@@ -73,9 +71,10 @@ class TestGenomeCodec:
         assert np.array_equal(deck.values, [[1, 2], [3, 4]])
 
     def test_inverse(self):
-        shape = DeckShape(K=2, L=2)
-        deck = Deck(np.array([[1.0, 2.0], [3.0, 4.0]]), shape)
-        assert np.array_equal(deck_to_genome(deck), [1, 2, 3, 4])
+        # Flattening a deck row by row gives the genome that decodes back to it.
+        shape = DeckShape()
+        deck = random_valid_deck(shape, np.random.default_rng(4))
+        assert genome_to_deck(deck.values.reshape(-1), shape) == deck
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -87,7 +86,7 @@ class TestGenomeCodec:
         shape = DeckShape(K=2 * half_k, L=l)
         rng = np.random.default_rng(seed)
         genome = rng.uniform(shape.lo, shape.hi, size=shape.genome_length)
-        back = deck_to_genome(genome_to_deck(genome, shape))
+        back = genome_to_deck(genome, shape).values.reshape(-1)
         assert np.array_equal(back, genome)
 
 

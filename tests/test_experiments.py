@@ -21,7 +21,7 @@ from trumpbench.indicators import read_front_csv
 from trumpbench.moea import VariationParams
 from trumpbench.objectives import ObjectiveKind
 from trumpbench.ocd import OCDParams
-from trumpbench.synth import deck_with_dominating_pairs, nondominated_deck
+from trumpbench.synth import deck_with_dominating_pairs
 
 
 def mini_config(**kw):
@@ -106,13 +106,13 @@ class TestConfig:
 class TestEvaluators:
     def test_dominance_evaluator(self):
         shape = DeckShape()
-        deck = nondominated_deck(shape, np.random.default_rng(0))
+        deck = deck_with_dominating_pairs(shape, 0)
         ev = make_evaluator(ObjectiveKind.DOMINANCE, shape, 10)
         assert ev(deck, np.random.default_rng(0))[0] == pytest.approx(-31.0)
 
     def test_balance_evaluator_uses_rng(self):
         shape = DeckShape()
-        deck = nondominated_deck(shape, np.random.default_rng(0))
+        deck = deck_with_dominating_pairs(shape, 0)
         ev = make_evaluator(ObjectiveKind.BALANCE, shape, 40)
         a = ev(deck, np.random.default_rng(5))
         b = ev(deck, np.random.default_rng(5))
@@ -245,7 +245,7 @@ class TestCompareReferenceDecks:
     def test_decks_are_placed_and_scored(self):
         shape = DeckShape(K=8, L=2)
         decks = [
-            ("good", nondominated_deck(shape, np.random.default_rng(1))),
+            ("good", deck_with_dominating_pairs(shape, 0)),
             ("bad", deck_with_dominating_pairs(shape, 10)),
         ]
         report = run_experiment(mini_config(), reference_decks=decks)
@@ -256,18 +256,29 @@ class TestCompareReferenceDecks:
         assert len(good["balance"]) == 3
         assert "normalized" in good
 
+    def test_deck_of_another_shape_fails_before_any_run(self, tmp_path, monkeypatch):
+        def no_run(config):
+            raise AssertionError("a run started before the decks were checked")
+
+        monkeypatch.setattr(experiments, "execute_run", no_run)
+        config = mini_config(output_dir=str(tmp_path / "out"))
+        decks = [("wide", deck_with_dominating_pairs(DeckShape(), 0))]
+        with pytest.raises(ValueError, match="reference deck wide has shape"):
+            run_experiment(config, reference_decks=decks)
+        assert not (tmp_path / "out").exists()
+
 
 class TestBalanceMetricStudy:
     def test_table_shape_and_monotonicity(self):
-        deck = nondominated_deck(DeckShape(), np.random.default_rng(5))
+        deck = deck_with_dominating_pairs(DeckShape(), 0)
         table = balance_metric_study(deck, sizes=[50, 200], repeats=10, alpha=0.05, seed=3)
         metrics = {row.metric for row in table.rows}
         assert metrics == {"win_rate", "announcer_changes", "tightness"}
-        win_rows = table.for_metric("win_rate")
+        win_rows = [row for row in table.rows if row.metric == "win_rate"]
         assert win_rows[0].halfwidth_q95 > win_rows[1].halfwidth_q95
 
     def test_deterministic(self):
-        deck = nondominated_deck(DeckShape(K=8, L=2), np.random.default_rng(5))
+        deck = deck_with_dominating_pairs(DeckShape(K=8, L=2), 0)
         t1 = balance_metric_study(deck, [30], 5, 0.05, seed=9)
         t2 = balance_metric_study(deck, [30], 5, 0.05, seed=9)
         assert t1 == t2

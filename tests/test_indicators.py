@@ -13,8 +13,8 @@ from trumpbench.indicators import (
     eps_dominance_check,
     eps_indicator,
     hv_indicator,
+    fit_normalize_transform,
     hypervolume,
-    normalize_sets,
     prune_to_front,
     r2_indicator,
     read_front_csv,
@@ -184,31 +184,23 @@ class TestWeights:
 
 class TestNormalization:
     def test_midpoint_maps_to_midpoint(self):
-        sets = [FrontSet(np.array([[5.0, 1.0], [9.0, 0.0]]), "a")]
-        normalized, transform = normalize_sets(sets)
+        transform = fit_normalize_transform(np.array([[5.0, 1.0], [9.0, 0.0]]))
         assert transform.apply(np.array([[7.0, 0.5]]))[0, 0] == pytest.approx(1.5)
 
     def test_extremes_hit_one_and_two(self):
-        sets = [
-            FrontSet(np.array([[5.0, 2.0]]), "a"),
-            FrontSet(np.array([[9.0, 1.0]]), "b"),
-        ]
-        normalized, _ = normalize_sets(sets)
-        stacked = np.vstack([s.points for s in normalized])
-        assert stacked.min(axis=0) == pytest.approx([1.0, 1.0])
-        assert stacked.max(axis=0) == pytest.approx([2.0, 2.0])
+        points = np.array([[5.0, 2.0], [9.0, 1.0]])
+        mapped = fit_normalize_transform(points).apply(points)
+        assert mapped.min(axis=0) == pytest.approx([1.0, 1.0])
+        assert mapped.max(axis=0) == pytest.approx([2.0, 2.0])
 
     def test_constant_dimension_maps_to_one(self):
-        sets = [FrontSet(np.array([[3.0, 1.0], [3.0, 2.0]]), "a")]
-        normalized, _ = normalize_sets(sets)
-        assert np.all(normalized[0].points[:, 0] == 1.0)
+        points = np.array([[3.0, 1.0], [3.0, 2.0]])
+        assert np.all(fit_normalize_transform(points).apply(points)[:, 0] == 1.0)
 
     def test_dominance_preserved(self):
         rng = np.random.default_rng(17)
         pts = rng.uniform(0, 10, size=(10, 3))
-        sets = [FrontSet(pts[:5], "a"), FrontSet(pts[5:], "b")]
-        _, transform = normalize_sets(sets)
-        mapped = transform.apply(pts)
+        mapped = fit_normalize_transform(pts).apply(pts)
         for i in range(10):
             for j in range(10):
                 assert np.all(pts[i] < pts[j]) == np.all(mapped[i] < mapped[j])
@@ -221,7 +213,9 @@ class TestNormalization:
         shift = np.array([-7.0, 40.0])
 
         def pipeline(a_pts, r_pts):
-            (a, r), _ = normalize_sets([FrontSet(a_pts, "a"), FrontSet(r_pts, "r")])
+            transform = fit_normalize_transform(np.vstack([a_pts, r_pts]))
+            a = FrontSet(transform.apply(a_pts))
+            r = FrontSet(transform.apply(r_pts))
             ref = np.full(2, 2.1)
             w = simplex_lattice_weights(2, 20)
             ideal = r.points.min(axis=0) - 0.01

@@ -105,8 +105,9 @@ class TestDeckHypervolume:
             assert deck_hypervolume(cards[: n + 1]) >= deck_hypervolume(cards[:n]) - 1e-12
 
     def test_ref_must_be_strictly_below(self):
+        # The reference point is the origin; a card on it is rejected.
         with pytest.raises(ValueError):
-            deck_hypervolume(np.array([[1.0, 5.0]]), ref=np.array([1.0, 0.0]))
+            deck_hypervolume(np.array([[1.0, 0.0]]))
 
 
 class TestSurrogateObjectives:

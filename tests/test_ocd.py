@@ -4,7 +4,10 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trumpbench.indicators import FrontSet, fit_normalize_transform, indicator_block
 from trumpbench.ocd import Decision, OCDParams, RunIndicatorTracker, Stagnation
 
 FRONT = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -24,6 +27,22 @@ def feed(params, streams):
         if tracker.decide(windows) is Decision.CONVERGED:
             return t + 1
     return None
+
+
+@st.composite
+def population_windows(draw):
+    """(m, window, populations): populations of 1 to 6 points on a coarse
+    lattice, so values tie across points and generations, with some points
+    repeated inside a population."""
+    m = draw(st.sampled_from([2, 3]))
+    window = draw(st.integers(3, 5))
+    value = st.integers(0, 8).map(lambda k: k / 4)
+    populations = []
+    for _ in range(draw(st.integers(1, 2 * window))):
+        rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=1, max_size=6))
+        repeats = draw(st.lists(st.sampled_from(rows), max_size=2))
+        populations.append(np.array(rows + repeats))
+    return m, window, populations
 
 
 def stop_generation(tracker, populations):
@@ -235,3 +254,21 @@ class TestRunIndicatorTracker:
             tracker.update(np.empty((0, 2)))
         with pytest.raises(ValueError):
             tracker.update(np.array([[1.0, 2.0, 3.0]]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(population_windows())
+    def test_rows_equal_indicator_block_in_window_frame(self, case):
+        # The tracker keeps its own copy of the [1, 2] frame (reference
+        # point, R2 weights, ideal point); each row must equal
+        # indicator_block of the newest population against the window's
+        # reference set, with r2 taken relative to the reference's own r2.
+        m, window, populations = case
+        tracker = RunIndicatorTracker(m, OCDParams(window=window))
+        for t, pop in enumerate(populations):
+            row, _ = tracker.update(pop)
+            window_points = np.vstack(populations[max(0, t + 1 - window) : t + 1])
+            transform = fit_normalize_transform(window_points)
+            reference = FrontSet(transform.apply(window_points))
+            block = indicator_block(FrontSet(transform.apply(pop)), reference)
+            reference_r2 = indicator_block(reference, reference)["r2"]
+            assert row == {"hv": block["hv"], "eps": block["eps"], "r2": block["r2"] - reference_r2}

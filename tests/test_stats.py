@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from trumpbench.stats import (
-    ci_halfwidth,
-    playtest_feasibility,
-    sample_size_study,
-    t_quantile,
-)
+from scipy import stats as sps
+
+from trumpbench.stats import ci_halfwidth, playtest_feasibility, sample_size_study
 
 # Standard two-sided 97.5% t quantiles for selected degrees of freedom.
 T_TABLE = {
@@ -25,33 +22,39 @@ T_TABLE = {
 
 
 class TestTQuantile:
+    """The Student-t quantile that both interval functions apply."""
+
     def test_matches_published_table(self):
+        # With n samples the halfwidth is t(0.975, n - 1) * sd / sqrt(n).
+        rng = np.random.default_rng(1)
         for dof, expected in T_TABLE.items():
-            assert t_quantile(0.975, dof) == pytest.approx(expected, abs=5e-5)
+            samples = rng.normal(0, 1, size=dof + 1)
+            scale = np.std(samples, ddof=1) / np.sqrt(dof + 1)
+            assert ci_halfwidth(samples, alpha=0.05) / scale == pytest.approx(expected, abs=5e-5)
 
     def test_rejects_zero_dof(self):
+        # One observation leaves n - 1 = 0 degrees of freedom.
         with pytest.raises(ValueError):
-            t_quantile(0.975, 0)
+            ci_halfwidth([1.0])
+        with pytest.raises(ValueError):
+            playtest_feasibility([0.5], players=1, games_each=1)
 
 
 class TestCiHalfwidth:
     def test_constant_samples(self):
-        result = ci_halfwidth([2.0, 2.0, 2.0, 2.0], alpha=0.05)
-        assert result.halfwidth == 0.0
-        assert result.mean == 2.0
+        assert ci_halfwidth([2.0, 2.0, 2.0, 2.0], alpha=0.05) == 0.0
 
     def test_known_four_sample_case(self):
         # n=4 samples with sample sd exactly 2: halfwidth = t(0.975,3)*2/2.
         samples = [0.0, 0.0, 4.0, 0.0]
         sd = np.std(samples, ddof=1)
         assert sd == pytest.approx(2.0)
-        result = ci_halfwidth(samples, alpha=0.05)
-        assert result.halfwidth == pytest.approx(3.1824, abs=2e-4)
+        assert ci_halfwidth(samples, alpha=0.05) == pytest.approx(3.1824, abs=2e-4)
 
     def test_quadrupling_n_roughly_halves_width(self):
         rng = np.random.default_rng(3)
-        small = ci_halfwidth(rng.normal(0, 1, size=500), alpha=0.05).halfwidth
-        large = ci_halfwidth(rng.normal(0, 1, size=2000), alpha=0.05).halfwidth
+        small = ci_halfwidth(rng.normal(0, 1, size=500), alpha=0.05)
+        large = ci_halfwidth(rng.normal(0, 1, size=2000), alpha=0.05)
         assert large == pytest.approx(small / 2, rel=0.15)
 
     def test_needs_two_samples(self):
@@ -117,10 +120,9 @@ class TestSampleSizeStudy:
         assert [(r.sample_size, r.metric) for r in table.rows] == [
             (20, "x"), (20, "3x"), (40, "x"), (40, "3x"),
         ]
-        assert [r.halfwidth_q95 for r in table.for_metric("x")] == [
-            r.halfwidth_q95 for r in single.rows
-        ]
-        for x_row, scaled in zip(table.for_metric("x"), table.for_metric("3x")):
+        x_rows, scaled_rows = table.rows[0::2], table.rows[1::2]
+        assert [r.halfwidth_q95 for r in x_rows] == [r.halfwidth_q95 for r in single.rows]
+        for x_row, scaled in zip(x_rows, scaled_rows):
             assert scaled.halfwidth_q95 == pytest.approx(3 * x_row.halfwidth_q95)
 
     def test_sampler_shape_checked(self):
@@ -130,7 +132,7 @@ class TestSampleSizeStudy:
                 np.random.default_rng(0), metric=("a", "b", "c"),
             )
 
-    def test_csv_output(self, tmp_path):
+    def test_csv_output(self):
         table = sample_size_study(
             lambda size, rng: np.full(size, 2.0),
             sizes=[10],
@@ -139,9 +141,7 @@ class TestSampleSizeStudy:
             rng=np.random.default_rng(1),
             metric="win_rate",
         )
-        path = tmp_path / "table.csv"
-        table.write_csv(path)
-        lines = path.read_text().splitlines()
+        lines = table.to_csv().splitlines()
         assert lines[0] == "size,metric,halfwidth_q95"
         assert lines[1].startswith("10,win_rate,")
 
@@ -154,7 +154,7 @@ class TestPlaytestFeasibility:
     def test_standard_formula(self):
         sd = np.array([0.0427, 0.3191, 0.3576])
         widths = playtest_feasibility(sd, players=100, games_each=10, alpha=0.05)
-        expected = t_quantile(0.975, 999) * sd / np.sqrt(1000)
+        expected = sps.t.ppf(0.975, 999) * sd / np.sqrt(1000)
         assert widths == pytest.approx(expected)
 
     def test_halving_n_scales_by_sqrt_two(self):

@@ -8,8 +8,6 @@ from trumpbench.objectives import dominance_fitness
 from trumpbench.synth import (
     chain_partition,
     deck_with_dominating_pairs,
-    degraded_deck,
-    nondominated_deck,
     synthetic_reference_decks,
     triangular,
 )
@@ -48,30 +46,6 @@ class TestDeckWithDominatingPairs:
     def test_two_category_shape_supported(self):
         deck = deck_with_dominating_pairs(DeckShape(K=8, L=2), 5)
         assert dominating_pair_count(deck) == 5
-
-
-class TestNondominatedDeck:
-    def test_no_dominated_pairs(self):
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            deck = nondominated_deck(DeckShape(), rng)
-            assert dominating_pair_count(deck) == 0
-            assert deck_is_valid(deck).valid
-            assert dominance_fitness(deck).values[0] == pytest.approx(-31.0)
-
-    def test_deterministic_given_seed(self):
-        a = nondominated_deck(DeckShape(), np.random.default_rng(5))
-        b = nondominated_deck(DeckShape(), np.random.default_rng(5))
-        assert a == b
-
-
-class TestDegradedDeck:
-    def test_reaches_requested_pairs(self):
-        rng = np.random.default_rng(7)
-        deck = degraded_deck(DeckShape(), rng, min_pairs=192)
-        assert dominating_pair_count(deck) >= 192
-        assert deck_is_valid(deck).valid
-        assert dominance_fitness(deck).values[0] >= -25.0
 
 
 class TestSyntheticReferenceDecks:
