@@ -248,10 +248,10 @@ def cmd_sample_size(args) -> int:
 
 
 def cmd_make_decks(args) -> int:
+    decks = synthetic_reference_decks(_shape_from(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    shape = _shape_from(args)
-    for name, deck in synthetic_reference_decks(shape):
+    for name, deck in decks:
         save_deck(deck, out_dir / f"{name}.csv")
     print(f"wrote 8 synthetic reference decks to {out_dir}")
     return 0

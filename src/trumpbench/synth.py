@@ -93,7 +93,13 @@ REFERENCE_PAIR_TARGETS = (18, 260, 255, 249, 245, 248, 242, 244)
 def synthetic_reference_decks(shape: DeckShape | None = None) -> list[tuple[str, Deck]]:
     """Eight deterministic stand-ins for purchased decks, labeled synthetic."""
     shape = shape or DeckShape()
-    decks = []
-    for i, pairs in enumerate(REFERENCE_PAIR_TARGETS, start=1):
-        decks.append((f"synthetic_{i:02d}", deck_with_dominating_pairs(shape, pairs)))
-    return decks
+    try:
+        return [
+            (f"synthetic_{i:02d}", deck_with_dominating_pairs(shape, pairs))
+            for i, pairs in enumerate(REFERENCE_PAIR_TARGETS, start=1)
+        ]
+    except ValueError as exc:
+        raise ValueError(
+            f"no reference decks of {shape.K} cards x {shape.L} categories: {exc} "
+            "(the reference pair targets assume 32 cards)"
+        ) from None

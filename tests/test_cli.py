@@ -205,6 +205,28 @@ def test_experiment_with_reference_decks_matches_golden_bytes(tmp_path, capsys):
     assert digests == EXPERIMENT_GOLDEN
 
 
+# SHA-256 of run_S10_seed3.json from `optimize --objective S --evals 200
+# --seed 3` on 32 cards, as written by the recursive sweep with one 2-D
+# staircase per slab that the batched staircases replaced.  These decks
+# reach the 4-D and 3-D hypervolume, which the 8x2 golden experiment
+# does not.
+S_RUN_GOLDEN = {
+    4: "d705bd26dc134e6e1b4460a80b2f04170f8b4208e36a5b81c018f7e830542bce",
+    3: "96c367e01956fb771ecfe1b8bc3355b6e6ecda4db37a4c4f980048c1655ba0d7",
+}
+
+
+@pytest.mark.parametrize("categories", list(S_RUN_GOLDEN))
+def test_surrogate_run_matches_golden_bytes(tmp_path, capsys, categories):
+    run_cli(
+        capsys,
+        "optimize", "--objective", "S", "--evals", 200, "--seed", 3,
+        "--categories", categories, "--out", tmp_path,
+    )
+    digest = hashlib.sha256((tmp_path / "run_S10_seed3.json").read_bytes()).hexdigest()
+    assert digest == S_RUN_GOLDEN[categories]
+
+
 class TestIndicatorsCommand:
     def test_csv_output(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -426,6 +448,14 @@ class TestCommandErrors:
             "--refset", tmp_path / "ref.csv",
         )
         assert err.startswith("trumpbench indicators: no front files match")
+
+    def test_make_decks_of_unrealizable_shape_writes_nothing(self, tmp_path, capsys):
+        err = self.fails(
+            capsys, "make-decks", "--out", tmp_path / "decks", "--cards", 8, "--categories", 2
+        )
+        assert err.startswith("trumpbench make-decks: no reference decks of 8 cards x 2 categories")
+        assert "32 cards" in err
+        assert not (tmp_path / "decks").exists()
 
     def test_experiment_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

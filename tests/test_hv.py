@@ -1,11 +1,52 @@
 """Exact hypervolume kernel and the minimization API on it, against hand
-values and Monte Carlo box unions."""
+values, Monte Carlo box unions and the plain recursive sweep."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trumpbench.deck import DeckShape, random_valid_deck
 from trumpbench.hv import union_box_volume
 from trumpbench.indicators import hv_contributions, hypervolume
+
+
+def oracle_volume(points) -> float:
+    """The sweep with one 2-D staircase per slab, for m >= 3: slice along
+    the last coordinate, recurse on the prefix above each slab of nonzero
+    height, and add the slab terms one by one.  ``union_box_volume`` must
+    equal it bit for bit, because SMS-EMOA ties and the pinned reports
+    depend on the last bits of the S objective."""
+    return float(_oracle_sweep(np.asarray(points, dtype=float)))
+
+
+def _oracle_2d(pts: np.ndarray) -> float:
+    order = np.argsort(-pts[:, 0], kind="stable")
+    x = pts[order, 0]
+    y = np.maximum.accumulate(pts[order, 1])
+    widths = x - np.append(x[1:], 0.0)
+    return float(widths @ y)
+
+
+def _oracle_sweep(pts: np.ndarray) -> float:
+    last = pts[:, -1]
+    order = np.argsort(-last, kind="stable")
+    sorted_last = last[order]
+    proj = pts[order, :-1]
+    heights = sorted_last - np.append(sorted_last[1:], 0.0)
+    vol = 0.0
+    for i in range(len(order)):
+        h = heights[i]
+        if h == 0.0:
+            continue
+        prefix = proj[: i + 1]
+        if prefix.shape[1] == 2:
+            vol += h * _oracle_2d(prefix)
+        else:
+            vol += h * _oracle_sweep(prefix)
+    return vol
 
 
 def mc_union_volume(points: np.ndarray, rng: np.random.Generator, samples: int = 1_000_000) -> float:
@@ -85,3 +126,49 @@ def test_contributions_reject_point_outside_ref(measure):
     front = np.array([[1.0, 1.0], [5.0, 1.0], [4.0, 0.0]])
     with pytest.raises(ValueError, match="2 point"):
         measure(front, np.array([4.0, 4.0]))
+
+
+@st.composite
+def lattice_sets(draw):
+    """1-40 points in 3-5 dimensions on the lattice {0, 1, 2, 3} times a
+    per-coordinate step, with repeated rows: ties, zero coordinates and
+    zero-height slabs are common, and the steps make the areas round."""
+    m = draw(st.sampled_from([3, 4, 5]))
+    n = draw(st.integers(1, 40))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+    steps = draw(st.tuples(*[st.sampled_from([1.0, 0.1, 2.0 / 3.0, 1.7])] * m))
+    return np.array([rows[i] for i in picks], dtype=float) * np.array(steps)
+
+
+class TestMatchesRecursiveSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_sets())
+    def test_lattice_sets(self, pts):
+        assert union_box_volume(pts) == oracle_volume(pts)
+
+    @pytest.mark.parametrize("categories", [3, 4])
+    def test_random_valid_decks(self, categories):
+        shape = DeckShape(L=categories)
+        rng = np.random.default_rng(20 + categories)
+        for _ in range(20):
+            values = random_valid_deck(shape, rng).values
+            assert union_box_volume(values) == oracle_volume(values)
+
+    def test_five_dimensions(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 7, 12):
+            pts = rng.uniform(0.0, 3.0, size=(n, 5))
+            assert union_box_volume(pts) == oracle_volume(pts)
+
+
+def test_working_set_stays_quadratic():
+    # 256 points in 4-D: an (n, n, n) float tensor alone would take 134 MB.
+    pts = np.random.default_rng(3).uniform(size=(256, 4))
+    tracemalloc.start()
+    try:
+        union_box_volume(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
