@@ -3,6 +3,11 @@
 Subcommands: simulate, optimize, experiment, indicators, eaf, sample-size,
 make-decks.  Every command is deterministic given its seed; primary outputs
 are reproduced byte for byte on re-runs.
+
+Config-file keys and the setting flags of ``optimize`` and ``make-decks``
+come from one table, ``SETTINGS``: a flag is ``--`` + key with ``_`` -> ``-``,
+except ``--cards``/``--categories`` for the keys k/l.  A setting left out
+takes the default of its config dataclass.
 """
 
 from __future__ import annotations
@@ -45,19 +50,6 @@ POLICY_PAIRS = {
 }
 
 
-def _shape_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cards", type=int, default=DeckShape.K, help="cards per deck (K)")
-    parser.add_argument(
-        "--categories", type=int, default=DeckShape.L, help="categories per card (L)"
-    )
-    parser.add_argument("--lo", type=float, default=DeckShape.lo, help="lower value bound")
-    parser.add_argument("--hi", type=float, default=DeckShape.hi, help="upper value bound")
-
-
-def _shape_from(args) -> DeckShape:
-    return DeckShape(K=args.cards, L=args.categories, lo=args.lo, hi=args.hi)
-
-
 def cmd_simulate(args) -> int:
     deck = load_deck(args.deck, rescale=args.rescale)
     policies = POLICY_PAIRS[args.policies]
@@ -83,14 +75,8 @@ def cmd_optimize(args) -> int:
         config = EAConfig(
             mu=args.mu,
             objective=ObjectiveKind(args.objective),
-            shape=_shape_from(args),
-            variation=VariationParams(pc=args.pc, eta_c=args.eta_c, eta_m=args.eta_m),
-            max_evals=args.evals,
             seed=args.seed,
-            ocd=OCDParams(
-                window=args.ocd_window, var_limit=args.ocd_var_limit, alpha=args.ocd_alpha
-            ),
-            games=args.games,
+            **_config_kwargs(vars(args), RUN_SECTIONS),
         )
     except ValueError as exc:
         artifact, error = None, describe_error(exc)
@@ -120,37 +106,63 @@ def _parse_pm(text: str) -> float | None:
     return None if text in ("", "auto") else float(text)
 
 
-# Config-file key -> (nested config the value belongs to, field name, parser).
-CONFIG_KEYS = {
-    "approaches": ("experiment", "approaches", _parse_approaches),
-    "runs": ("experiment", "runs", int),
-    "games": ("experiment", "games", int),
-    "seed": ("experiment", "master_seed", int),
-    "out": ("experiment", "output_dir", str),
-    "evals": ("experiment", "max_evals", int),
-    "workers": ("experiment", "workers", int),
-    "surface_level": ("experiment", "surface_level", float),
-    "permutations": ("experiment", "permutations", int),
-    "alpha": ("experiment", "alpha", float),
-    "k": ("shape", "K", int),
-    "l": ("shape", "L", int),
-    "lo": ("shape", "lo", float),
-    "hi": ("shape", "hi", float),
-    "pc": ("variation", "pc", float),
-    "pm": ("variation", "pm", _parse_pm),
-    "eta_c": ("variation", "eta_c", float),
-    "eta_m": ("variation", "eta_m", float),
-    "ocd_window": ("ocd", "window", int),
-    "ocd_var_limit": ("ocd", "var_limit", float),
-    "ocd_alpha": ("ocd", "alpha", float),
+# Setting key -> (section, field, parser, help).  "run" fields are common to
+# EAConfig and ExperimentConfig; "experiment" ones belong to ExperimentConfig.
+SETTINGS = {
+    "approaches": ("experiment", "approaches", _parse_approaches, "e.g. S10, D10, B10"),
+    "runs": ("experiment", "runs", int, "runs per approach"),
+    "seed": ("experiment", "master_seed", int, "master seed that every run seed derives from"),
+    "out": ("experiment", "output_dir", str, "artifact directory"),
+    "workers": ("experiment", "workers", int, "worker processes"),
+    "surface_level": ("experiment", "surface_level", float, "attainment level of the surfaces"),
+    "permutations": ("experiment", "permutations", int, "permutations of each EAF test"),
+    "alpha": ("experiment", "alpha", float, "significance level of the tests"),
+    "games": ("run", "games", int, "games per B evaluation"),
+    "evals": ("run", "max_evals", int, "evaluation budget of a run"),
+    "k": ("shape", "K", int, "cards per deck (K)"),
+    "l": ("shape", "L", int, "categories per card (L)"),
+    "lo": ("shape", "lo", float, "lower value bound"),
+    "hi": ("shape", "hi", float, "upper value bound"),
+    "pc": ("variation", "pc", float, "SBX crossover probability"),
+    "pm": ("variation", "pm", _parse_pm, "mutation probability per gene; auto is 1/genes"),
+    "eta_c": ("variation", "eta_c", float, "SBX distribution index"),
+    "eta_m": ("variation", "eta_m", float, "polynomial mutation distribution index"),
+    "ocd_window": ("ocd", "window", int, "OCD window in generations"),
+    "ocd_var_limit": ("ocd", "var_limit", float, "OCD variance limit"),
+    "ocd_alpha": ("ocd", "alpha", float, "OCD significance level"),
 }
+RUN_SECTIONS = ("run", "shape", "variation", "ocd")
+
+
+def _config_kwargs(values: dict, sections=("experiment", *RUN_SECTIONS)) -> dict:
+    """Keyword arguments of EAConfig or ExperimentConfig from the values of
+    the settings of ``sections`` in ``values``, with the nested configs built."""
+    found: dict[str, dict] = {s: {} for s in ("experiment", *RUN_SECTIONS)}
+    for key, (section, name, *_) in SETTINGS.items():
+        if key in values and section in sections:
+            found[section][name] = values[key]
+    return {
+        **found["experiment"],
+        **found["run"],
+        "shape": DeckShape(**found["shape"]),
+        "variation": VariationParams(**found["variation"]),
+        "ocd": OCDParams(**found["ocd"]),
+    }
+
+
+def _add_setting_flags(parser: argparse.ArgumentParser, sections: tuple[str, ...]) -> None:
+    """One flag per setting of ``sections``; a flag left out is absent from the namespace."""
+    for key, (section, _, parse, text) in SETTINGS.items():
+        if section in sections:
+            flag = {"k": "--cards", "l": "--categories"}.get(key, "--" + key.replace("_", "-"))
+            parser.add_argument(flag, dest=key, type=parse, default=argparse.SUPPRESS, help=text)
 
 
 def parse_config_file(path) -> ExperimentConfig:
-    """Flat key=value config; '#' starts a comment.  Keys left out take the
-    defaults of the config dataclasses; an unknown key or a value that does
-    not parse is an error naming the file and line."""
-    found: dict[str, dict] = {"experiment": {}, "shape": {}, "variation": {}, "ocd": {}}
+    """Flat key=value config; '#' starts a comment and keys ignore case.  Keys
+    left out take the defaults of the config dataclasses; an unknown or
+    repeated key or a value that does not parse is an error naming the file and line."""
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,19 +170,16 @@ def parse_config_file(path) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"{path}, line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key.lower() not in CONFIG_KEYS:
+        name = key.lower()
+        if name not in SETTINGS:
             raise ValueError(f"{path}, line {lineno}: unknown key {key!r}")
-        section, name, parse = CONFIG_KEYS[key.lower()]
+        if name in values:
+            raise ValueError(f"{path}, line {lineno}: repeated key {key!r}")
         try:
-            found[section][name] = parse(value)
+            values[name] = SETTINGS[name][2](value)
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: invalid value for {key!r} ({exc})") from None
-    return ExperimentConfig(
-        **found["experiment"],
-        shape=DeckShape(**found["shape"]),
-        variation=VariationParams(**found["variation"]),
-        ocd=OCDParams(**found["ocd"]),
-    )
+    return ExperimentConfig(**_config_kwargs(values))
 
 
 def cmd_experiment(args) -> int:
@@ -248,7 +257,7 @@ def cmd_sample_size(args) -> int:
 
 
 def cmd_make_decks(args) -> int:
-    decks = synthetic_reference_decks(_shape_from(args))
+    decks = synthetic_reference_decks(_config_kwargs(vars(args), ("shape",))["shape"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, deck in decks:
@@ -275,17 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="one optimizer run, artifact JSON to --out")
     p.add_argument("--objective", choices=["D", "B", "S"], required=True)
     p.add_argument("--mu", type=int, default=10)
-    p.add_argument("--evals", type=int, default=EAConfig.max_evals)
     p.add_argument("--seed", type=int, default=EAConfig.seed)
     p.add_argument("--out", required=True)
-    p.add_argument("--games", type=int, default=EAConfig.games, help="games per B evaluation")
-    p.add_argument("--pc", type=float, default=VariationParams.pc)
-    p.add_argument("--eta-c", type=float, default=VariationParams.eta_c)
-    p.add_argument("--eta-m", type=float, default=VariationParams.eta_m)
-    p.add_argument("--ocd-window", type=int, default=OCDParams.window)
-    p.add_argument("--ocd-var-limit", type=float, default=OCDParams.var_limit)
-    p.add_argument("--ocd-alpha", type=float, default=OCDParams.alpha)
-    _shape_args(p)
+    _add_setting_flags(p, RUN_SECTIONS)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("experiment", help="full multi-run pipeline from a config file")
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-decks", help="write the synthetic reference decks as CSV")
     p.add_argument("--out", required=True)
-    _shape_args(p)
+    _add_setting_flags(p, ("shape",))
     p.set_defaults(func=cmd_make_decks)
 
     return parser

@@ -496,9 +496,7 @@ def _place_reference_decks(
                 norm = transform.apply(balance)[0]
                 entry["normalized"] = norm.tolist()
                 entry["dominated_by"] = sorted(
-                    label
-                    for label, front in fronts.items()
-                    if np.any(np.all(front.points < norm, axis=1))
+                    label for label, front in fronts.items() if set_strictly_dominates(front, norm)
                 )
             entries.append(entry)
         except Exception as exc:

@@ -1,12 +1,14 @@
 """CLI subcommands: behavior and byte-identical reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from trumpbench.cli import main, parse_config_file
+from trumpbench import cli
+from trumpbench.cli import SETTINGS, main, parse_config_file
 from trumpbench.deck import DeckShape, load_deck, save_deck
 from trumpbench.experiments import ExperimentConfig
 from trumpbench.indicators import (
@@ -16,6 +18,8 @@ from trumpbench.indicators import (
     read_front_csv,
     write_front_csv,
 )
+from trumpbench.moea import EAConfig
+from trumpbench.objectives import ObjectiveKind
 from trumpbench.synth import deck_with_dominating_pairs
 
 
@@ -153,6 +157,86 @@ class TestExperimentCommand:
         cfg.write_text("approaches = D10\n# budget\nevlas = 100\n")
         with pytest.raises(ValueError, match=r"line 3: unknown key 'evlas'"):
             parse_config_file(cfg)
+
+    @pytest.mark.parametrize(
+        "text, line, key",
+        [
+            ("runs = 2\nruns = 3\n", 2, "runs"),
+            ("K = 8\nevals = 100\nk = 10\n", 3, "k"),
+        ],
+    )
+    def test_config_parser_rejects_repeated_key(self, tmp_path, text, line, key):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ValueError, match=rf"exp\.cfg, line {line}: repeated key '{key}'"):
+            parse_config_file(cfg)
+
+
+# Every run, shape, variation and OCD setting at a value other than its
+# default: (config-file key, optimize flag, value).
+RUN_SETTINGS = [
+    ("evals", "--evals", "40"),
+    ("games", "--games", "30"),
+    ("k", "--cards", "8"),
+    ("l", "--categories", "2"),
+    ("lo", "--lo", "2"),
+    ("hi", "--hi", "9"),
+    ("pc", "--pc", "0.9"),
+    ("pm", "--pm", "0.05"),
+    ("eta_c", "--eta-c", "15"),
+    ("eta_m", "--eta-m", "10"),
+    ("ocd_window", "--ocd-window", "5"),
+    ("ocd_var_limit", "--ocd-var-limit", "1e-3"),
+    ("ocd_alpha", "--ocd-alpha", "0.1"),
+]
+
+
+def plain(config: EAConfig) -> dict:
+    return json.loads(json.dumps(dataclasses.asdict(config), default=lambda e: e.value))
+
+
+def setting(plain_config: dict, key: str):
+    section, name = SETTINGS[key][:2]
+    return plain_config[name] if section == "run" else plain_config[section][name]
+
+
+class TestSettingsParity:
+    """`optimize` flags and config-file keys set the same run settings."""
+
+    def test_every_run_setting_is_covered(self):
+        keys = {key for key, (section, *_) in SETTINGS.items() if section != "experiment"}
+        assert {key for key, _, _ in RUN_SETTINGS} == keys
+
+    def test_optimize_flags_match_config_file_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "approaches = B4\nseed = 5\n"
+            + "".join(f"{key} = {value}\n" for key, _, value in RUN_SETTINGS)
+        )
+        experiment = parse_config_file(cfg)
+        expected = experiment.run_config(experiment.approaches[0], 0)
+        default = plain(EAConfig(mu=4, objective=ObjectiveKind.BALANCE, seed=expected.seed))
+        for key, _, _ in RUN_SETTINGS:
+            assert setting(plain(expected), key) != setting(default, key), key
+        argv = ["optimize", "--objective", "B", "--mu", 4, "--seed", expected.seed]
+        argv += [part for _, flag, value in RUN_SETTINGS for part in (flag, value)]
+        run_cli(capsys, *argv, "--out", tmp_path)
+        artifact = json.loads((tmp_path / f"run_B4_seed{expected.seed}.json").read_text())
+        assert artifact["config"] == plain(expected)
+
+    def test_optimize_without_setting_flags_takes_dataclass_defaults(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        configs = []
+
+        def record(config):
+            configs.append(config)
+            return None, "not run"
+
+        monkeypatch.setattr(cli, "execute_run", record)
+        main(["optimize", "--objective", "D", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert configs == [EAConfig(mu=10, objective=ObjectiveKind.DOMINANCE)]
 
 
 # SHA-256 of the artifacts of one experiment with eight placed 8x2 reference
