@@ -8,6 +8,13 @@ Config-file keys and the setting flags of ``optimize`` and ``make-decks``
 come from one table, ``SETTINGS``: a flag is ``--`` + key with ``_`` -> ``-``,
 except ``--cards``/``--categories`` for the keys k/l.  A setting left out
 takes the default of its config dataclass.
+
+Each setting is checked once, by the config dataclass that holds it.  So a
+bad setting, like a bad argument or an unreadable file, ends a command with
+one ``trumpbench <command>: <message>`` line on stderr and exit status 1
+before any run starts.  A run that starts and fails is reported by
+``optimize`` as ``run failed: <error>`` (exit 1), and marks its approach
+incomplete in an ``experiment`` report (exit 0).
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from trumpbench.experiments import (
     Approach,
     ExperimentConfig,
     balance_metric_study,
-    describe_error,
     execute_run,
     run_experiment,
 )
@@ -71,17 +77,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    try:
-        config = EAConfig(
-            mu=args.mu,
-            objective=ObjectiveKind(args.objective),
-            seed=args.seed,
-            **_config_kwargs(vars(args), RUN_SECTIONS),
-        )
-    except ValueError as exc:
-        artifact, error = None, describe_error(exc)
-    else:
-        artifact, error = execute_run(config)
+    config = EAConfig(
+        mu=args.mu,
+        objective=ObjectiveKind(args.objective),
+        seed=args.seed,
+        **_config_kwargs(vars(args), RUN_SECTIONS),
+    )
+    artifact, error = execute_run(config)
     if error is not None:
         print(f"run failed: {error}", file=sys.stderr)
         return 1

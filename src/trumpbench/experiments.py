@@ -102,8 +102,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ValueError("need at least one run per approach")
-        if self.games < 1:
-            raise ValueError("need at least one game per evaluation")
         if not 0.0 < self.surface_level <= 1.0:
             raise ValueError("surface_level must lie in (0, 1]")
         if self.permutations < 1:
@@ -115,6 +113,13 @@ class ExperimentConfig:
         labels = [a.label for a in self.approaches]
         if len(labels) != len(set(labels)):
             raise ValueError(f"approach labels must be unique, got {labels}")
+        # Runs of one approach differ only in their seed, so its first run's
+        # settings stand for all of them.
+        for approach in self.approaches:
+            try:
+                self.run_config(approach, 0)
+            except ValueError as exc:
+                raise ValueError(f"approach {approach.label}: {exc}") from None
 
     def config_hash(self) -> str:
         """Hash of every setting that can change the results; where the
@@ -125,7 +130,7 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def run_config(self, approach: Approach, run_idx: int) -> EAConfig:
-        """Optimizer settings of one run; raises ValueError if they are invalid."""
+        """Optimizer settings of one run, already checked by ``__post_init__``."""
         return EAConfig(
             mu=approach.mu,
             objective=approach.kind,
@@ -340,21 +345,21 @@ def run_experiment(
     """Run every approach, analyze the runs, place the named reference
     decks and, if an output directory is configured, write all artifacts.
 
-    A reference deck of another shape than ``config.shape`` raises
-    ValueError before any run starts."""
+    A bad setting raises ValueError before any run starts: building
+    ``config`` checked every run's settings, and a reference deck of another
+    shape than ``config.shape`` is rejected here.  A run that starts and
+    fails is recorded in its approach's ``errors``, which marks the approach
+    incomplete; the other runs and the analysis go on."""
     for name, deck in reference_decks:
         if deck.shape != config.shape:
             raise ValueError(f"reference deck {name} has shape {deck.shape}, not {config.shape}")
     errors: dict[str, list[str]] = {a.label: [] for a in config.approaches}
     artifacts: dict[str, list[dict]] = {a.label: [] for a in config.approaches}
-    jobs: list[tuple[str, EAConfig]] = []
-    for approach in config.approaches:
-        for run_idx in range(config.runs):
-            try:
-                jobs.append((approach.label, config.run_config(approach, run_idx)))
-            except ValueError as exc:
-                seed = derive_seed(config.master_seed, approach.label, run_idx)
-                errors[approach.label].append(f"seed {seed}: {describe_error(exc)}")
+    jobs = [
+        (approach.label, config.run_config(approach, run_idx))
+        for approach in config.approaches
+        for run_idx in range(config.runs)
+    ]
 
     if config.workers > 1:
         # Runs are submitted one by one, so a worker that dies (the pool is

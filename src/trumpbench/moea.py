@@ -42,6 +42,18 @@ class VariationParams:
     eta_c: float = 20.0
     eta_m: float = 15.0
 
+    def __post_init__(self) -> None:
+        # Written so that NaN fails each check.
+        if not 0.0 <= self.pc <= 1.0:
+            raise ValueError(f"pc must lie in [0, 1], got {self.pc}")
+        if self.pm is not None and not 0.0 <= self.pm <= 1.0:
+            raise ValueError(f"pm must be auto or lie in [0, 1], got {self.pm}")
+        # Both operators' spread distributions exist only for eta > -1.
+        if not self.eta_c > -1.0:
+            raise ValueError(f"eta_c must exceed -1, got {self.eta_c}")
+        if not self.eta_m > -1.0:
+            raise ValueError(f"eta_m must exceed -1, got {self.eta_m}")
+
     def mutation_rate(self, n_genes: int) -> float:
         return 1.0 / n_genes if self.pm is None else self.pm
 
@@ -67,6 +79,10 @@ class EAConfig:
             raise ValueError("population size must be at least 2")
         if self.max_evals <= self.mu:
             raise ValueError("evaluation budget must exceed the population size")
+        if self.shape.L < 2:
+            raise ValueError(f"no valid deck exists for {self.shape}: need L >= 2")
+        if self.games < 1:
+            raise ValueError("need at least one game per evaluation")
         if self.so_window < 2:
             raise ValueError("stagnation window must be at least 2")
 

@@ -65,6 +65,9 @@ class OCDParams:
             raise ValueError("var_limit must be positive")
         if not self.indicators:
             raise ValueError("need at least one tracked indicator")
+        unknown = sorted(set(self.indicators) - set(DEFAULT_INDICATORS))
+        if unknown:
+            raise ValueError(f"unknown indicators {unknown}; choose from {DEFAULT_INDICATORS}")
 
 
 def variance_below_limit(values: np.ndarray, var_limit: float, alpha: float) -> bool:

@@ -96,7 +96,16 @@ class TestOptimize:
              "--out", str(tmp_path / "runs")]
         )
         assert code == 1
-        assert "run failed: ValueError" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "trumpbench optimize: evaluation budget must exceed the population size\n"
+        )
+        assert not (tmp_path / "runs").exists()
+
+    def test_run_that_fails_reports_failed_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "execute_run", lambda config: (None, "RuntimeError: boom"))
+        code = main(["optimize", "--objective", "D", "--out", str(tmp_path / "runs")])
+        assert code == 1
+        assert capsys.readouterr().err == "run failed: RuntimeError: boom\n"
         assert not (tmp_path / "runs").exists()
 
 
@@ -487,6 +496,10 @@ class TestMakeDecks:
         assert deck.shape.K == 32
 
 
+def no_run(config):
+    raise AssertionError(f"a run started with a bad setting: {config}")
+
+
 class TestCommandErrors:
     """A bad argument or a missing file ends any command with one line on
     stderr and exit status 1, not a traceback."""
@@ -555,6 +568,38 @@ class TestCommandErrors:
         )
         err = self.fails(capsys, "experiment", "--config", cfg)
         assert err.startswith("trumpbench experiment: surface_level must lie in (0, 1]")
+        assert not (tmp_path / "out").exists()
+
+    def test_optimize_out_of_range_variation_fails_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "execute_run", no_run)
+        err = self.fails(
+            capsys,
+            "optimize", "--objective", "D", "--mu", 4, "--evals", 60, "--cards", 8,
+            "--categories", 2, "--pm", -1, "--pc", 5, "--eta-c", -3, "--out", tmp_path / "x",
+        )
+        assert err.startswith("trumpbench optimize: pc must lie in [0, 1]")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"approaches": "S1, D4"}, "approach S1: population size must be at least 2"),
+            ({"evals": 4}, "approach D4: evaluation budget must exceed the population size"),
+            ({"l": 1}, "approach D4: no valid deck exists"),
+            ({"pm": 2}, "pm must be auto or lie in [0, 1]"),
+        ],
+    )
+    def test_experiment_bad_run_setting_fails_before_any_run(
+        self, tmp_path, capsys, monkeypatch, setting, message
+    ):
+        monkeypatch.setattr("trumpbench.experiments.execute_run", no_run)
+        values = {"approaches": "D4", "k": 8, "l": 2, "out": tmp_path / "out", **setting}
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        err = self.fails(capsys, "experiment", "--config", cfg)
+        assert err.startswith(f"trumpbench experiment: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_experiment_unparsable_value_names_file_and_line(self, tmp_path, capsys):

@@ -69,6 +69,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             mini_config(**setting)
 
+    @pytest.mark.parametrize(
+        "setting, label, message",
+        [
+            ({"approaches": (Approach(ObjectiveKind.SURROGATE, 1),)}, "S1", "population size"),
+            ({"max_evals": 5}, "S5", "evaluation budget"),
+            ({"shape": DeckShape(K=8, L=1)}, "S5", "no valid deck exists"),
+        ],
+    )
+    def test_invalid_run_setting_names_the_approach(self, monkeypatch, setting, label, message):
+        def no_run(config):
+            raise AssertionError(f"a run started with a bad setting: {config}")
+
+        monkeypatch.setattr(experiments, "execute_run", no_run)
+        with pytest.raises(ValueError, match=f"^approach {label}: {message}"):
+            run_experiment(mini_config(**setting))
+
     def test_boundary_settings_accepted(self):
         config = mini_config(games=1, surface_level=1.0, permutations=1, alpha=0.5, workers=1)
         assert config.surface_level == 1.0
@@ -219,12 +235,20 @@ class TestRunExperiment:
         assert written["approaches"]["D5"]["errors"] == d5.errors
         assert (tmp_path / "runs" / "D5" / "run_000.json").is_file()
 
-    def test_failed_approach_marked_incomplete(self):
-        # An impossible evaluation budget triggers per-run config errors.
-        config = mini_config(max_evals=3)
+    def test_failed_approach_marked_incomplete(self, tmp_path, monkeypatch):
+        def broken_run(config, evaluator):
+            raise RuntimeError("optimizer broke")
+
+        monkeypatch.setattr(experiments, "so_ea_run", broken_run)
+        config = mini_config(output_dir=str(tmp_path))
         report = run_experiment(config)
-        assert all(not slot.complete for slot in report.approaches.values())
-        assert all(slot.errors for slot in report.approaches.values())
+        d5 = report.approaches["D5"]
+        seeds = [derive_seed(config.master_seed, "D5", idx) for idx in range(config.runs)]
+        assert d5.errors == [f"seed {s}: RuntimeError: optimizer broke" for s in seeds]
+        assert not d5.complete
+        assert report.approaches["S5"].complete
+        written = json.loads((tmp_path / "report.json").read_text())
+        assert written["approaches"]["D5"]["errors"] == d5.errors
 
     def test_single_approach_front_indicator_zero(self):
         config = mini_config(

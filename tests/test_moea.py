@@ -109,6 +109,40 @@ class TestPolynomialMutation:
             assert np.all(out <= 10.0)
 
 
+class TestSettingChecks:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"pc": 5.0}, "pc must lie in"),
+            ({"pc": -0.1}, "pc must lie in"),
+            ({"pc": float("nan")}, "pc must lie in"),
+            ({"pm": -1.0}, "pm must be auto or lie in"),
+            ({"pm": 2.0}, "pm must be auto or lie in"),
+            ({"eta_c": -1.0}, "eta_c must exceed -1"),
+            ({"eta_c": float("nan")}, "eta_c must exceed -1"),
+            ({"eta_m": -3.0}, "eta_m must exceed -1"),
+        ],
+    )
+    def test_variation_rejects_out_of_range(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            VariationParams(**setting)
+
+    def test_variation_accepts_bounds(self):
+        VariationParams(pc=0.0, pm=0.0, eta_c=-0.5, eta_m=-0.5)
+        VariationParams(pc=1.0, pm=1.0)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"shape": DeckShape(K=8, L=1)}, "no valid deck exists"),
+            ({"games": 0}, "need at least one game"),
+        ],
+    )
+    def test_config_rejects_what_no_run_can_use(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            EAConfig(mu=4, objective=ObjectiveKind.DOMINANCE, **setting)
+
+
 class TestNondominatedSort:
     def test_simple_front_split(self):
         ranks = nondominated_sort(np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]))

@@ -141,6 +141,10 @@ class TestParams:
         with pytest.raises(ValueError):
             OCDParams(var_limit=0.0)
 
+    def test_unknown_indicator(self):
+        with pytest.raises(ValueError, match="unknown indicators \\['foo'\\]"):
+            OCDParams(indicators=("hv", "foo"))
+
 
 class TestStagnation:
     def test_constant_series_converge(self):
