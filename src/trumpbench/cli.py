@@ -231,15 +231,15 @@ def _load_group(pattern: str, label: str) -> RunGroup:
 def cmd_eaf(args) -> int:
     group_a = _load_group(args.group_a, "a")
     group_b = _load_group(args.group_b, "b")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     surface_a = attainment_surface(group_a, args.level)
     surface_b = attainment_surface(group_b, args.level)
-    write_front_csv(surface_a, out_dir / "surface_a.csv")
-    write_front_csv(surface_b, out_dir / "surface_b.csv")
     result = eaf_test(
         group_a, group_b, permutations=args.permutations, alpha=args.alpha, seed=args.seed
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_front_csv(surface_a, out_dir / "surface_a.csv")
+    write_front_csv(surface_b, out_dir / "surface_b.csv")
     record = dataclasses.asdict(result)
     (out_dir / "eaf_test.json").write_text(
         json.dumps(record, indent=1, sort_keys=True), encoding="utf-8"
@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rescale", action="store_true")
     p.set_defaults(func=cmd_sample_size)
 
-    p = sub.add_parser("make-decks", help="write the synthetic reference decks as CSV")
+    text = "write the synthetic reference decks as CSV; their pair targets need 32 cards or more"
+    p = sub.add_parser("make-decks", help=text, description=text)
     p.add_argument("--out", required=True)
     _add_setting_flags(p, ("shape",))
     p.set_defaults(func=cmd_make_decks)

@@ -68,15 +68,9 @@ class Deck:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Outcome of the deck constraint check.
-
-    ``duplicate_pairs`` lists index pairs of identical cards;
-    ``dominant_card`` is the index of a card beating all others, if any.
-    """
+    """Outcome of the deck constraint check."""
 
     valid: bool
-    duplicate_pairs: tuple[tuple[int, int], ...] = ()
-    dominant_card: int | None = None
 
 
 def card_matrix(deck_or_values) -> np.ndarray:
@@ -101,23 +95,24 @@ def dominating_pair_count(deck) -> int:
 
 
 def deck_is_valid(deck) -> ValidityReport:
-    """Check the two deck constraints: unique cards, no all-dominating card."""
+    """Check the two deck constraints: unique cards, no all-dominating card.
+
+    A card beats every other card in every category exactly when it holds
+    the strict maximum of every category; so a lone card is invalid, and
+    so is every one-category deck.  Identical cards end up next to each
+    other after a lexicographic sort of the rows.  Neither rule compares
+    the cards pairwise, so the check is O(K L log K).
+    """
     v = card_matrix(deck)
-    k = v.shape[0]
-    eq = np.all(v[:, None, :] == v[None, :, :], axis=2)
-    iu, ju = np.triu_indices(k, k=1)
-    dup_mask = eq[iu, ju]
-    duplicates = tuple((int(i), int(j)) for i, j in zip(iu[dup_mask], ju[dup_mask]))
-    dom = dominance_matrix(deck)
-    dominant: int | None = None
-    full_row = dom.sum(axis=1) == k - 1
-    if np.any(full_row):
-        dominant = int(np.argmax(full_row))
-    return ValidityReport(
-        valid=not duplicates and dominant is None,
-        duplicate_pairs=duplicates,
-        dominant_card=dominant,
-    )
+    if len(v) < 2 or v.shape[1] == 0:
+        # A lone card holds every maximum; without categories all cards are equal.
+        return ValidityReport(valid=len(v) == 0)
+    rows = v[np.lexsort(v.T)]
+    duplicate = np.any(np.all(rows[1:] == rows[:-1], axis=1))
+    top = np.argmax(v, axis=0)
+    ranked = np.sort(v, axis=0)
+    dominant = np.all(top == top[0]) and np.all(ranked[-1] > ranked[-2])
+    return ValidityReport(valid=not (duplicate or dominant))
 
 
 def genome_to_deck(genome: np.ndarray, shape: DeckShape) -> Deck:

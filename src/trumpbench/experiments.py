@@ -100,6 +100,8 @@ class ExperimentConfig:
     alpha: float = 0.05
 
     def __post_init__(self) -> None:
+        if not self.approaches:
+            raise ValueError("need at least one approach")
         if self.runs < 1:
             raise ValueError("need at least one run per approach")
         if not 0.0 < self.surface_level <= 1.0:

@@ -85,6 +85,8 @@ class EAConfig:
             raise ValueError("need at least one game per evaluation")
         if self.so_window < 2:
             raise ValueError("stagnation window must be at least 2")
+        if not self.so_tol > 0:  # written so that NaN fails
+            raise ValueError(f"stagnation tolerance must be positive, got {self.so_tol}")
 
 
 @dataclass(frozen=True)

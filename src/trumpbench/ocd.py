@@ -111,7 +111,7 @@ class Stagnation:
     def __init__(self, window: int, tol: float):
         if window < 2:
             raise ValueError("window must be at least 2")
-        if tol <= 0:
+        if not tol > 0:
             raise ValueError("tol must be positive")
         self.tol = tol
         self.rows: deque[tuple[float, ...]] = deque(maxlen=window)

@@ -538,6 +538,23 @@ class TestCommandErrors:
         assert err.startswith("trumpbench eaf: no front files match")
         assert not (tmp_path / "eaf").exists()
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (("--permutations", 0), "need at least one permutation"),
+            (("--level", 0), "level must lie in (0, 1]"),
+        ],
+    )
+    def test_eaf_bad_argument_writes_nothing(self, tmp_path, capsys, setting, message):
+        TestEafCommand().make_groups(tmp_path)
+        err = self.fails(
+            capsys,
+            "eaf", "--group-a", str(tmp_path / "a_*.csv"), "--group-b", str(tmp_path / "b_*.csv"),
+            *setting, "--out", tmp_path / "eaf",
+        )
+        assert err.startswith(f"trumpbench eaf: {message}")
+        assert not (tmp_path / "eaf").exists()
+
     def test_indicators_glob_without_match(self, tmp_path, capsys):
         err = self.fails(
             capsys,
@@ -600,6 +617,13 @@ class TestCommandErrors:
         cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
         err = self.fails(capsys, "experiment", "--config", cfg)
         assert err.startswith(f"trumpbench experiment: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_experiment_without_approaches_fails_before_any_run(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"approaches =\nk = 8\nl = 2\nout = {tmp_path / 'out'}\n")
+        err = self.fails(capsys, "experiment", "--config", cfg)
+        assert err.startswith("trumpbench experiment: need at least one approach")
         assert not (tmp_path / "out").exists()
 
     def test_experiment_unparsable_value_names_file_and_line(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trumpbench.deck import (
     DeckFormatError,
@@ -46,22 +47,37 @@ class TestCardDominance:
                                 assert card_dominates(cards[i], cards[k])
 
 
+def pairwise_valid(v: np.ndarray) -> bool:
+    """The two deck constraints, checked card against card."""
+    k = len(v)
+    if any(np.array_equal(v[i], v[j]) for i in range(k) for j in range(i + 1, k)):
+        return False
+    return not any(
+        all(card_dominates(v[i], v[j]) for j in range(k) if j != i) for i in range(k)
+    )
+
+
 class TestDeckValidity:
     def test_dominant_card_detected(self):
-        report = deck_is_valid(np.array([[10, 10], [1, 1], [2, 3]], dtype=float))
-        assert not report.valid
-        assert report.dominant_card == 0
+        assert not deck_is_valid(np.array([[10, 10], [1, 1], [2, 3]], dtype=float)).valid
 
     def test_duplicates_detected(self):
-        report = deck_is_valid(np.array([[5, 5], [5, 5], [1, 9]], dtype=float))
-        assert not report.valid
-        assert report.duplicate_pairs == ((0, 1),)
+        assert not deck_is_valid(np.array([[5, 5], [5, 5], [1, 9]], dtype=float)).valid
 
     def test_valid_antichain(self):
-        report = deck_is_valid(np.array([[10, 1], [1, 10], [5, 5]], dtype=float))
-        assert report.valid
-        assert report.duplicate_pairs == ()
-        assert report.dominant_card is None
+        assert deck_is_valid(np.array([[10, 1], [1, 10], [5, 5]], dtype=float)).valid
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        arrays(
+            float,
+            st.tuples(st.integers(1, 8), st.integers(1, 4)),
+            elements=st.sampled_from([1.0, 2.0, 3.0]),
+        )
+    )
+    def test_matches_pairwise_rule(self, v):
+        # A three-value lattice makes ties, duplicates and dominant cards common.
+        assert deck_is_valid(v).valid == pairwise_valid(v)
 
 
 class TestGenomeCodec:

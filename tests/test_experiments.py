@@ -52,6 +52,10 @@ class TestConfig:
                 )
             )
 
+    def test_empty_approach_list_rejected(self):
+        with pytest.raises(ValueError, match="need at least one approach"):
+            mini_config(approaches=())
+
     @pytest.mark.parametrize(
         "setting",
         [

@@ -142,6 +142,11 @@ class TestSettingChecks:
         with pytest.raises(ValueError, match=message):
             EAConfig(mu=4, objective=ObjectiveKind.DOMINANCE, **setting)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
+    def test_config_rejects_stagnation_tol_not_above_zero(self, tol):
+        with pytest.raises(ValueError, match="stagnation tolerance must be positive"):
+            EAConfig(mu=4, objective=ObjectiveKind.DOMINANCE, so_tol=tol)
+
 
 class TestNondominatedSort:
     def test_simple_front_split(self):

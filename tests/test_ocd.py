@@ -177,6 +177,11 @@ class TestStagnation:
         with pytest.raises(ValueError, match="tol"):
             Stagnation(window=5, tol=0.0)
 
+    def test_rejects_nan_tol(self):
+        # A NaN tolerance would keep the run going to its budget.
+        with pytest.raises(ValueError, match="tol must be positive"):
+            Stagnation(window=5, tol=float("nan"))
+
 
 class TestRunIndicatorTracker:
     def test_stable_population_yields_constant_values(self):
