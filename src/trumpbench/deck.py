@@ -74,12 +74,12 @@ class ValidityReport:
 
 
 def card_matrix(deck_or_values) -> np.ndarray:
-    """Accept a Deck or a raw (K, L) array of card values and return the matrix."""
+    """Accept a Deck or a raw (K, L) array of card values, L >= 1, and return the matrix."""
     if isinstance(deck_or_values, Deck):
         return deck_or_values.values
     mat = np.atleast_2d(np.asarray(deck_or_values, dtype=float))
-    if mat.ndim != 2:
-        raise ValueError("card values must form a 2-D matrix")
+    if mat.ndim != 2 or mat.shape[1] == 0:
+        raise ValueError(f"card values must form a 2-D matrix with categories, got {mat.shape}")
     return mat
 
 
@@ -104,8 +104,7 @@ def deck_is_valid(deck) -> ValidityReport:
     the cards pairwise, so the check is O(K L log K).
     """
     v = card_matrix(deck)
-    if len(v) < 2 or v.shape[1] == 0:
-        # A lone card holds every maximum; without categories all cards are equal.
+    if len(v) < 2:
         return ValidityReport(valid=len(v) == 0)
     rows = v[np.lexsort(v.T)]
     duplicate = np.any(np.all(rows[1:] == rows[:-1], axis=1))

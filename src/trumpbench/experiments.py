@@ -1,12 +1,12 @@
 """Experiment orchestration, from finished runs to artifacts in one pass.
 
 :func:`run_experiment` runs every approach's optimizer repeatedly, then
-re-evaluates the decks of each run under the balance objectives with one
-shared game sample.  From those points alone it derives the joint
-normalization onto [1, 2], each approach's front and attainment surface,
-indicator tables with confidence intervals and ranks, the pairwise
-attainment tests, the set relations and the placement of any reference
-decks.  The report is built once from the results and written once.
+plays the decks of each run on one set of deals for the balance objectives.
+From those points alone it derives the joint normalization onto [1, 2],
+each approach's front and attainment surface, indicator tables with
+confidence intervals and ranks, the pairwise attainment tests, the set
+relations and the placement of any reference decks, which share deals of
+their own.  The report is built once from the results and written once.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from trumpbench.deck import Deck, DeckShape, genome_to_deck
 from trumpbench.eaf import EAFTestResult, RunGroup, attainment_surface, eaf_test, set_strictly_dominates
-from trumpbench.game import Policy, play_random_games, simulate
+from trumpbench.game import Policy, draw_deals, play_deals, simulate, simulate_deals
 from trumpbench.indicators import (
     FrontSet,
     NormalizeTransform,
@@ -52,6 +52,7 @@ from trumpbench.ocd import OCDParams
 from trumpbench.stats import SampleSizeTable, ci_halfwidth, sample_size_study
 
 BALANCE_METRICS = ("win_rate", "announcer_changes", "tightness")
+POLICIES = (Policy.INFORMED, Policy.RANGE_ONLY)
 
 
 def _plain_dict(config) -> dict:
@@ -131,6 +132,11 @@ class ExperimentConfig:
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
+    @property
+    def surface_tag(self) -> str:
+        """The surface level in percent, as artifact names give it: 50 at 0.5."""
+        return f"{100 * self.surface_level:g}"
+
     def run_config(self, approach: Approach, run_idx: int) -> EAConfig:
         """Optimizer settings of one run, already checked by ``__post_init__``."""
         return EAConfig(
@@ -151,12 +157,6 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
 
 
-def _balance(deck: Deck, games: int, rng: np.random.Generator) -> np.ndarray:
-    """Balance objectives of ``deck`` from ``games`` informed vs range-only games."""
-    summary = simulate(deck, (Policy.INFORMED, Policy.RANGE_ONLY), games, rng)
-    return balance_objectives(summary).values
-
-
 def make_evaluator(kind: ObjectiveKind, shape: DeckShape, games: int):
     """Objective callable for the optimizers; simulation noise uses the
     per-evaluation generator handed in by the run loop."""
@@ -165,7 +165,7 @@ def make_evaluator(kind: ObjectiveKind, shape: DeckShape, games: int):
     if kind is ObjectiveKind.SURROGATE:
         return lambda deck, rng: surrogate_objectives(deck, shape).values
     if kind is ObjectiveKind.BALANCE:
-        return lambda deck, rng: _balance(deck, games, rng)
+        return lambda deck, rng: balance_objectives(simulate(deck, POLICIES, games, rng)).values
     raise ValueError(f"unsupported objective kind: {kind}")
 
 
@@ -248,7 +248,7 @@ class ApproachResult:
     def union_points(self) -> np.ndarray | None:
         return None if self.run_points is None else np.vstack(self.run_points)
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, surface_tag: str) -> dict:
         arts = self.run_artifacts
         return {
             "complete": self.complete,
@@ -261,7 +261,7 @@ class ApproachResult:
             "front": None
             if self.front_normalized is None
             else self.front_normalized.points.tolist(),
-            "surface50": None
+            f"surface{surface_tag}": None
             if self.surface_normalized is None
             else self.surface_normalized.points.tolist(),
             "indicators_front": self.indicators_front,
@@ -297,7 +297,8 @@ class ExperimentReport:
             if self.reference_front is None
             else self.reference_front.tolist(),
             "approaches": {
-                label: self.approaches[label].to_json_dict() for label in sorted(self.approaches)
+                label: self.approaches[label].to_json_dict(self.config.surface_tag)
+                for label in sorted(self.approaches)
             },
             "eaf_tests": {
                 key: dataclasses.asdict(t) for key, t in sorted(self.eaf_tests.items())
@@ -308,22 +309,16 @@ class ExperimentReport:
 
 
 def _reevaluate_run(
-    artifact: dict, kind: ObjectiveKind, config: ExperimentConfig, seed: int
+    artifact: dict, kind: ObjectiveKind, shape: DeckShape, deals: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """Balance objectives of the decks one run contributes, each deck under
-    the same game sample: the front of a multi-objective run, the single
-    best individual of the dominance baseline."""
-    decks = artifact["front"]
+    """Balance objectives of the decks one run contributes, each played on
+    ``deals``: the front of a multi-objective run, the single best
+    individual of the dominance baseline."""
+    individuals = artifact["front"]
     if kind is ObjectiveKind.DOMINANCE:
-        decks = [min(decks, key=lambda ind: (ind["objectives"][0], ind["eval_index"]))]
-    return np.array([
-        _balance(
-            genome_to_deck(ind["genome"], config.shape),
-            config.games,
-            np.random.default_rng(np.random.SeedSequence(seed)),
-        )
-        for ind in decks
-    ])
+        individuals = [min(individuals, key=lambda ind: (ind["objectives"][0], ind["eval_index"]))]
+    decks = [genome_to_deck(ind["genome"], shape) for ind in individuals]
+    return np.array([balance_objectives(simulate_deals(d, POLICIES, deals)).values for d in decks])
 
 
 def _ranks(blocks: list[dict]) -> list[int]:
@@ -379,10 +374,9 @@ def run_experiment(
             artifacts[label].append(artifact)
 
     evaluation_seed = derive_seed(config.master_seed, "balance-reevaluation")
+    deals = draw_deals(config.shape.K, config.games, np.random.default_rng(evaluation_seed))
     run_points = {
-        a.label: [
-            _reevaluate_run(art, a.kind, config, evaluation_seed) for art in artifacts[a.label]
-        ]
+        a.label: [_reevaluate_run(art, a.kind, config.shape, deals) for art in artifacts[a.label]]
         for a in config.approaches
         if artifacts[a.label]
     }
@@ -401,8 +395,7 @@ def run_experiment(
             reference_decks,
             shared.get("transform"),
             {label: fields["front_normalized"] for label, fields in derived.items()},
-            config.games,
-            derive_seed(config.master_seed, "reference-decks"),
+            config,
         ),
         **shared,
     )
@@ -485,15 +478,18 @@ def _place_reference_decks(
     decks: Sequence[tuple[str, Deck]],
     transform: NormalizeTransform | None,
     fronts: dict[str, FrontSet],
-    games: int,
-    seed: int,
+    config: ExperimentConfig,
 ) -> list[dict]:
-    """Evaluate external decks under one shared game sample and record which
-    approaches' fronts strictly dominate them."""
+    """Evaluate external decks, all played on one set of deals, and record
+    which approaches' fronts strictly dominate them."""
+    if not decks:
+        return []
+    seed = derive_seed(config.master_seed, "reference-decks")
+    deals = draw_deals(config.shape.K, config.games, np.random.default_rng(seed))
     entries: list[dict] = []
     for name, deck in decks:
         try:
-            balance = _balance(deck, games, np.random.default_rng(np.random.SeedSequence(seed)))
+            balance = balance_objectives(simulate_deals(deck, POLICIES, deals)).values
             entry = {
                 "name": name,
                 "dominance_fitness": float(dominance_fitness(deck).values[0]),
@@ -527,7 +523,8 @@ def write_report_artifacts(report: ExperimentReport, out_dir: Path) -> None:
             union = FrontSet(slot.union_points, f"{label}_union")
             write_front_csv(union, fronts / f"{label}_union.csv")
             write_front_csv(slot.front_normalized, fronts / f"{label}_front.csv")
-            write_front_csv(slot.surface_normalized, fronts / f"{label}_surface50.csv")
+            surface = f"{label}_surface{report.config.surface_tag}.csv"
+            write_front_csv(slot.surface_normalized, fronts / surface)
     _write_indicator_csv(report, out_dir / "indicators.csv")
     (out_dir / "report.json").write_text(
         json.dumps(report.to_json_dict(), indent=1, sort_keys=True), encoding="utf-8"
@@ -546,7 +543,7 @@ def _write_indicator_csv(report: ExperimentReport, path: Path) -> None:
             continue
         for suffix, block, rank in (
             ("_p", slot.indicators_front, slot.rank_front),
-            ("_50", slot.indicators_surface, slot.rank_surface),
+            (f"_{report.config.surface_tag}", slot.indicators_surface, slot.rank_surface),
         ):
             values = [block[k] for k in keys] + [slot.ci_halfwidths[k] for k in keys]
             lines.append(",".join([f"{label}{suffix}", *map(fmt, values), str(rank)]))
@@ -569,9 +566,7 @@ def balance_metric_study(
     n_tricks = deck.shape.K // 2
 
     def sampler(size: int, rng: np.random.Generator) -> np.ndarray:
-        tricks_a, tricks_b, changes = play_random_games(
-            deck, (Policy.INFORMED, Policy.RANGE_ONLY), size, rng
-        )
+        tricks_a, tricks_b, changes = play_deals(deck, POLICIES, draw_deals(deck.shape.K, size, rng))
         return np.array(
             [tricks_a > tricks_b, changes, np.abs(2 * tricks_a - n_tricks)], dtype=float
         )

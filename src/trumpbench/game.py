@@ -8,11 +8,10 @@ winner announces the next category, and tied tricks score for nobody and
 leave the announcer unchanged.
 
 All games are played by one batched kernel, ``_play_batch``, which loops
-over the K/2 tricks and never over games.  :func:`play_game` is a batch of
-one.  :func:`play_random_games` plays games on fresh seeded deals, in chunks
-of ``CHUNK_GAMES``, and returns per-game arrays, which :func:`simulate`
-sums.  Each chunk draws all its deals in one call (the hand orders, then
-the starters), so the games a seed yields depend on ``CHUNK_GAMES``.
+over the K/2 tricks and never over games.  Deals come from :func:`draw_deals`
+in chunks of ``CHUNK_GAMES`` (hand orders, then starters), so the games a
+seed yields depend on ``CHUNK_GAMES``.  Decks compared share deals through
+:func:`play_deals` and :func:`simulate_deals`; :func:`simulate` draws its own.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from trumpbench.deck import Deck
 
-# Games played per kernel call by simulate(); bounds the (games, K, L) tensor.
+# Games drawn at once and played per kernel call; bounds the (games, K, L) tensor.
 CHUNK_GAMES = 4096
 
 
@@ -57,9 +56,7 @@ class Deal:
     def validate(self, k: int) -> None:
         if len(self.hand_a) != k // 2 or len(self.hand_b) != k // 2:
             raise ValueError(f"hands must each hold {k // 2} cards")
-        if set(self.hand_a) | set(self.hand_b) != set(range(k)) or set(
-            self.hand_a
-        ) & set(self.hand_b):
+        if sorted(self.hand_a + self.hand_b) != list(range(k)):
             raise ValueError("hands must be disjoint and cover all card indices")
 
 
@@ -95,9 +92,8 @@ def play_game(deck: Deck, deal: Deal, policies: tuple[Policy, Policy]) -> GameRe
     greater value takes the trick and the announcement; equal values tie.
     """
     deal.validate(deck.shape.K)
-    perms = np.array([deal.hand_a + deal.hand_b], dtype=np.intp)
-    a_starts = np.array([deal.starter is Player.A])
-    a, b, c = (int(x[0]) for x in _play_batch(deck.values, perms, a_starts, policies))
+    deals = np.array([deal.hand_a + deal.hand_b]), np.array([deal.starter is Player.A])
+    a, b, c = (int(x[0]) for x in play_deals(deck, policies, deals))
     n_tricks = deck.shape.K // 2
     return GameResult(
         tricks_a=a,
@@ -163,41 +159,45 @@ def _play_batch(
     return (result > 0).sum(axis=0), (result < 0).sum(axis=0), changes
 
 
-def play_random_games(
-    deck: Deck,
-    policies: tuple[Policy, Policy],
-    games: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Play ``games`` games, each on a fresh uniform deal and starter;
-    returns per-game (tricks_a, tricks_b, announcer_changes) in game order.
+def draw_deals(k: int, games: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(perms, a_starts) of ``games`` uniform deals on K cards, as ``_play_batch`` takes them.
 
-    Games are played in chunks of at most ``CHUNK_GAMES``.  Each chunk of n
-    games draws its deals at once: ``rng.permuted`` shuffles every row of an
-    (n, K) table of card indices (an exact Fisher-Yates shuffle per row),
-    whose first K/2 entries form hand A; then one starter per game, A on 0.
+    Per chunk of at most ``CHUNK_GAMES`` games, ``rng.permuted`` shuffles each row
+    of card indices (an exact Fisher-Yates shuffle); then one starter per game, A on 0.
     """
     if games < 1:
         raise ValueError("need at least one game")
-    k = deck.shape.K
-    chunks = []
+    perms = np.tile(np.arange(k), (games, 1))
+    a_starts = np.empty(games, dtype=bool)
     for start in range(0, games, CHUNK_GAMES):
-        n = min(CHUNK_GAMES, games - start)
-        perms = rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
-        a_starts = rng.integers(2, size=n) == 0
-        chunks.append(_play_batch(deck.values, perms, a_starts, policies))
+        chunk = perms[start : start + CHUNK_GAMES]
+        rng.permuted(chunk, axis=1, out=chunk)
+        a_starts[start : start + CHUNK_GAMES] = rng.integers(2, size=len(chunk)) == 0
+    return perms, a_starts
+
+
+def play_deals(
+    deck: Deck, policies: tuple[Policy, Policy], deals: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-game (tricks_a, tricks_b, announcer_changes) of ``deck`` on ``deals`` from
+    :func:`draw_deals`, in deal order; played in chunks of at most ``CHUNK_GAMES``."""
+    perms, a_starts = deals
+    if perms.shape[1] != deck.shape.K:
+        raise ValueError(f"deals of {perms.shape[1]} cards do not fit a deck of {deck.shape.K}")
+    chunks = []
+    for start in range(0, len(perms), CHUNK_GAMES):
+        part = slice(start, start + CHUNK_GAMES)
+        chunks.append(_play_batch(deck.values, perms[part], a_starts[part], policies))
     tricks_a, tricks_b, changes = zip(*chunks)
     return np.concatenate(tricks_a), np.concatenate(tricks_b), np.concatenate(changes)
 
 
-def simulate(
-    deck: Deck,
-    policies: tuple[Policy, Policy],
-    games: int,
-    rng: np.random.Generator,
+def simulate_deals(
+    deck: Deck, policies: tuple[Policy, Policy], deals: tuple[np.ndarray, np.ndarray]
 ) -> SimulationSummary:
-    """Monte Carlo batch: the rates and means of :func:`play_random_games`."""
-    tricks_a, tricks_b, changes = play_random_games(deck, policies, games, rng)
+    """Rates and means of the games of :func:`play_deals`."""
+    tricks_a, tricks_b, changes = play_deals(deck, policies, deals)
+    games = len(tricks_a)
     wins = int(np.count_nonzero(tricks_a > tricks_b))
     draws = int(np.count_nonzero(tricks_a == tricks_b))
     return SimulationSummary(
@@ -208,3 +208,13 @@ def simulate(
         mean_announcer_changes=int(changes.sum()) / games,
         mean_tightness=int(np.abs(2 * tricks_a - deck.shape.K // 2).sum()) / games,
     )
+
+
+def simulate(
+    deck: Deck,
+    policies: tuple[Policy, Policy],
+    games: int,
+    rng: np.random.Generator,
+) -> SimulationSummary:
+    """Monte Carlo batch: :func:`simulate_deals` on ``games`` fresh deals from ``rng``."""
+    return simulate_deals(deck, policies, draw_deals(deck.shape.K, games, rng))

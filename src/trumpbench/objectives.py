@@ -34,22 +34,18 @@ class ObjectiveKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ObjectiveVector:
-    """An m-dimensional fitness value plus short labels per component."""
+    """An m-dimensional fitness value."""
 
     values: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size != len(self.labels):
-            raise ValueError("values and labels must have matching length")
+        if v.ndim != 1:
+            raise ValueError("objective values must form a 1-D vector")
         if not np.all(np.isfinite(v)):
             raise ValueError("objective values must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def dominance_fitness(deck) -> ObjectiveVector:
@@ -62,7 +58,7 @@ def dominance_fitness(deck) -> ObjectiveVector:
     # For card j, the number of other cards NOT dominating it.
     non_dominating = (k - 1) - dom.sum(axis=0)
     value = -float(non_dominating.sum()) / k
-    return ObjectiveVector(np.array([value]), ("dominance",))
+    return ObjectiveVector(np.array([value]))
 
 
 def balance_objectives(summary: SimulationSummary) -> ObjectiveVector:
@@ -78,7 +74,7 @@ def balance_objectives(summary: SimulationSummary) -> ObjectiveVector:
             summary.mean_tightness,
         ]
     )
-    return ObjectiveVector(values, ("neg_win_rate", "neg_announcer_changes", "tightness"))
+    return ObjectiveVector(values)
 
 
 def deck_hypervolume(deck) -> float:
@@ -101,4 +97,4 @@ def surrogate_objectives(deck, shape: DeckShape) -> ObjectiveVector:
     hv = deck_hypervolume(deck)
     means = card_matrix(deck).mean(axis=0)
     sd = float(np.std(means, ddof=1)) if means.size > 1 else 0.0
-    return ObjectiveVector(np.array([-hv, -sd]), ("neg_hypervolume", "neg_mean_spread"))
+    return ObjectiveVector(np.array([-hv, -sd]))

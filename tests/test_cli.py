@@ -320,6 +320,39 @@ def test_surrogate_run_matches_golden_bytes(tmp_path, capsys, categories):
     assert digest == S_RUN_GOLDEN[categories]
 
 
+# SHA-256 of three outputs of simulated games on the 32x4 deck, as written
+# when each batch drew its deals and played them in one function.  5,000
+# games and the sample size 4,100 cross the 4,096-game chunk.
+GAMES_GOLDEN = {
+    "simulate": "5ac3ae004af183f348c1c9b0d45e8f502a1b67e8029707c292497ff7062369f7",
+    "sample-size": "835115b503f665693d4a575bb2bbd74e0ff704debf6441570d8d6239227147fb",
+    "optimize": "1d9a0d8f7a9bd619dd1870196c3c551d878075092b7cb650c3ee48fc44be8cf3",
+}
+
+
+def test_simulated_games_match_golden_bytes(deck_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(deck_file.parent)  # the simulate record names its deck path
+    outputs = {
+        "simulate": run_cli(
+            capsys, "simulate", "--deck", deck_file.name, "--games", 5000, "--seed", 5
+        ).encode()
+    }
+    run_cli(
+        capsys,
+        "sample-size", "--deck", deck_file, "--sizes", "30,4100", "--repeats", 2,
+        "--seed", 2, "--out", tmp_path / "table.csv",
+    )
+    outputs["sample-size"] = (tmp_path / "table.csv").read_bytes()
+    run_cli(
+        capsys,
+        "optimize", "--objective", "B", "--evals", 40, "--games", 300, "--seed", 3,
+        "--out", tmp_path,
+    )
+    outputs["optimize"] = (tmp_path / "run_B10_seed3.json").read_bytes()
+    digests = {key: hashlib.sha256(data).hexdigest() for key, data in outputs.items()}
+    assert digests == GAMES_GOLDEN
+
+
 class TestIndicatorsCommand:
     def test_csv_output(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -525,7 +558,7 @@ class TestCommandErrors:
         def no_games(*args, **kwargs):
             raise AssertionError("simulated before the sizes were checked")
 
-        monkeypatch.setattr("trumpbench.experiments.play_random_games", no_games)
+        monkeypatch.setattr("trumpbench.experiments.draw_deals", no_games)
         err = self.fails(capsys, "sample-size", "--deck", deck_file, "--sizes", "30,1")
         assert err.startswith("trumpbench sample-size: every sample size must be at least 2")
 

@@ -11,6 +11,7 @@ from trumpbench.deck import (
     DeckShape,
     card_dominates,
     deck_is_valid,
+    dominating_pair_count,
     genome_to_deck,
     load_deck,
     random_valid_deck,
@@ -66,6 +67,13 @@ class TestDeckValidity:
 
     def test_valid_antichain(self):
         assert deck_is_valid(np.array([[10, 1], [1, 10], [5, 5]], dtype=float)).valid
+
+    @pytest.mark.parametrize("values", [[], np.empty((3, 0))], ids=["no-card", "three-cards"])
+    def test_matrix_without_categories_rejected(self, values):
+        # Without categories no card beats another; such a matrix is no deck.
+        for check in (deck_is_valid, dominating_pair_count):
+            with pytest.raises(ValueError, match=r"2-D matrix with categories"):
+                check(values)
 
     @settings(max_examples=400, deadline=None)
     @given(

@@ -254,6 +254,17 @@ class TestRunExperiment:
         written = json.loads((tmp_path / "report.json").read_text())
         assert written["approaches"]["D5"]["errors"] == d5.errors
 
+    def test_surface_artifacts_are_named_by_their_level(self, tmp_path):
+        run_experiment(mini_config(surface_level=0.75, output_dir=str(tmp_path)))
+        assert sorted(path.name for path in (tmp_path / "fronts").glob("*_surface*.csv")) == [
+            "D5_surface75.csv",
+            "S5_surface75.csv",
+        ]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert {"surface75", "surface50"} & set(report["approaches"]["S5"]) == {"surface75"}
+        rows = (tmp_path / "indicators.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["D5_p", "D5_75", "S5_p", "S5_75"]
+
     def test_single_approach_front_indicator_zero(self):
         config = mini_config(
             approaches=(Approach(ObjectiveKind.SURROGATE, 5),), runs=3
@@ -283,6 +294,21 @@ class TestCompareReferenceDecks:
         assert bad["dominance_fitness"] > good["dominance_fitness"]
         assert len(good["balance"]) == 3
         assert "normalized" in good
+
+    @pytest.mark.parametrize("decks, draws", [(0, 1), (2, 2)])
+    def test_deals_are_drawn_once_per_comparison(self, monkeypatch, decks, draws):
+        calls = []
+        draw_deals = experiments.draw_deals
+
+        def counted(*args):
+            calls.append(args[:2])
+            return draw_deals(*args)
+
+        monkeypatch.setattr(experiments, "draw_deals", counted)
+        shape = DeckShape(K=8, L=2)
+        reference = [(f"deck{i}", deck_with_dominating_pairs(shape, i)) for i in range(decks)]
+        run_experiment(mini_config(), reference_decks=reference)
+        assert calls == [(8, 50)] * draws
 
     def test_deck_of_another_shape_fails_before_any_run(self, tmp_path, monkeypatch):
         def no_run(config):

@@ -17,9 +17,11 @@ from trumpbench.game import (
     Outcome,
     Player,
     Policy,
+    draw_deals,
+    play_deals,
     play_game,
-    play_random_games,
     simulate,
+    simulate_deals,
 )
 
 
@@ -237,9 +239,18 @@ class TestSimulate:
         deck = random_valid_deck(DeckShape(), np.random.default_rng(6))
         policies = (Policy.INFORMED, Policy.RANGE_ONLY)
         summary = simulate(deck, policies, 1, np.random.default_rng(8))
-        (tricks_a,), _, (changes,) = play_random_games(deck, policies, 1, np.random.default_rng(8))
+        deals = draw_deals(deck.shape.K, 1, np.random.default_rng(8))
+        (tricks_a,), _, (changes,) = play_deals(deck, policies, deals)
         assert summary.mean_announcer_changes == changes
         assert summary.mean_tightness == abs(2 * tricks_a - DeckShape().K // 2)
+
+    def test_decks_on_shared_deals_match_their_own_simulation(self):
+        policies = (Policy.INFORMED, Policy.RANGE_ONLY)
+        deals = draw_deals(32, CHUNK_GAMES + 5, np.random.default_rng(41))
+        for seed in (42, 43):
+            deck = random_valid_deck(DeckShape(), np.random.default_rng(seed))
+            expected = simulate(deck, policies, CHUNK_GAMES + 5, np.random.default_rng(41))
+            assert simulate_deals(deck, policies, deals) == expected
 
     def test_rates_partition_unity(self):
         deck = random_valid_deck(DeckShape(), np.random.default_rng(10))
@@ -297,8 +308,8 @@ class TestKernelMatchesOracle:
         # categories, so the range-only choice compares across categories.
         values = np.random.default_rng(5).integers(1, 5, size=(8, 3)) * np.array([1.0, 2.0, 2.5])
         deck = Deck(values, shape)
-        tricks_a, tricks_b, changes = play_random_games(
-            deck, policies, games, np.random.default_rng(17)
+        tricks_a, tricks_b, changes = play_deals(
+            deck, policies, draw_deals(shape.K, games, np.random.default_rng(17))
         )
         summary = simulate(deck, policies, games, np.random.default_rng(17))
 
@@ -325,27 +336,16 @@ class TestKernelMatchesOracle:
 
 
 class TestDealDraw:
-    """The deals :func:`play_random_games` hands to the kernel."""
+    """The deals :func:`draw_deals` draws and :func:`play_deals` hands to the kernel."""
 
-    def test_hand_orders_and_starters_are_uniform(self, monkeypatch):
+    def test_hand_orders_and_starters_are_uniform(self):
         # K=4 has 4! = 24 hand orders (hand A, then hand B) and 2 starters.
         # With a fixed seed the test is deterministic; the threshold only
         # says how far from uniform the counts of that seed may look.
         p_threshold = 1e-3
         games = 6 * CHUNK_GAMES
-        seen = []
-        play_batch = game._play_batch
-
-        def record(values, perms, a_starts, policies):
-            seen.append((perms.copy(), a_starts.copy()))
-            return play_batch(values, perms, a_starts, policies)
-
-        monkeypatch.setattr(game, "_play_batch", record)
-        deck = four_card_deck()
-        play_random_games(deck, (Policy.INFORMED, Policy.RANGE_ONLY), games, np.random.default_rng(23))
-        assert [len(a) for _, a in seen] == [CHUNK_GAMES] * 6
-        perms = np.concatenate([p for p, _ in seen])
-        a_starts = np.concatenate([a for _, a in seen])
+        perms, a_starts = draw_deals(4, games, np.random.default_rng(23))
+        assert perms.shape == (games, 4) and a_starts.shape == (games,)
         assert (np.sort(perms, axis=1) == np.arange(4)).all()
 
         orders = {order: i for i, order in enumerate(itertools.permutations(range(4)))}
@@ -354,12 +354,31 @@ class TestDealDraw:
         assert chisquare(order_counts).pvalue > p_threshold
         assert chisquare(np.bincount(a_starts, minlength=2)).pvalue > p_threshold
 
+    def test_kernel_plays_chunks_of_at_most_chunk_games(self, monkeypatch):
+        seen = []
+        play_batch = game._play_batch
+
+        def record(values, perms, a_starts, policies):
+            seen.append(len(a_starts))
+            return play_batch(values, perms, a_starts, policies)
+
+        monkeypatch.setattr(game, "_play_batch", record)
+        deals = draw_deals(4, 6 * CHUNK_GAMES + 3, np.random.default_rng(23))
+        play_deals(four_card_deck(), (Policy.INFORMED, Policy.RANGE_ONLY), deals)
+        assert seen == [CHUNK_GAMES] * 6 + [3]
+
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_deals_of_another_card_count_rejected(self, k):
+        deals = draw_deals(k, 5, np.random.default_rng(2))
+        with pytest.raises(ValueError, match=f"deals of {k} cards do not fit a deck of 4"):
+            play_deals(four_card_deck(), (Policy.INFORMED, Policy.RANGE_ONLY), deals)
+
     def test_games_equal_their_per_chunk_replays(self):
         policies = (Policy.INFORMED, Policy.RANGE_ONLY)
         deck = random_valid_deck(DeckShape(K=8, L=3), np.random.default_rng(29))
-        whole = play_random_games(deck, policies, CHUNK_GAMES + 3, np.random.default_rng(31))
+        whole = play_deals(deck, policies, draw_deals(8, CHUNK_GAMES + 3, np.random.default_rng(31)))
         rng = np.random.default_rng(31)
-        first = play_random_games(deck, policies, CHUNK_GAMES, rng)
-        rest = play_random_games(deck, policies, 3, rng)
+        first = play_deals(deck, policies, draw_deals(8, CHUNK_GAMES, rng))
+        rest = play_deals(deck, policies, draw_deals(8, 3, rng))
         for got, head, tail in zip(whole, first, rest):
             assert got.tolist() == head.tolist() + tail.tolist()

@@ -6,6 +6,7 @@ import pytest
 from trumpbench.deck import DeckShape, card_dominates, random_valid_deck
 from trumpbench.game import Policy, SimulationSummary, simulate
 from trumpbench.objectives import (
+    ObjectiveVector,
     balance_objectives,
     deck_hypervolume,
     dominance_fitness,
@@ -21,6 +22,15 @@ def brute_force_dominance_fitness(cards: np.ndarray) -> float:
             if i != kk and not card_dominates(cards[i], cards[kk]):
                 total += 1
     return -total / k
+
+
+class TestObjectiveVector:
+    @pytest.mark.parametrize(
+        "values, message", [(np.zeros((1, 3)), "1-D vector"), (np.array([0.0, np.nan]), "finite")]
+    )
+    def test_rejects_bad_values(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            ObjectiveVector(values)
 
 
 class TestDominanceFitness:
