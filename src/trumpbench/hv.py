@@ -6,83 +6,104 @@ This module owns only that algorithm.  The card hypervolume of a deck
 points outside the reference point (:mod:`trumpbench.indicators`) map their
 inputs onto it.
 
+One call measures any number of subsets of one point set, given as the rows
+of a (subsets x points) membership mask; a single set is the one full row.
 The volume is a sweep: slice along the last coordinate, and add each slab's
 height times the volume of the boxes reaching above it, one dimension down.
-The slabs bottom out in 2-D staircases, one per slab of a 3-D prefix.  The
-3-D and 4-D cases build all the staircases of a set at once, one row of a
-batch each (m >= 5 recurses down to the 4-D case).  The result is bit for
-bit that of the plain recursion, one 2-D sweep per slab, because the batch
-keeps its summation order:
+Every subset's slabs are themselves subsets, so each dimension is one
+batched call on the one below (a subset of a 4-D set has one 3-D subset per
+slab, a prefix of its points in descending order of the last coordinate).
+The slabs bottom out in 2-D staircases, one per subset in 2-D and one per
+z slab of each subset in 3-D, all of them rows of one batch.  Each subset's
+volume is bit for bit that of the plain recursion on that subset alone, one
+2-D sweep per slab, because the batch keeps its summation order:
 
 * slab terms are added left to right from 0.0 (``np.add.accumulate``), as a
-  Python loop of ``+=`` adds them, never pairwise as ``np.sum`` does;
+  Python loop of ``+=`` adds them, never pairwise as ``np.sum`` does; a
+  point outside a subset adds a term 0.0, which changes no partial sum;
 * each staircase area is one BLAS dot product of exactly its own length.
   OpenBLAS groups the terms of a dot into FMA and SIMD lanes by the length,
   so zero-padding the rows to a common length, ``(w * y).sum(1)``,
   ``einsum`` or a matrix-vector product each change the last bit of some
   areas.  The rows are therefore grouped by length, with one ``np.vecdot``
   call, that is one BLAS dot per row, for each group.
+* points tied in a coordinate keep their order in the set, so a subset's
+  points meet in the same order as in the subset's own sweep.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Cells of the (staircases x points) block built at a time: working memory
-# stays O(n^2) however many staircases a set has.
+# Cells of the (staircases x points) block built at a time, and of the
+# (slabs x points) masks of a batch of subsets in 4-D and up: working memory
+# stays O(n^2) however many staircases and subsets there are.
 _BLOCK_CELLS = 1 << 16
 
 
-def union_box_volume(points: np.ndarray) -> float:
+def union_box_volume(points: np.ndarray, member: np.ndarray | None = None) -> float | np.ndarray:
     """Volume of the union of axis-aligned boxes spanned from the origin.
 
     ``points`` is an (n, m) array of box corners with all coordinates >= 0.
-    Exact for any dimension.  m <= 2 takes O(n log n) time; m = 3 builds
-    n staircases and m = 4 about n^2 / 2, each in O(n) after sorting, so
-    O(n^2) and O(n^3) time; each further dimension multiplies by n.  Working
-    memory is O(n^2) for every m.
+    Without ``member`` the result is the volume of all n boxes, a float.
+    With ``member``, an (s, n) boolean mask, it is the array of the s
+    volumes of the subsets ``points[member[i]]``, each bit for bit the
+    volume of that subset measured on its own.
+
+    Exact for any dimension.  For one set, m <= 2 takes O(n log n) time;
+    m = 3 builds n staircases and m = 4 about n^2 / 2, each in O(n) after
+    sorting, so O(n^2) and O(n^3) time; each further dimension multiplies
+    by n, and s subsets take s times as long.  Working memory is
+    O(n^2 + s n) for every m.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-D array")
-    n, m = pts.shape
-    if n == 0:
-        return 0.0
     if np.any(pts < 0):
         raise ValueError("union_box_volume requires nonnegative coordinates")
+    if member is None:
+        return float(_volumes(pts, np.ones((1, len(pts)), dtype=bool))[0])
+    member = np.asarray(member, dtype=bool)
+    if member.ndim != 2 or member.shape[1] != len(pts):
+        raise ValueError(f"member must be a (subsets, {len(pts)}) mask")
+    return _volumes(pts, member)
+
+
+def _volumes(pts: np.ndarray, member: np.ndarray) -> np.ndarray:
+    n, m = pts.shape
+    if n == 0:
+        return np.zeros(len(member))
     if m == 1:
-        return float(pts[:, 0].max())
+        return np.where(member, pts[:, 0], 0.0).max(axis=1)
     if m == 2:
-        return _volume_2d(pts)
-    return float(_volume_sweep(pts))
-
-
-def _volume_2d(pts: np.ndarray) -> float:
-    # Staircase sweep: sort by x descending, accumulate the running max y.
-    order = np.argsort(-pts[:, 0], kind="stable")
-    x = pts[order, 0]
-    y = np.maximum.accumulate(pts[order, 1])
-    widths = x - np.append(x[1:], 0.0)
-    return float(widths @ y)
-
-
-def _volume_sweep(pts: np.ndarray) -> float:
-    # Slice along the last coordinate; each slab contributes its height
-    # times the (m-1)-dimensional volume of the boxes reaching that high,
-    # that is of a prefix of the points in descending order.
-    if pts.shape[1] == 3:
-        return _prefix_volumes_3d(pts, np.array([len(pts) - 1]))[0]
-    last = pts[:, -1]
-    order = np.argsort(-last, kind="stable")
-    sorted_last = last[order]
+        return _staircase_areas(pts, member, np.arange(len(member)), np.full(len(member), n - 1))
+    step = max(1, _BLOCK_CELLS // (n * n))
+    if m >= 4 and len(member) > step:
+        return np.concatenate([_volumes(pts, member[i : i + step]) for i in range(0, len(member), step)])
+    # Slice along the last coordinate.  Each subset has a slab below each of
+    # its points in descending order (``top``, a rank in that order), down to
+    # its next point or to 0; the slab's boxes are the subset's points of
+    # rank <= top.
+    order = np.argsort(-pts[:, -1], kind="stable")
+    last = pts[order, -1]
     proj = pts[order, :-1]
-    heights = sorted_last - np.append(sorted_last[1:], 0.0)
-    slabs = np.flatnonzero(heights != 0.0)
-    if proj.shape[1] == 3:
-        volumes = _prefix_volumes_3d(proj, slabs)
+    inside = member[:, order]
+    row, top = np.nonzero(inside)
+    heights = last[top]
+    heights[:-1] -= last[top[1:]]
+    counts = np.bincount(row)
+    ends = np.cumsum(counts[counts > 0]) - 1
+    heights[ends] = last[top[ends]]  # the lowest slab reaches down to 0
+    # A slab of zero height adds nothing.
+    kept = np.flatnonzero(heights != 0.0)
+    row, top = row[kept], top[kept]
+    if m == 3:
+        volumes = _staircase_areas(proj, inside, row, top)
     else:
-        volumes = np.array([_volume_sweep(proj[: i + 1]) for i in slabs])
-    return _sum_in_order(heights[slabs] * volumes)
+        volumes = _volumes(proj, inside[row] & (np.arange(n) <= top[:, None]))
+    terms = np.zeros(inside.shape)
+    terms[row, top] = heights[kept] * volumes
+    return _sum_in_order(terms)
 
 
 def _sum_in_order(terms: np.ndarray) -> np.ndarray:
@@ -92,47 +113,32 @@ def _sum_in_order(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(padded, axis=-1)[..., -1]
 
 
-def _prefix_volumes_3d(pts: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
-    """The 3-D volume of ``pts[: i + 1]`` for each ``i`` in ``prefixes``,
-    equal to the sweep over z of each prefix on its own."""
-    zorder = np.argsort(-pts[:, 2], kind="stable")
-    z = pts[zorder, 2]
-    # The z slabs of each prefix, one row per prefix: each of its points in
-    # z order (``top``, a z rank) with the height down to the next one.
-    member = zorder <= prefixes[:, None]
-    row, top = np.nonzero(member)
-    length = np.cumsum(member, axis=1)[row, top]
-    heights = z[top]
-    heights[:-1] -= z[top[1:]]
-    ends = np.cumsum(prefixes + 1) - 1
-    heights[ends] = z[top[ends]]  # the lowest slab reaches down to 0
-    # A slab of zero height adds nothing; the rest go by staircase length.
-    kept = np.flatnonzero(heights != 0.0)
-    kept = kept[np.argsort(length[kept], kind="stable")]
-    areas = _staircase_areas(pts, zorder, prefixes[row[kept]], top[kept], length[kept])
-    terms = np.zeros(member.shape)
-    terms[row[kept], top[kept]] = heights[kept] * areas
-    return _sum_in_order(terms)
-
-
-def _staircase_areas(
-    pts: np.ndarray, zorder: np.ndarray, prefix: np.ndarray, top: np.ndarray, length: np.ndarray
-) -> np.ndarray:
-    """2-D area of each slab's points, those with index <= ``prefix`` and z
-    rank <= ``top``, for slabs of nondecreasing ``length`` (point count)."""
+def _staircase_areas(pts: np.ndarray, member: np.ndarray, row: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """2-D area of each staircase r: of the points i of (n, 2) ``pts`` with
+    ``member[row[r], i]`` and ``i <= top[r]``; 0.0 for one with no point."""
     n = len(pts)
-    # Descending x; ties keep the z order, as in each slab's own sweep.
-    ranks = np.argsort(-pts[zorder, 0], kind="stable")
-    index = zorder[ranks]
-    x, y = pts[index, 0], pts[index, 1]
-    areas = np.empty(len(length))
+    # Descending x; ties keep the order of ``pts``, as in each set's own sweep.
+    ranks = np.argsort(-pts[:, 0], kind="stable")
+    x, y = pts[ranks, 0], pts[ranks, 1]
+    if len(row) == 1 and top[0] == n - 1 and np.count_nonzero(member[row[0]]) == n:
+        # One staircase of all the points, as for a single 2-D set: no mask to build.
+        widths = x - np.append(x[1:], 0.0)
+        return np.vecdot(widths[None], np.maximum.accumulate(y)[None])
+    length = np.cumsum(member, axis=1)[row, top]
+    member = member[:, ranks]
+    # Staircases by point count: one group of equal lengths per BLAS call.
+    stairs = np.flatnonzero(length)
+    stairs = stairs[np.argsort(length[stairs], kind="stable")]
+    found = np.empty(len(stairs))
     step = max(1, _BLOCK_CELLS // n)
-    for start in range(0, len(length), step):
-        block = slice(start, start + step)
-        # Row r marks slab r's points; the running max of y sees only those.
-        inside = (ranks <= top[block, None]) & (index <= prefix[block, None])
-        run = np.maximum.accumulate(np.where(inside, y, -np.inf), axis=1)[inside]
-        left = x[np.nonzero(inside)[1]]
+    for start in range(0, len(stairs), step):
+        block = stairs[start : start + step]
+        # Row r marks staircase r's points; the running max of y sees only those.
+        inside = np.take(member, row[block], axis=0)
+        inside &= ranks <= top[block, None]
+        flat = np.flatnonzero(inside)
+        run = np.maximum.accumulate(np.where(inside, y, -np.inf), axis=1).ravel()[flat]
+        left = x[flat % n]
         widths = left.copy()
         widths[:-1] -= left[1:]
         ends = np.cumsum(length[block]) - 1
@@ -144,8 +150,10 @@ def _staircase_areas(
                 continue
             cells = slice(cell, cell + c * s)
             np.vecdot(
-                widths[cells].reshape(c, s), run[cells].reshape(c, s), out=areas[first : first + c]
+                widths[cells].reshape(c, s), run[cells].reshape(c, s), out=found[first : first + c]
             )
             first += c
             cell += c * s
+    areas = np.zeros(len(row))
+    areas[stairs] = found
     return areas

@@ -10,7 +10,7 @@ not strictly dominate the reference point instead of dropping it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -28,16 +28,54 @@ R2_SUBDIVISIONS = 20
 PRUNE_BLOCK_ELEMENTS = 1 << 20
 
 
-def prune_to_front(points: np.ndarray) -> np.ndarray:
-    """Unique points of a set that are not weakly dominated by another point.
+@dataclass(frozen=True, eq=False)
+class FrontStack:
+    """Fronts stacked row-wise in one array: front i is
+    ``points[starts[i]:starts[i + 1]]``, the last one running to the end.
+
+    :func:`prune_to_front` builds one.  :func:`hypervolume`,
+    :func:`eps_indicator` and :func:`r2_indicator` share one signature:
+    their ``front`` is a FrontStack, measured in one batch with an array of
+    one value per front, or one front, a :class:`FrontSet` or a point
+    array, measured as a stack of one with a float.
+    """
+
+    points: np.ndarray
+    starts: np.ndarray
+
+    def _ends(self) -> np.ndarray:
+        return np.append(self.starts[1:], len(self.points))
+
+    def __getitem__(self, i: int) -> FrontStack:
+        """Front ``i`` as a stack of one."""
+        return FrontStack(self.points[self.starts[i] : self._ends()[i]], np.zeros(1, dtype=int))
+
+    def member(self) -> np.ndarray:
+        """The (fronts, points) mask of each front's rows."""
+        rows = np.arange(len(self.points))
+        return (rows >= self.starts[:, None]) & (rows < self._ends()[:, None])
+
+
+def prune_to_front(points: np.ndarray, labels: np.ndarray | None = None) -> FrontStack:
+    """The front of each labelled set of points: its unique points that no
+    other point with the same label weakly dominates.
 
     Weak dominance: a <= b in every coordinate with a != b.  Exact
-    duplicates are collapsed to one representative.
+    duplicates are collapsed to one representative.  ``labels`` gives each
+    point's set as an integer; without it all points form one set.  The
+    fronts come in increasing label order, each sorted row by row, first
+    coordinate first, as ``np.unique(axis=0)`` sorts.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 0:
-        return pts.copy()
-    uniq = np.unique(pts, axis=0)
+    n = pts.shape[0]
+    if n == 0:
+        return FrontStack(pts.copy(), np.zeros(1, dtype=int))
+    labels = np.zeros(n, dtype=int) if labels is None else np.asarray(labels)
+    order = np.lexsort((*pts.T[::-1], labels))
+    pts, labels = pts[order], labels[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (labels[1:] != labels[:-1]) | np.any(pts[1:] != pts[:-1], axis=1)
+    uniq, labels = pts[first], labels[first]
     n = uniq.shape[0]
     # A block of rows is compared with all n points one coordinate at a
     # time, so the (block, n) masks hold at most PRUNE_BLOCK_ELEMENTS.
@@ -45,14 +83,15 @@ def prune_to_front(points: np.ndarray) -> np.ndarray:
     keep = np.empty(n, dtype=bool)
     for start in range(0, n, block):
         rows = uniq[start : start + block]
-        le = np.ones((rows.shape[0], n), dtype=bool)
+        le = labels == labels[start : start + block, None]
         lt = np.zeros_like(le)
         for col, row in zip(uniq.T, rows.T):
             le &= col <= row[:, None]
             lt |= col < row[:, None]
-        # Points are unique, so <= everywhere and < somewhere is weak dominance.
+        # Points of a set are unique, so <= everywhere and < somewhere is weak dominance.
         keep[start : start + block] = ~(le & lt).any(axis=1)
-    return uniq[keep]
+    labels = labels[keep]
+    return FrontStack(uniq[keep], np.flatnonzero(np.append(True, labels[1:] != labels[:-1])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +102,7 @@ class FrontSet:
     origin: str = ""
 
     def __post_init__(self) -> None:
-        pruned = prune_to_front(self.points)
+        pruned = prune_to_front(self.points).points
         pruned.setflags(write=False)
         object.__setattr__(self, "points", pruned)
 
@@ -80,35 +119,47 @@ class FrontSet:
         return self.origin == other.origin and np.array_equal(self.points, other.points)
 
 
+def _stack(fronts) -> FrontStack:
+    """A FrontStack as it is; one front, a FrontSet or a point array, as a stack of one."""
+    if isinstance(fronts, FrontStack):
+        return fronts
+    points = fronts.points if isinstance(fronts, FrontSet) else fronts
+    return FrontStack(np.atleast_2d(np.asarray(points, dtype=float)), np.zeros(1, dtype=int))
+
+
+def _per_front(values: np.ndarray, fronts):
+    """One value per front of a FrontStack; a float for a single front."""
+    return values if isinstance(fronts, FrontStack) else float(values[0])
+
+
 def _boxes(points, ref) -> np.ndarray:
     """``ref - points``; every point must strictly dominate ``ref``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
     ref = np.asarray(ref, dtype=float)
-    outside = int((~np.all(pts < ref, axis=1)).sum())
+    outside = int((~np.all(points < ref, axis=1)).sum())
     if outside:
         raise ValueError(f"{outside} point(s) do not strictly dominate the reference point")
-    return ref - pts
+    return ref - points
 
 
-def hypervolume(points, ref) -> float:
-    """Exact hypervolume of a minimization front w.r.t. ``ref``, any m."""
-    return union_box_volume(_boxes(points, ref))
+def hypervolume(front, ref) -> float | np.ndarray:
+    """Exact hypervolume of a minimization front w.r.t. ``ref``, any m.
+
+    ``front`` is one front or a FrontStack (see :class:`FrontStack`).
+    """
+    stack = _stack(front)
+    return _per_front(union_box_volume(_boxes(stack.points, ref), stack.member()), front)
 
 
 def hv_contributions(points, ref) -> np.ndarray:
     """Per-point hypervolume contribution of a minimization front.
 
-    contribution[i] = HV(points) - HV(points without i).
+    contribution[i] = HV(points) - HV(points without i), with the total and
+    the n leave-one-out volumes measured in one batch.
     """
-    boxes = _boxes(points, ref)
-    total = union_box_volume(boxes)
+    boxes = _boxes(np.atleast_2d(np.asarray(points, dtype=float)), ref)
     n = boxes.shape[0]
-    contrib = np.empty(n)
-    mask = np.ones(n, dtype=bool)
-    for i in range(n):
-        mask[i] = False
-        contrib[i] = total - union_box_volume(boxes[mask])
-        mask[i] = True
+    volumes = union_box_volume(boxes, np.vstack([np.ones(n, dtype=bool), ~np.eye(n, dtype=bool)]))
+    contrib = volumes[0] - volumes[1:]
     # Exact arithmetic would never go negative; guard against float noise.
     np.maximum(contrib, 0.0, out=contrib)
     return contrib
@@ -116,20 +167,25 @@ def hv_contributions(points, ref) -> np.ndarray:
 
 def hv_indicator(front: FrontSet, refset: FrontSet, ref) -> float:
     """Hypervolume missed by ``front`` relative to ``refset`` (smaller is better)."""
-    return hypervolume(refset.points, ref) - hypervolume(front.points, ref)
+    return hypervolume(refset, ref) - hypervolume(front, ref)
 
 
-def eps_indicator(front: FrontSet, refset: FrontSet) -> float:
-    """Additive epsilon: smallest shift making ``front`` weakly dominate ``refset``."""
-    a = front.points
-    r = refset.points
+def eps_indicator(front, refset) -> float | np.ndarray:
+    """Additive epsilon: smallest shift making ``front`` weakly dominate ``refset``.
+
+    ``front`` is one front or a FrontStack (see :class:`FrontStack`), and
+    ``refset`` is one front.
+    """
+    stack = _stack(front)
+    a = stack.points
+    r = _stack(refset).points
     if a.shape[0] == 0 or r.shape[0] == 0:
         raise ValueError("epsilon indicator needs non-empty sets")
     if a.shape[1] != r.shape[1]:
         raise ValueError("sets must share the objective count")
     # For each reference point: the best achievable worst-coordinate shift.
-    diffs = a[:, None, :] - r[None, :, :]
-    return float(diffs.max(axis=2).min(axis=0).max())
+    worst = (a[:, None, :] - r[None, :, :]).max(axis=2)
+    return _per_front(np.minimum.reduceat(worst, stack.starts, axis=0).max(axis=1), front)
 
 
 def eps_dominance_check(front: FrontSet, refset: FrontSet) -> bool:
@@ -141,18 +197,25 @@ def eps_dominance_check(front: FrontSet, refset: FrontSet) -> bool:
 
 
 def simplex_lattice_weights(m: int, subdivisions: int = R2_SUBDIVISIONS) -> np.ndarray:
-    """All nonnegative weight vectors with components k/subdivisions summing to 1."""
+    """All nonnegative weight vectors with components k/subdivisions summing
+    to 1, in lexicographic order."""
     if m < 1 or subdivisions < 1:
         raise ValueError("need m >= 1 and subdivisions >= 1")
-    rows = []
-    for combo in combinations_with_replacement(range(m), subdivisions):
-        counts = np.bincount(np.array(combo), minlength=m)
-        rows.append(counts / subdivisions)
-    return np.unique(np.array(rows), axis=0)
+    # Stars and bars: each choice of m - 1 bar positions among
+    # subdivisions + m - 1 slots splits the units into m counts, and
+    # ``combinations`` lists the choices in the lexicographic order of the counts.
+    slots = subdivisions + m - 1
+    choices = list(combinations(range(slots), m - 1))
+    bars = np.array(choices, dtype=int).reshape(len(choices), m - 1)
+    edges = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), slots)])
+    return (np.diff(edges, axis=1) - 1) / subdivisions
 
 
-def r2_indicator(front: FrontSet, weights: np.ndarray, ideal) -> float:
-    """Mean over weight vectors of the best weighted Tchebycheff utility."""
+def r2_indicator(front, weights: np.ndarray, ideal) -> float | np.ndarray:
+    """Mean over weight vectors of the best weighted Tchebycheff utility.
+
+    ``front`` is one front or a FrontStack (see :class:`FrontStack`).
+    """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     if w.shape[0] == 0:
         raise ValueError("need at least one weight vector")
@@ -160,14 +223,18 @@ def r2_indicator(front: FrontSet, weights: np.ndarray, ideal) -> float:
         raise ValueError("weights must be nonnegative")
     if not np.allclose(w.sum(axis=1), 1.0):
         raise ValueError("each weight vector must sum to 1")
-    a = front.points
+    stack = _stack(front)
+    a = stack.points
     if a.shape[0] == 0:
         raise ValueError("front must be non-empty")
     ideal = np.asarray(ideal, dtype=float)
     dist = np.abs(a - ideal)  # (nA, m)
-    # utility[w, a] = max_j w_j * |a_j - ideal_j|
-    utility = (w[:, None, :] * dist[None, :, :]).max(axis=2)
-    return float(utility.min(axis=1).mean())
+    # utility[a, w] = max_j w_j * |a_j - ideal_j|
+    utility = (dist[:, None, :] * w[None, :, :]).max(axis=2)
+    # Each front's best utilities form one C-contiguous row, so its mean is
+    # the pairwise sum of that row alone: the same bits as a single front's.
+    best = np.minimum.reduceat(utility, stack.starts, axis=0)
+    return _per_front(best.mean(axis=1), front)
 
 
 def indicator_block(front: FrontSet, refset: FrontSet) -> dict[str, float]:

@@ -167,18 +167,19 @@ def nondominated_sort(points: np.ndarray) -> np.ndarray:
     objective, so duplicates always share a rank.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
     dominates = np.all(pts[:, None, :] < pts[None, :, :], axis=2)
-    ranks = np.zeros(n, dtype=int)
-    remaining = np.ones(n, dtype=bool)
+    # Each point's count of dominators still unranked: a front is the points
+    # whose count is 0, and ranking it takes its members' votes away.
+    dominators = dominates.sum(axis=0)
+    ranks = np.zeros(pts.shape[0], dtype=int)
+    front = np.flatnonzero(dominators == 0)
     rank = 0
-    while np.any(remaining):
+    while front.size:
         rank += 1
-        sub = dominates[np.ix_(remaining, remaining)]
-        idx = np.flatnonzero(remaining)
-        front_local = ~sub.any(axis=0)
-        ranks[idx[front_local]] = rank
-        remaining[idx[front_local]] = False
+        ranks[front] = rank
+        dominators -= dominates[front].sum(axis=0)
+        dominators[front] = -1
+        front = np.flatnonzero(dominators == 0)
     return ranks
 
 

@@ -21,6 +21,7 @@ on it once per generation: the row goes into the run's indicator trace, and
 from __future__ import annotations
 
 import enum
+import functools
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sps
 
+from trumpbench import indicators
 from trumpbench.indicators import (
     IDEAL_MARGIN,
     REF_OFFSET,
-    FrontSet,
     eps_indicator,
     fit_normalize_transform,
     hypervolume,
@@ -70,12 +71,24 @@ class OCDParams:
             raise ValueError(f"unknown indicators {unknown}; choose from {DEFAULT_INDICATORS}")
 
 
+# The quantiles of the two tests depend only on a run's alpha and window,
+# and each scipy call takes ~0.2 ms, so every generation's decision reuses them.
+@functools.cache
+def _chi2_quantile(q: float, dof: int) -> float:
+    return float(sps.chi2.ppf(q, dof))
+
+
+@functools.cache
+def _t_quantile(q: float, dof: int) -> float:
+    return float(sps.t.ppf(q, dof))
+
+
 def variance_below_limit(values: np.ndarray, var_limit: float, alpha: float) -> bool:
     """One-sided chi-square test: is the variance significantly below var_limit?"""
     v = np.asarray(values, dtype=float)
     n = v.size
     statistic = (n - 1) * np.var(v, ddof=1) / var_limit
-    return bool(statistic < sps.chi2.ppf(alpha, n - 1))
+    return bool(statistic < _chi2_quantile(alpha, n - 1))
 
 
 def slope_is_zero(values: np.ndarray, alpha: float) -> bool:
@@ -96,7 +109,7 @@ def slope_is_zero(values: np.ndarray, alpha: float) -> bool:
     if rss <= 1e-24 * max(1.0, float((y**2).sum())):
         return abs(slope) < threshold
     se = np.sqrt(rss / (n - 2) / sxx)
-    upper_bound = abs(slope) + float(sps.t.ppf(1.0 - alpha, n - 2)) * se
+    upper_bound = abs(slope) + _t_quantile(1.0 - alpha, n - 2) * se
     return bool(upper_bound < threshold)
 
 
@@ -147,6 +160,14 @@ class RunIndicatorTracker:
     the window is full only that population is measured and the run goes
     on; from then on every population of the window is measured once in
     the newest frame, and :meth:`decide` scores that series.
+
+    The measurement is one batch per generation, each value bit for bit
+    what measuring its population alone would give: the measured
+    populations and the reference are pruned to their fronts together, as
+    one :class:`~trumpbench.indicators.FrontStack` with the reference as
+    its last front, and each indicator measures every front of the stack
+    in one call (one subset-volume call for hv, one reduction per front
+    for eps and r2).
     """
 
     def __init__(self, n_objectives: int, params: OCDParams):
@@ -164,24 +185,26 @@ class RunIndicatorTracker:
             raise ValueError(f"population must be a non-empty (n, {self.m}) matrix")
         self.populations.append(pop)
         window_points = np.vstack(self.populations)
-        transform = fit_normalize_transform(window_points)
-        reference = FrontSet(transform.apply(window_points), "reference")
-        reference_hv = hypervolume(reference.points, self.ref_point)
-        reference_r2 = r2_indicator(reference, self.weights, self.ideal)
-
-        def gaps(points: np.ndarray) -> dict[str, float]:
-            front = FrontSet(transform.apply(points), "population")
-            return {
-                "hv": reference_hv - hypervolume(front.points, self.ref_point),
-                "eps": eps_indicator(front, reference),
-                "r2": r2_indicator(front, self.weights, self.ideal) - reference_r2,
-            }
-
-        if len(self.populations) < self.params.window:
-            return gaps(pop), Decision.CONTINUE
-        rows = [gaps(p) for p in self.populations]
-        series = {name: np.array([row[name] for row in rows]) for name in DEFAULT_INDICATORS}
-        return rows[-1], self.decide(series)
+        points = fit_normalize_transform(window_points).apply(window_points)
+        full = len(self.populations) == self.params.window
+        measured = list(self.populations) if full else [pop]
+        labels = np.repeat(np.arange(len(measured)), [len(p) for p in measured])
+        # One stack: each measured population's front, then the reference.
+        # prune_to_front is looked up on its module, as FrontSet does, so that
+        # a wrapper put there (bench/layers.py) also sees this call.
+        stack = indicators.prune_to_front(
+            np.vstack([points[len(points) - len(labels) :], points]),
+            np.append(labels, np.full(len(points), len(measured))),
+        )
+        hv = hypervolume(stack, self.ref_point)
+        r2 = r2_indicator(stack, self.weights, self.ideal)
+        series = {
+            "hv": hv[-1] - hv[:-1],
+            "eps": eps_indicator(stack, stack[-1])[:-1],
+            "r2": r2[:-1] - r2[-1],
+        }
+        row = {name: float(values[-1]) for name, values in series.items()}
+        return row, (self.decide(series) if full else Decision.CONTINUE)
 
     def decide(self, series: Mapping[str, np.ndarray]) -> Decision:
         """Score one generation's series (one per tracked indicator, oldest

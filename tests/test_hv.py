@@ -1,5 +1,6 @@
 """Exact hypervolume kernel and the minimization API on it, against hand
-values, Monte Carlo box unions and the plain recursive sweep."""
+values, Monte Carlo box unions, the plain recursive sweep, each subset
+measured on its own and the leave-one-out loop."""
 
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trumpbench import hv
 from trumpbench.deck import DeckShape, random_valid_deck
 from trumpbench.hv import union_box_volume
 from trumpbench.indicators import hv_contributions, hypervolume
@@ -47,6 +49,30 @@ def _oracle_sweep(pts: np.ndarray) -> float:
         else:
             vol += h * _oracle_sweep(prefix)
     return vol
+
+
+def oracle_any(points) -> float:
+    """``oracle_volume`` for any m >= 2, and 0.0 for no point."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) == 0:
+        return 0.0
+    return _oracle_2d(pts) if pts.shape[1] == 2 else oracle_volume(pts)
+
+
+def contributions_loop(points, ref) -> np.ndarray:
+    """The leave-one-out loop that the batched contributions replaced: the
+    total and each point's removal, one volume each."""
+    boxes = np.asarray(ref, dtype=float) - np.asarray(points, dtype=float)
+    total = union_box_volume(boxes)
+    n = boxes.shape[0]
+    contrib = np.empty(n)
+    mask = np.ones(n, dtype=bool)
+    for i in range(n):
+        mask[i] = False
+        contrib[i] = total - union_box_volume(boxes[mask])
+        mask[i] = True
+    np.maximum(contrib, 0.0, out=contrib)
+    return contrib
 
 
 def mc_union_volume(points: np.ndarray, rng: np.random.Generator, samples: int = 1_000_000) -> float:
@@ -141,19 +167,82 @@ def lattice_sets(draw):
     return np.array([rows[i] for i in picks], dtype=float) * np.array(steps)
 
 
+@st.composite
+def subset_batches(draw):
+    """(points, member): 1-12 lattice points in 2-4 dimensions, as in
+    ``lattice_sets``, and 1-6 subsets of them, each empty, a singleton, the
+    whole set or any mix."""
+    m = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 3)] * m), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=n, max_size=n))
+    steps = draw(st.tuples(*[st.sampled_from([1.0, 0.1, 2.0 / 3.0, 1.7])] * m))
+    pts = np.array([rows[i] for i in picks], dtype=float) * np.array(steps)
+    subset = st.one_of(
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.integers(0, n - 1).map(lambda i: [j == i for j in range(n)]),
+        st.just([True] * n),
+    )
+    member = np.array(draw(st.lists(subset, min_size=1, max_size=6)), dtype=bool)
+    return pts, member
+
+
+class TestSubsetVolumes:
+    @settings(max_examples=200, deadline=None)
+    @given(subset_batches())
+    def test_each_subset_as_measured_alone(self, case):
+        pts, member = case
+        volumes = union_box_volume(pts, member)
+        assert volumes.tolist() == [union_box_volume(pts[row]) for row in member]
+        assert volumes.tolist() == [oracle_any(pts[row]) for row in member]
+
+    def test_batches_of_subsets_in_four_dimensions(self, monkeypatch):
+        # More subsets than one block holds are measured a block at a time.
+        monkeypatch.setattr(hv, "_BLOCK_CELLS", 200)
+        rng = np.random.default_rng(12)
+        pts = rng.integers(0, 3, size=(9, 4)).astype(float)
+        member = rng.random((7, 9)) < 0.6
+        volumes = union_box_volume(pts, member)
+        assert volumes.tolist() == [oracle_any(pts[row]) for row in member]
+
+    def test_rejects_mask_of_wrong_width(self):
+        with pytest.raises(ValueError, match="member must be a"):
+            union_box_volume(np.ones((3, 2)), np.ones((2, 4), dtype=bool))
+
+
+class TestContributionsMatchLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(subset_batches())
+    def test_lattice_fronts(self, case):
+        pts, _ = case
+        ref = pts.max(axis=0) + 1.0
+        assert hv_contributions(pts, ref).tolist() == contributions_loop(pts, ref).tolist()
+
+    def test_random_fronts(self):
+        rng = np.random.default_rng(31)
+        for m in (2, 3, 4):
+            for n in (1, 2, 5, 11, 20):
+                pts = rng.uniform(0.0, 1.0, size=(n, m))
+                ref = np.full(m, 1.1)
+                assert hv_contributions(pts, ref).tolist() == contributions_loop(pts, ref).tolist()
+
+
 class TestMatchesRecursiveSweep:
     @settings(max_examples=300, deadline=None)
     @given(lattice_sets())
     def test_lattice_sets(self, pts):
         assert union_box_volume(pts) == oracle_volume(pts)
 
-    @pytest.mark.parametrize("categories", [3, 4])
+    @pytest.mark.parametrize("categories", [2, 3, 4])
     def test_random_valid_decks(self, categories):
+        # A single set, and the same set as two subsets of one batch.
         shape = DeckShape(L=categories)
         rng = np.random.default_rng(20 + categories)
         for _ in range(20):
             values = random_valid_deck(shape, rng).values
-            assert union_box_volume(values) == oracle_volume(values)
+            assert union_box_volume(values) == oracle_any(values)
+            both = np.ones((2, len(values)), dtype=bool)
+            assert union_box_volume(values, both).tolist() == [oracle_any(values)] * 2
 
     def test_five_dimensions(self):
         rng = np.random.default_rng(8)

@@ -1,6 +1,7 @@
 """Quality indicators, normalization and front-file round trips."""
 
 import re
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -45,31 +46,100 @@ def prune_loop(points: np.ndarray) -> np.ndarray:
     return uniq[keep]
 
 
+def lattice_weights_loop(m: int, subdivisions: int) -> np.ndarray:
+    """Reference: one ``np.bincount`` per combination, the loop that the
+    stars-and-bars lattice replaced."""
+    rows = []
+    for combo in combinations_with_replacement(range(m), subdivisions):
+        counts = np.bincount(np.array(combo), minlength=m)
+        rows.append(counts / subdivisions)
+    return np.unique(np.array(rows), axis=0)
+
+
+@st.composite
+def labelled_points(draw):
+    """(points, labels): 1-40 points in 1-3 dimensions on a coarse lattice or
+    not, with repeated rows, in 1-5 labelled sets given in any order."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    value = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1.0))
+    pts = np.array(draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    return pts, labels
+
+
 class TestPruning:
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_points())
+    def test_each_label_pruned_on_its_own(self, case):
+        pts, labels = case
+        stack = prune_to_front(pts, labels)
+        sets = np.unique(labels)
+        assert stack.starts.tolist() == sorted(stack.starts.tolist())
+        assert len(stack.starts) == len(sets)
+        for i, label in enumerate(sets):
+            assert np.array_equal(stack[i].points, prune_loop(pts[labels == label]))
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 60), st.integers(1, 4), st.integers(0, 2**31), st.booleans())
     def test_matches_per_point_loop(self, n, m, seed, tied):
         rng = np.random.default_rng(seed)
         pts = rng.integers(0, 4, size=(n, m)).astype(float) if tied else rng.random((n, m))
-        assert np.array_equal(prune_to_front(pts), prune_loop(pts))
+        assert np.array_equal(prune_to_front(pts).points, prune_loop(pts))
 
     def test_blocks_smaller_than_the_set(self, monkeypatch):
         monkeypatch.setattr(indicators, "PRUNE_BLOCK_ELEMENTS", 100)
         pts = np.random.default_rng(3).integers(0, 6, size=(40, 3)).astype(float)
-        assert np.array_equal(prune_to_front(pts), prune_loop(pts))
+        assert np.array_equal(prune_to_front(pts).points, prune_loop(pts))
 
     def test_weakly_dominated_points_removed(self):
         pts = np.array([[1.0, 2.0], [1.0, 3.0], [2.0, 1.0], [1.5, 2.5]])
-        front = prune_to_front(pts)
+        front = prune_to_front(pts).points
         assert sorted(map(tuple, front)) == [(1.0, 2.0), (2.0, 1.0)]
 
     def test_duplicates_collapse(self):
         pts = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0]])
-        assert prune_to_front(pts).shape == (2, 2)
+        assert prune_to_front(pts).points.shape == (2, 2)
 
     def test_front_set_prunes_on_construction(self):
         fs = FrontSet(np.array([[1.0, 1.0], [2.0, 2.0]]), "run")
         assert len(fs) == 1
+
+
+class TestStacks:
+    @settings(max_examples=60, deadline=None)
+    @given(labelled_points(), st.integers(0, 2**31))
+    def test_each_front_as_measured_alone(self, case, seed):
+        # A stack is measured in one batch; every value must equal that of
+        # its front measured as a FrontSet of its own, bit for bit.
+        pts, labels = case
+        m = pts.shape[1]
+        stack = prune_to_front(pts, labels)
+        fronts = [FrontSet(pts[labels == label]) for label in np.unique(labels)]
+        refset = FrontSet(np.random.default_rng(seed).uniform(0.0, 1.0, size=(3, m)))
+        ref_point = np.full(m, 4.0)
+        weights = simplex_lattice_weights(m, 6)
+        ideal = np.full(m, -0.01)
+        assert hypervolume(stack, ref_point).tolist() == [
+            hypervolume(f.points, ref_point) for f in fronts
+        ]
+        assert eps_indicator(stack, refset).tolist() == [eps_indicator(f, refset) for f in fronts]
+        assert r2_indicator(stack, weights, ideal).tolist() == [
+            r2_indicator(f, weights, ideal) for f in fronts
+        ]
+
+    def test_single_fronts_give_floats(self):
+        # All three take one front as a FrontSet or as a point array alike.
+        fs = FrontSet(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        w = simplex_lattice_weights(2, 4)
+        for front in (fs, fs.points):
+            values = (
+                hypervolume(front, np.full(2, 3.0)),
+                eps_indicator(front, fs.points),
+                r2_indicator(front, w, np.zeros(2)),
+            )
+            assert [type(v) for v in values] == [float] * 3
+            assert values == (3.0, 0.0, 0.9)
 
 
 class TestHypervolume:
@@ -84,7 +154,7 @@ class TestHypervolume:
         rng = np.random.default_rng(13)
         ref = np.array([1.0, 1.0, 1.0])
         for _ in range(20):
-            pts = prune_to_front(rng.uniform(0, 1, size=(6, 3)))
+            pts = prune_to_front(rng.uniform(0, 1, size=(6, 3))).points
             base = hypervolume(pts, ref)
             extra = rng.uniform(0, 1, size=3)
             dominated = np.any(np.all(pts <= extra, axis=1) & np.any(pts < extra, axis=1))
@@ -175,6 +245,13 @@ class TestWeights:
     def test_lattice_sizes(self):
         assert simplex_lattice_weights(2, 20).shape == (21, 2)
         assert simplex_lattice_weights(3, 20).shape == (231, 3)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_bincount_loop(self, m):
+        for subdivisions in (1, 2, 5, 20):
+            assert np.array_equal(
+                simplex_lattice_weights(m, subdivisions), lattice_weights_loop(m, subdivisions)
+            )
 
     def test_rows_sum_to_one(self):
         w = simplex_lattice_weights(3, 12)

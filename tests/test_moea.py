@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trumpbench.deck import DeckShape, deck_is_valid, genome_to_deck
 from trumpbench.moea import (
@@ -148,7 +150,38 @@ class TestSettingChecks:
             EAConfig(mu=4, objective=ObjectiveKind.DOMINANCE, so_tol=tol)
 
 
+def nondominated_sort_ix(points: np.ndarray) -> np.ndarray:
+    """Reference: the sort that built a fresh ``np.ix_`` submatrix of the
+    points still unranked for every front."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[0]
+    dominates = np.all(pts[:, None, :] < pts[None, :, :], axis=2)
+    ranks = np.zeros(n, dtype=int)
+    remaining = np.ones(n, dtype=bool)
+    rank = 0
+    while np.any(remaining):
+        rank += 1
+        sub = dominates[np.ix_(remaining, remaining)]
+        idx = np.flatnonzero(remaining)
+        front_local = ~sub.any(axis=0)
+        ranks[idx[front_local]] = rank
+        remaining[idx[front_local]] = False
+    return ranks
+
+
 class TestNondominatedSort:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda m: st.lists(
+                st.lists(st.integers(0, 3).map(float), min_size=m, max_size=m), min_size=1, max_size=30
+            )
+        )
+    )
+    def test_matches_ix_oracle(self, rows):
+        pts = np.array(rows)
+        assert nondominated_sort(pts).tolist() == nondominated_sort_ix(pts).tolist()
+
     def test_simple_front_split(self):
         ranks = nondominated_sort(np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]]))
         assert list(ranks) == [1, 1, 2]

@@ -6,9 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
-from trumpbench.indicators import FrontSet, fit_normalize_transform, indicator_block
-from trumpbench.ocd import Decision, OCDParams, RunIndicatorTracker, Stagnation
+from trumpbench.hv import union_box_volume
+from trumpbench.indicators import (
+    IDEAL_MARGIN,
+    REF_OFFSET,
+    FrontSet,
+    fit_normalize_transform,
+    indicator_block,
+    simplex_lattice_weights,
+)
+from trumpbench.ocd import (
+    Decision,
+    OCDParams,
+    RunIndicatorTracker,
+    Stagnation,
+    slope_is_zero,
+    variance_below_limit,
+)
+
+from tests.test_indicators import prune_loop
 
 FRONT = np.array([[1.0, 2.0], [2.0, 1.0]])
 
@@ -43,6 +61,97 @@ def population_windows(draw):
         repeats = draw(st.lists(st.sampled_from(rows), max_size=2))
         populations.append(np.array(rows + repeats))
     return m, window, populations
+
+
+class LoopTracker:
+    """Reference: the tracker that measured each window population and the
+    reference with one indicator call apiece, as one pruned front each, and
+    drew both test quantiles from scipy on every decision."""
+
+    def __init__(self, m: int, params: OCDParams):
+        self.params = params
+        self.weights = simplex_lattice_weights(m)
+        self.ref_point = np.full(m, 2.0 + REF_OFFSET)
+        self.ideal = np.full(m, 1.0 - IDEAL_MARGIN)
+        self.populations = deque(maxlen=params.window)
+        self.consecutive_hits = 0
+
+    def r2(self, front: np.ndarray) -> float:
+        # One row of utilities per weight vector, as the single-front R2 had.
+        dist = np.abs(front - self.ideal)
+        utility = (self.weights[:, None, :] * dist[None, :, :]).max(axis=2)
+        return float(utility.min(axis=1).mean())
+
+    def update(self, population):
+        pop = np.array(population, dtype=float, ndmin=2)
+        self.populations.append(pop)
+        window_points = np.vstack(self.populations)
+        transform = fit_normalize_transform(window_points)
+        reference = prune_loop(transform.apply(window_points))
+        reference_hv = union_box_volume(self.ref_point - reference)
+
+        def gaps(points):
+            front = prune_loop(transform.apply(points))
+            return {
+                "hv": reference_hv - union_box_volume(self.ref_point - front),
+                "eps": float((front[:, None, :] - reference[None, :, :]).max(axis=2).min(axis=0).max()),
+                "r2": self.r2(front) - self.r2(reference),
+            }
+
+        if len(self.populations) < self.params.window:
+            return gaps(pop), Decision.CONTINUE
+        rows = [gaps(p) for p in self.populations]
+        series = {name: np.array([row[name] for row in rows]) for name in ("hv", "eps", "r2")}
+        return rows[-1], self.decide(series)
+
+    def decide(self, series):
+        p = self.params
+        tracked = [series[name] for name in p.indicators]
+
+        def variance_hit(v):
+            statistic = (v.size - 1) * np.var(v, ddof=1) / p.var_limit
+            return statistic < sps.chi2.ppf(p.alpha, v.size - 1)
+
+        def slope_hit(y):
+            n = y.size
+            x = np.arange(n, dtype=float)
+            sxx = float(((x - x.mean()) ** 2).sum())
+            slope = float(((x - x.mean()) * (y - y.mean())).sum()) / sxx
+            rss = float(((y - (y.mean() + slope * (x - x.mean()))) ** 2).sum())
+            threshold = 1e-8 * max(1.0, float(np.abs(y).max()))
+            if rss <= 1e-24 * max(1.0, float((y**2).sum())):
+                return abs(slope) < threshold
+            se = np.sqrt(rss / (n - 2) / sxx)
+            return abs(slope) + float(sps.t.ppf(1.0 - p.alpha, n - 2)) * se < threshold
+
+        hit = all(variance_hit(v) for v in tracked) or all(slope_hit(v) for v in tracked)
+        self.consecutive_hits = self.consecutive_hits + 1 if hit else 0
+        return Decision.CONVERGED if self.consecutive_hits >= 2 else Decision.CONTINUE
+
+
+@st.composite
+def tracker_runs(draw):
+    """(m, params, populations): windows of 3 to 12 generations, and up to
+    window + 4 populations of 1 to 6 points on a coarse lattice with points
+    repeated inside a population; one objective may be constant throughout
+    (span 0), and the run may settle on one population for its last
+    generations, so that some windows score hits."""
+    m = draw(st.sampled_from([2, 3]))
+    window = draw(st.integers(3, 12))
+    indicators = draw(st.sampled_from([("hv", "eps", "r2"), ("hv",), ("eps", "r2")]))
+    value = st.integers(0, 8).map(lambda k: k / 4)
+    constant = draw(st.none() | st.integers(0, m - 1))
+    populations = []
+    for _ in range(draw(st.integers(1, window + 4))):
+        rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=1, max_size=6))
+        repeats = draw(st.lists(st.sampled_from(rows), max_size=2))
+        pop = np.array(rows + repeats)
+        if constant is not None:
+            pop[:, constant] = 1.5
+        populations.append(pop)
+    settled = draw(st.integers(0, len(populations) - 1))
+    populations[settled:] = [populations[settled]] * (len(populations) - settled)
+    return m, OCDParams(window=window, indicators=indicators), populations
 
 
 def stop_generation(tracker, populations):
@@ -100,8 +209,6 @@ class TestOcdUpdate:
     def test_decision_reconstructable_from_windows_alone(self):
         # The stop time equals the first index where two consecutive
         # windows each pass one of the two tests.
-        from trumpbench.ocd import slope_is_zero, variance_below_limit
-
         rng = np.random.default_rng(61)
         params = OCDParams(window=5, indicators=("hv",))
         stream = list(np.cumsum(rng.uniform(0.5, 1.5, size=12))[::-1]) + list(
@@ -126,6 +233,39 @@ class TestOcdUpdate:
         miss = {"hv": np.arange(5, dtype=float)}
         decisions = [tracker.decide(w) for w in (hit, miss, hit, hit)]
         assert decisions == [Decision.CONTINUE] * 3 + [Decision.CONVERGED]
+
+
+class TestQuantiles:
+    """Both tests compare against the scipy quantile of their own alpha and
+    window: a series just inside each boundary is a hit, one just outside
+    is not."""
+
+    CASES = [(0.05, 3), (0.05, 10), (0.01, 10), (0.2, 12)]
+
+    @pytest.mark.parametrize("alpha, n", CASES)
+    def test_variance_boundary(self, alpha, n):
+        var_limit = 1e-4
+        pattern = np.where(np.arange(n) % 2, 1.0, -1.0)
+        quantile = sps.chi2.ppf(alpha, n - 1)
+        for side, hit in ((1 - 1e-6, True), (1 + 1e-6, False)):
+            scale = np.sqrt(side * quantile * var_limit / ((n - 1) * np.var(pattern, ddof=1)))
+            assert variance_below_limit(scale * pattern, var_limit, alpha) is hit
+
+    @pytest.mark.parametrize("alpha, n", CASES)
+    def test_slope_boundary(self, alpha, n):
+        # A flat series plus a residual orthogonal to the trend: the bound is
+        # the t quantile times the slope's standard error, scaled to the
+        # threshold 1e-8 of a series near 1.
+        x = np.arange(n, dtype=float)
+        residual = np.where(np.arange(n) % 2, 1.0, -1.0)
+        residual -= residual.mean()
+        residual -= x * ((x - x.mean()) @ residual) / ((x - x.mean()) @ x)
+        residual -= residual.mean()
+        se_unit = np.sqrt((residual @ residual) / (n - 2) / ((x - x.mean()) @ (x - x.mean())))
+        quantile = sps.t.ppf(1.0 - alpha, n - 2)
+        for side, hit in ((1 - 1e-4, True), (1 + 1e-4, False)):
+            scale = side * 1e-8 / (quantile * se_unit)
+            assert slope_is_zero(1.0 + scale * residual, alpha) is hit
 
 
 class TestParams:
@@ -263,6 +403,16 @@ class TestRunIndicatorTracker:
             tracker.update(np.empty((0, 2)))
         with pytest.raises(ValueError):
             tracker.update(np.array([[1.0, 2.0, 3.0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tracker_runs())
+    def test_rows_and_decisions_match_loop_tracker(self, case):
+        # One batch per generation must give every row and decision of the
+        # tracker that measured each population on its own, bit for bit.
+        m, params, populations = case
+        tracker, loop = RunIndicatorTracker(m, params), LoopTracker(m, params)
+        for pop in populations:
+            assert tracker.update(pop) == loop.update(pop)
 
     @settings(max_examples=100, deadline=None)
     @given(population_windows())
