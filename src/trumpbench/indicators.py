@@ -221,7 +221,8 @@ def r2_indicator(front, weights: np.ndarray, ideal) -> float | np.ndarray:
         raise ValueError("need at least one weight vector")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    if not np.allclose(w.sum(axis=1), 1.0):
+    # np.allclose's tolerance in one comparison, which NaN and inf fail.
+    if not np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-8 + 1e-5):
         raise ValueError("each weight vector must sum to 1")
     stack = _stack(front)
     a = stack.points

@@ -576,6 +576,8 @@ class TestCommandErrors:
         [
             (("--permutations", 0), "need at least one permutation"),
             (("--level", 0), "level must lie in (0, 1]"),
+            (("--alpha", 1.5), "alpha must lie in (0, 1)"),
+            (("--alpha", "nan"), "alpha must lie in (0, 1)"),
         ],
     )
     def test_eaf_bad_argument_writes_nothing(self, tmp_path, capsys, setting, message):

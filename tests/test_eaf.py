@@ -1,5 +1,6 @@
 """Attainment values, surfaces, the permutation test and set dominance."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -99,13 +100,54 @@ def grid_eaf_test(group_a, group_b, permutations, alpha, seed):
     )
 
 
+# The per-permutation scoring that the split scoring replaced, kept as the
+# oracle: one rng.permutation per row and an int64 product per block of
+# BLOCK_ELEMENTS (patterns, permutations) entries.
+
+
+def loop_eaf_test(group_a, group_b, permutations, alpha, seed):
+    patterns = eaf._pattern_matrix([group_a, group_b]).astype(np.int64)
+    rng = np.random.default_rng(seed)
+    n_a = len(group_a)
+    n_total = n_a + len(group_b)
+    n_b = n_total - n_a
+
+    def statistics(orders):
+        members = np.zeros((n_total, len(orders)), dtype=np.int64)
+        members[orders[:, :n_a], np.arange(len(orders))[:, None]] = 1
+        counts_a = patterns @ members
+        counts_b = patterns.sum(axis=1, keepdims=True) - counts_a
+        return np.abs(counts_a / n_a - counts_b / n_b).max(axis=0)
+
+    observed = float(statistics(np.arange(n_total)[None, :])[0])
+    null_stats = np.empty(permutations)
+    block = max(1, eaf.BLOCK_ELEMENTS // len(patterns))
+    for start in range(0, permutations, block):
+        orders = np.array([rng.permutation(n_total) for _ in range(min(block, permutations - start))])
+        null_stats[start : start + len(orders)] = statistics(orders)
+    p_value = float(np.mean(null_stats >= observed - 1e-12))
+    return EAFTestResult(
+        statistic=observed,
+        critical_value=eaf._critical_value(null_stats, alpha),
+        p_value=p_value,
+        permutations=permutations,
+        alpha=alpha,
+        reject=p_value < alpha,
+        seed=seed,
+    )
+
+
 @st.composite
-def run_groups(draw, many_runs=False):
+def run_groups(draw, many_runs=False, unequal=False):
     """Two groups of small-integer fronts, so coordinates tie and points
-    repeat within and across runs; ``many_runs`` needs two code words."""
+    repeat within and across runs; ``many_runs`` needs two code words, and
+    ``unequal`` gives the groups different sizes of 2-7 runs."""
     m = draw(st.sampled_from([2, 3]))
     low, high = (33, 40) if many_runs else (2, 6)
     front = st.lists(st.tuples(*[st.integers(0, 4)] * m), min_size=1, max_size=5)
+    if unequal:
+        sizes = draw(st.lists(st.integers(2, 7), min_size=2, max_size=2, unique=True))
+        return [group_of(draw(st.lists(front, min_size=n, max_size=n)), label) for n, label in zip(sizes, "ab")]
     return [group_of(draw(st.lists(front, min_size=low, max_size=high)), label) for label in "ab"]
 
 
@@ -137,6 +179,45 @@ class TestSweepMatchesGrid:
     def test_one_objective(self):
         groups = [group_of([[[1.0]], [[2.0]], [[2.0]]], "a"), group_of([[[0.0]], [[3.0]]], "b")]
         assert_sweep_matches_grid(groups, 0.5, 1)
+
+
+class TestSplitScoringMatchesLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(run_groups(unequal=True), st.integers(1, 300), st.floats(0.01, 0.5), st.integers(0, 2**31))
+    def test_unequal_groups(self, groups, permutations, alpha, seed):
+        assert len(groups[0]) != len(groups[1])
+        assert eaf_test(*groups, permutations, alpha, seed) == loop_eaf_test(
+            *groups, permutations, alpha, seed
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(run_groups(many_runs=True), st.integers(0, 2**31))
+    def test_two_code_words(self, groups, seed):
+        assert eaf_test(*groups, 300, 0.1, seed) == loop_eaf_test(*groups, 300, 0.1, seed)
+
+    @settings(max_examples=30, deadline=None)
+    @given(run_groups(), st.integers(0, 2**31))
+    def test_small_blocks_repeat_splits(self, groups, seed):
+        # 64 entries per block: 5-16 drawn orders per block, so 1,000 draws
+        # make at least 63 blocks. At most C(12, 6) splits exist, fewer
+        # than the draws, so splits repeat across the drawn blocks and are
+        # scored again in each.
+        n_a, n_total = len(groups[0]), len(groups[0]) + len(groups[1])
+        assert math.comb(n_total, n_a) < 1000
+        columns = max(1, 64 // len(eaf._pattern_matrix(groups)))
+        scored = []
+        statistics = eaf._statistics
+
+        def counted(patterns, splits, n_a):
+            scored.append(len(splits))
+            return statistics(patterns, splits, n_a)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eaf, "BLOCK_ELEMENTS", 64)
+            patch.setattr(eaf, "_statistics", counted)
+            result = eaf_test(*groups, 1000, 0.05, seed)
+            assert result == loop_eaf_test(*groups, 1000, 0.05, seed)
+        assert len(scored) > 63 and max(scored) <= columns
 
 
 class TestEafValue:
@@ -263,6 +344,12 @@ class TestEafTest:
         assert 0.0 <= result.statistic <= 1.0
         assert 0.0 <= result.p_value <= 1.0
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_alpha_range_checked(self, alpha):
+        a = group_of([[[0.0, 0.0]], [[1.0, 1.0]]], "a")
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            eaf_test(a, a, permutations=10, alpha=alpha, seed=0)
+
     def test_requires_two_runs_per_group(self):
         a = group_of([[[0.0, 0.0]]], "a")
         b = group_of([[[1.0, 1.0]], [[2.0, 2.0]]], "b")
@@ -305,6 +392,22 @@ class TestScale:
         assert len(surface) > 0
         for z in surface.points:
             assert eaf_value(groups[0], z) >= 0.5
+
+    def test_many_permutations_in_bounded_memory(self):
+        # The workload's shape, 6 + 6 runs of 10 non-dominated 3-D points:
+        # scoring each permutation with an int64 product peaked at 9.0 MB.
+        rng = np.random.default_rng(53)
+        groups = [
+            group_of([1.0 + shift + 0.85 * rng.dirichlet(np.ones(3), size=10) for _ in range(6)], label)
+            for label, shift in (("a", 0.0), ("b", 0.1))
+        ]
+        tracemalloc.start()
+        try:
+            eaf_test(*groups, permutations=100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_oversized_sweep_fails_before_allocation(self):
         # 2 runs of 600 points in 4-D need a slab of 1,200^3 cells.

@@ -240,6 +240,20 @@ class TestR2Indicator:
         shuffled = r2_indicator(FrontSet(pts[::-1], "a"), w[::-1], np.zeros(3))
         assert shuffled == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "excess, valid",
+        [(1.0e-5, True), (-1.0e-5, True), (1.1e-5, False), (-1.1e-5, False), (np.nan, False), (np.inf, False)],
+    )
+    def test_weight_sums_within_allclose_tolerance(self, excess, valid):
+        # A weight vector may miss 1 by np.allclose's 1e-8 + 1e-5, no more.
+        fs = FrontSet(np.array([[1.0, 2.0]]), "a")
+        w = np.array([[1.0, 0.0], [0.5, 0.5 + excess]])
+        if valid:
+            assert r2_indicator(fs, w, np.zeros(2)) > 0.0
+        else:
+            with pytest.raises(ValueError, match="each weight vector must sum to 1"):
+                r2_indicator(fs, w, np.zeros(2))
+
 
 class TestWeights:
     def test_lattice_sizes(self):
