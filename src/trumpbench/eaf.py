@@ -6,14 +6,16 @@ Because these functions are piecewise constant with breakpoints only at
 observed coordinates, surfaces and the two-group test statistic are exact
 when evaluated on the grid of componentwise coordinate combinations.
 
-That grid is never built whole. One sweep visits the distinct values of
-the last objective in increasing order and keeps a single slab over the
-other m-1 objectives: each slab cell holds the set of runs that attain
-it, as bits in ceil(runs/64) uint64 words. When the sweep reaches a
-point's last coordinate, the point sets its run's bit in its upper
-quadrant of the slab, so after each value the slab is one layer of the
-grid. Memory is that of one slab (and its predecessor), whatever the run
-count; ``MAX_SLAB_BYTES`` bounds it before anything is allocated.
+That grid is never built whole. Along the last objective a run's
+attainment of a cell of the other m-1 objectives only grows, so it is
+fixed by one number: the first layer (index of a distinct last
+coordinate) at which the run reaches the cell. ``_first_layers`` holds
+these numbers for every run and cell in the smallest unsigned dtype,
+built with one ``np.minimum.at`` of each point's layer into its cell and
+a running minimum along each of the m-1 grid axes. ``MAX_FIELD_BYTES``
+bounds it before anything is allocated. A surface cell is eligible from
+the layer where enough runs reach it, and the patterns of a cell are
+the sets of runs that reach it by each run's first layer there.
 
 The two-group permutation test needs only the distinct attainment
 patterns of the grid cells, one 0/1 row over the runs each. A permuted
@@ -30,16 +32,18 @@ computes them.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from trumpbench.indicators import FrontSet
 
-# Refuse a sweep whose slab (cells x code words x 8 bytes) exceeds this.
-MAX_SLAB_BYTES = 2**27
+# Refuse an input whose first-layer field (runs x cells x itemsize) exceeds this.
+MAX_FIELD_BYTES = 2**27
 # Entries of one (permutations, runs) or (patterns, splits) block of the
-# permutation test.
+# permutation test, and of one (cells, runs, runs) block of its patterns.
 BLOCK_ELEMENTS = 2**18
 
 
@@ -92,31 +96,37 @@ def _axes(point_sets: list[np.ndarray]) -> list[np.ndarray]:
     return [np.unique(stacked[:, d]) for d in range(stacked.shape[1])]
 
 
-def _slabs(point_sets: list[np.ndarray], axes: list[np.ndarray]):
-    """Run codes of each grid layer, one per distinct last coordinate, in order.
+def _first_layers(point_sets: list[np.ndarray], axes: list[np.ndarray]) -> np.ndarray:
+    """First attaining layer of each run at each cell of the first m-1 axes.
 
-    Each yielded slab has shape (len(axes[0]), ..., len(axes[m-2]), words):
-    bit r of a cell's code is set when run r has a point <= the cell in
-    the first m-1 coordinates and <= the layer's value in the last. The
-    same array is updated in place between yields.
+    Returns a (runs, len(axes[0]), ..., len(axes[m-2])) array in the
+    smallest unsigned dtype: entry [r, c] is the lowest k such that run r
+    has a point <= cell c in the first m-1 coordinates and <= axes[-1][k]
+    in the last, or len(axes[-1]) when run r attains c at no layer.
     """
-    words = -(-len(point_sets) // 64)
-    shape = tuple(len(a) for a in axes[:-1]) + (words,)
-    nbytes = 8 * int(np.prod(shape))
-    if nbytes > MAX_SLAB_BYTES:
+    never = len(axes[-1])
+    dtype = np.min_scalar_type(never)
+    shape = (len(point_sets),) + tuple(len(a) for a in axes[:-1])
+    nbytes = dtype.itemsize * math.prod(shape)
+    if nbytes > MAX_FIELD_BYTES:
         raise ValueError(
-            f"attainment sweep needs a slab of {nbytes} bytes, more than the "
-            f"{MAX_SLAB_BYTES} supported; reduce the runs or distinct coordinates"
+            f"attainment needs a first-layer field of {nbytes} bytes, more than the "
+            f"{MAX_FIELD_BYTES} supported; reduce the runs or distinct coordinates"
         )
     points = np.vstack(point_sets)
     runs = np.repeat(np.arange(len(point_sets)), [len(p) for p in point_sets])
-    cells = np.column_stack([np.searchsorted(a, points[:, d]) for d, a in enumerate(axes)])
-    slab = np.zeros(shape, dtype=np.uint64)
-    for k in range(len(axes[-1])):
-        for i in np.flatnonzero(cells[:, -1] == k):
-            quadrant = tuple(slice(j, None) for j in cells[i, :-1])
-            slab[quadrant + (runs[i] // 64,)] |= np.uint64(1) << np.uint64(runs[i] % 64)
-        yield slab
+    cells = [np.searchsorted(a, points[:, d]) for d, a in enumerate(axes)]
+    field = np.full(shape, never, dtype=dtype)
+    np.minimum.at(field, (runs, *cells[:-1]), cells[-1].astype(dtype))
+    # A run reaches a cell at the lowest layer of its points in the cell's
+    # lower quadrant: a running minimum along each grid axis. numpy
+    # accumulates about 2.5x faster along the last axis than along the
+    # others, so each pass then moves that axis to the front of the grid
+    # axes; after m-1 passes they are back in order.
+    for _ in axes[:-1]:
+        np.minimum.accumulate(field, axis=-1, out=field)
+        field = np.ascontiguousarray(np.moveaxis(field, -1, 1))
+    return field
 
 
 def _distinct_rows(codes: np.ndarray) -> np.ndarray:
@@ -137,45 +147,64 @@ def attainment_surface(group: RunGroup, level: float) -> FrontSet:
         raise ValueError("level must lie in (0, 1]")
     fronts = [f.points for f in group.fronts]
     axes = _axes(fronts)
-    needed = level * len(group) - 1e-9
-    found = []
-    before = np.False_  # no cell is eligible below the first layer
-    for k, slab in enumerate(_slabs(fronts, axes)):
-        eligible = np.bitwise_count(slab).sum(axis=-1) >= needed
-        # The eligible region is upward closed, so a cell is minimal exactly
-        # when no single-coordinate step down, the last one included, stays
-        # eligible.
-        minimal = eligible & ~before
-        for d in range(eligible.ndim):
-            lead = (slice(None),) * d
-            minimal[lead + (slice(1, None),)] &= ~eligible[lead + (slice(None, -1),)]
-        idx = np.argwhere(minimal)
-        last = np.full(len(idx), axes[-1][k])
-        found.append(np.column_stack([a[i] for a, i in zip(axes, idx.T)] + [last]))
-        before = eligible
-    return FrontSet(np.vstack(found), origin=f"{group.label}_{level:g}")
+    field = _first_layers(fronts, axes)
+    # A cell counts from the layer where the rank-th of its runs reaches it.
+    rank = math.ceil(level * len(group) - 1e-9)
+    if rank > 0:
+        layer = np.partition(field, rank - 1, axis=0)[rank - 1, ...]
+    else:
+        layer = np.zeros_like(field[0, ...])
+    # The eligible region is upward closed, so a cell's first eligible point
+    # is minimal exactly when no single-coordinate step down the grid axes
+    # is eligible at its layer or below. FrontSet would prune the other
+    # points too, but in time quadratic in their count.
+    minimal = layer < len(axes[-1])
+    for d in range(layer.ndim):
+        lead = (slice(None),) * d
+        minimal[lead + (slice(1, None),)] &= layer[lead + (slice(1, None),)] < layer[lead + (slice(None, -1),)]
+    index = np.argwhere(minimal).T
+    points = np.column_stack([a[i] for a, i in zip(axes, index)] + [axes[-1][layer[minimal]]])
+    return FrontSet(points, origin=f"{group.label}_{level:g}")
 
 
 def _pattern_matrix(groups: list[RunGroup]) -> np.ndarray:
     """Distinct per-cell attainment patterns across all runs, (patterns, runs).
 
     Collapsing identical grid cells keeps the permutation test exact while
-    shrinking it to at most 2^runs patterns. A cell's code only changes
-    when a point reaches it, so after the first layer only the codes of
-    changed cells can be new.
+    shrinking it to at most 2^runs patterns. Run s's first layer at a cell
+    gives the pattern of the runs whose first layer there is no later; the
+    layers below every run's first layer give the empty pattern.
     """
     fronts = [f.points for g in groups for f in g.fronts]
+    axes = _axes(fronts)
+    field = _first_layers(fronts, axes)
+    # A cell with the first layers of its predecessor along a grid axis
+    # adds no pattern.
+    fresh = np.ones(field.shape[1:], dtype=bool)
+    for d in range(1, field.ndim):
+        lead = (slice(None),) * d
+        fresh[lead[1:] + (slice(1, None),)] &= (
+            field[lead + (slice(1, None),)] != field[lead + (slice(None, -1),)]
+        ).any(axis=0)
+    runs = len(fronts)
+    columns = np.ascontiguousarray(field.reshape(runs, -1)[:, fresh.reshape(-1)].T)
+    # Codes hold 8 runs a byte, run r at bit r % 8 of byte r // 8, so
+    # _distinct_rows orders them as the integers sum(2^r) over their runs.
+    width = -(-runs // 8)
     codes = []
-    before = None
-    for slab in _slabs(fronts, _axes(fronts)):
-        cells = slab.reshape(-1, slab.shape[-1])
-        changed = cells if before is None else cells[(cells != before).any(axis=1)]
-        codes.append(_distinct_rows(changed))
-        before = cells.copy()
+    if (columns.min(axis=1) > 0).any():
+        codes.append(np.zeros((1, width), dtype=np.uint8))
+    step = max(1, BLOCK_ELEMENTS // (runs * 8 * width))
+    for block in (columns[i : i + step] for i in range(0, len(columns), step)):
+        # [c, s, r]: run r reaches cell c by run s's first layer there. The
+        # rows are padded to whole bytes, because np.packbits packs one flat
+        # array about 50x faster than it packs short rows.
+        attained = np.zeros((len(block), runs, 8 * width), dtype=bool)
+        np.less_equal(block[:, None, :], block[:, :, None], out=attained[:, :, :runs])
+        packed = np.packbits(attained, bitorder="little").reshape(len(block), runs, width)
+        codes.append(_distinct_rows(packed[block < len(axes[-1])]))
     distinct = _distinct_rows(np.vstack(codes))
-    runs = np.arange(len(fronts))
-    bits = distinct[:, runs // 64] >> (runs % 64).astype(np.uint64)
-    return (bits & np.uint64(1)).astype(bool)
+    return np.unpackbits(distinct, axis=1, count=runs, bitorder="little").astype(bool)
 
 
 def _drawn_splits(
@@ -193,11 +222,13 @@ def _drawn_splits(
     rng.permuted(orders, axis=1, out=orders)
     drawn = np.zeros(orders.shape, dtype=bool)
     np.put_along_axis(drawn, orders[:, :n_a], True, axis=1)
-    # np.unique compares rows field by field, one field per column, so
-    # packing 8 runs to a byte makes it about 3x faster. Its inverse is
-    # flattened because its shape differs between numpy 2 releases.
-    packed, inverse = np.unique(np.packbits(drawn, axis=1), axis=0, return_inverse=True)
-    return np.unpackbits(packed, axis=1, count=n_total), inverse.reshape(-1)
+    # np.unique(axis=0) compares rows field by field, one field per column;
+    # one void item per packed row compares the same bytes in the same
+    # order in one memcmp, 2-3x faster.
+    packed = np.packbits(drawn, axis=1)
+    rows_as_items = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    distinct, inverse = np.unique(rows_as_items, return_inverse=True)
+    return np.unpackbits(distinct.view(np.uint8).reshape(len(distinct), -1), axis=1, count=n_total), inverse
 
 
 def _statistics(patterns: np.ndarray, splits: np.ndarray, n_a: int) -> np.ndarray:
@@ -276,12 +307,18 @@ def eaf_test(
 
 
 def _critical_value(null_stats: np.ndarray, alpha: float) -> float:
-    """Smallest observed null value whose strict upper tail is below alpha."""
-    n = null_stats.size
-    for c in np.unique(null_stats):
-        if np.sum(null_stats > c + 1e-12) < alpha * n:
-            return float(c)
-    return float(null_stats.max())
+    """Smallest observed null value whose strict upper tail is below alpha.
+
+    The tail only shrinks along the sorted null values, so a binary search
+    over one sorted copy finds the first such value, each tail counted by
+    ``np.searchsorted``; no other array of the distribution's size is made.
+    """
+    ordered = np.sort(null_stats)
+    n = ordered.size
+    first = bisect.bisect_left(
+        range(n), True, key=lambda i: n - np.searchsorted(ordered, ordered[i] + 1e-12, side="right") < alpha * n
+    )
+    return float(ordered[min(first, n - 1)])
 
 
 def set_strictly_dominates(first, second) -> bool:

@@ -138,11 +138,12 @@ def loop_eaf_test(group_a, group_b, permutations, alpha, seed):
 
 
 @st.composite
-def run_groups(draw, many_runs=False, unequal=False):
+def run_groups(draw, many_runs=False, unequal=False, dims=(2, 3)):
     """Two groups of small-integer fronts, so coordinates tie and points
-    repeat within and across runs; ``many_runs`` needs two code words, and
-    ``unequal`` gives the groups different sizes of 2-7 runs."""
-    m = draw(st.sampled_from([2, 3]))
+    repeat within and across runs; ``many_runs`` needs two code words,
+    ``unequal`` gives the groups different sizes of 2-7 runs, and ``dims``
+    lists the objective counts to draw from."""
+    m = draw(st.sampled_from(dims))
     low, high = (33, 40) if many_runs else (2, 6)
     front = st.lists(st.tuples(*[st.integers(0, 4)] * m), min_size=1, max_size=5)
     if unequal:
@@ -179,6 +180,80 @@ class TestSweepMatchesGrid:
     def test_one_objective(self):
         groups = [group_of([[[1.0]], [[2.0]], [[2.0]]], "a"), group_of([[[0.0]], [[3.0]]], "b")]
         assert_sweep_matches_grid(groups, 0.5, 1)
+
+
+class TestFirstLayersMatchGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(run_groups(dims=(1, 4)), st.sampled_from([0.2, 0.5, 0.75, 1.0]), st.integers(0, 2**31))
+    def test_one_and_four_objectives(self, groups, level, seed):
+        assert_sweep_matches_grid(groups, level, seed)
+
+    @settings(max_examples=50, deadline=None)
+    @given(run_groups(dims=(1, 2, 3, 4)), st.integers(0, 2**31))
+    def test_level_below_one_run(self, groups, seed):
+        # Every cell is eligible from the first layer on, attained or not.
+        assert_sweep_matches_grid(groups, 1e-12, seed)
+
+
+def loop_critical_value(null_stats, alpha):
+    """The loop over the distinct null values that the binary search
+    replaced, kept as the oracle."""
+    n = null_stats.size
+    for c in np.unique(null_stats):
+        if np.sum(null_stats > c + 1e-12) < alpha * n:
+            return float(c)
+    return float(null_stats.max())
+
+
+@st.composite
+def null_distributions(draw):
+    """Null statistics on a grid of twelfths, so values tie, some nudged
+    within the 1e-12 tolerance of their neighbours; and an alpha drawn
+    anywhere in [0, 1] or at or beside a multiple of 1/n."""
+    steps = draw(st.lists(st.integers(0, 12), min_size=1, max_size=60))
+    nudges = draw(st.lists(st.sampled_from([0.0, 5e-13, 1e-12, 2e-12]), min_size=len(steps), max_size=len(steps)))
+    null_stats = np.array(steps) / 12 + np.array(nudges)
+    n = len(steps)
+    edge = draw(st.integers(0, n)) / n
+    alpha = draw(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.sampled_from([edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), 1e-300, 1 - 1e-16]),
+        )
+    )
+    return null_stats, float(alpha)
+
+
+class TestCriticalValue:
+    @settings(max_examples=500, deadline=None)
+    @given(null_distributions())
+    def test_matches_loop(self, drawn):
+        null_stats, alpha = drawn
+        assert eaf._critical_value(null_stats, alpha) == loop_critical_value(null_stats, alpha)
+
+    def test_continuous_null(self):
+        null_stats = np.random.default_rng(59).uniform(0, 1, 3000)
+        for alpha in (0.001, 0.05, 0.5, 0.999):
+            assert eaf._critical_value(null_stats, alpha) == loop_critical_value(null_stats, alpha)
+
+
+class TestDrawnSplits:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 300), st.integers(2, 70), st.data())
+    def test_match_unique_rows(self, rows, n_total, data):
+        # np.unique(axis=0) over the boolean membership rows of one
+        # rng.permutation per row gives the same splits, in the same order,
+        # and the same inverse.
+        n_a = data.draw(st.integers(1, n_total - 1))
+        seed = data.draw(st.integers(0, 2**31))
+        splits, inverse = eaf._drawn_splits(np.random.default_rng(seed), rows, n_a, n_total)
+        rng = np.random.default_rng(seed)
+        drawn = np.zeros((rows, n_total), dtype=bool)
+        for row in drawn:
+            row[rng.permutation(n_total)[:n_a]] = True
+        expected, expected_inverse = np.unique(drawn, axis=0, return_inverse=True)
+        assert np.array_equal(splits, expected.astype(np.uint8))
+        assert np.array_equal(inverse, expected_inverse.reshape(-1))
 
 
 class TestSplitScoringMatchesLoop:
@@ -410,14 +485,18 @@ class TestScale:
         assert peak < 8 * 2**20
 
     def test_oversized_sweep_fails_before_allocation(self):
-        # 2 runs of 600 points in 4-D need a slab of 1,200^3 cells.
+        # 2 runs of 600 points in 4-D need a field of 1,200^3 cells per run,
+        # in uint16 (1,200 layers); the test joins the group with itself.
         rng = np.random.default_rng(47)
         groups = [group_of([rng.dirichlet(np.ones(4), size=600)], label) for label in "ab"]
         group = RunGroup(groups[0].fronts + groups[1].fronts, "ab")
-        for analysis in (lambda: attainment_surface(group, 0.5), lambda: eaf_test(group, group)):
+        for analysis, nbytes in (
+            (lambda: attainment_surface(group, 0.5), 2 * 2 * 1200**3),
+            (lambda: eaf_test(group, group), 4 * 2 * 1200**3),
+        ):
             tracemalloc.start()
             try:
-                with pytest.raises(ValueError, match=f"{8 * 1200**3} bytes"):
+                with pytest.raises(ValueError, match=f"{nbytes} bytes"):
                     analysis()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
