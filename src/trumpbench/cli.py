@@ -251,10 +251,10 @@ def cmd_eaf(args) -> int:
 def cmd_sample_size(args) -> int:
     deck = load_deck(args.deck, rescale=args.rescale)
     sizes = [int(s) for s in args.sizes.split(",") if s]
-    table = balance_metric_study(deck, sizes, args.repeats, args.alpha, args.seed)
+    csv = balance_metric_study(deck, sizes, args.repeats, args.alpha, args.seed)
     if args.out is not None:
-        Path(args.out).write_text(table.to_csv(), encoding="utf-8")
-    print(table.to_csv(), end="")
+        Path(args.out).write_text(csv, encoding="utf-8")
+    print(csv, end="")
     return 0
 
 

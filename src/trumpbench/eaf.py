@@ -129,12 +129,18 @@ def _first_layers(point_sets: list[np.ndarray], axes: list[np.ndarray]) -> np.nd
     return field
 
 
-def _distinct_rows(codes: np.ndarray) -> np.ndarray:
-    """Distinct rows of a 2-D code array, by a lexsort and a neighbour compare."""
-    ordered = codes[np.lexsort(codes.T)]
+def _distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-D code array in lexicographic order, first
+    column first, and the index of each row among them: the result of
+    ``np.unique(codes, axis=0, return_inverse=True)``, by one lexsort and a
+    neighbour compare."""
+    order = np.lexsort(codes.T[::-1])
+    ordered = codes[order]
     fresh = np.ones(len(ordered), dtype=bool)
     fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return ordered[fresh]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    return ordered[fresh], inverse
 
 
 def attainment_surface(group: RunGroup, level: float) -> FrontSet:
@@ -188,8 +194,7 @@ def _pattern_matrix(groups: list[RunGroup]) -> np.ndarray:
         ).any(axis=0)
     runs = len(fronts)
     columns = np.ascontiguousarray(field.reshape(runs, -1)[:, fresh.reshape(-1)].T)
-    # Codes hold 8 runs a byte, run r at bit r % 8 of byte r // 8, so
-    # _distinct_rows orders them as the integers sum(2^r) over their runs.
+    # Codes hold 8 runs a byte, run r at bit r % 8 of byte r // 8.
     width = -(-runs // 8)
     codes = []
     if (columns.min(axis=1) > 0).any():
@@ -202,8 +207,8 @@ def _pattern_matrix(groups: list[RunGroup]) -> np.ndarray:
         attained = np.zeros((len(block), runs, 8 * width), dtype=bool)
         np.less_equal(block[:, None, :], block[:, :, None], out=attained[:, :, :runs])
         packed = np.packbits(attained, bitorder="little").reshape(len(block), runs, width)
-        codes.append(_distinct_rows(packed[block < len(axes[-1])]))
-    distinct = _distinct_rows(np.vstack(codes))
+        codes.append(_distinct_rows(packed[block < len(axes[-1])])[0])
+    distinct = _distinct_rows(np.vstack(codes))[0]
     return np.unpackbits(distinct, axis=1, count=runs, bitorder="little").astype(bool)
 
 
@@ -222,13 +227,10 @@ def _drawn_splits(
     rng.permuted(orders, axis=1, out=orders)
     drawn = np.zeros(orders.shape, dtype=bool)
     np.put_along_axis(drawn, orders[:, :n_a], True, axis=1)
-    # np.unique(axis=0) compares rows field by field, one field per column;
-    # one void item per packed row compares the same bytes in the same
-    # order in one memcmp, 2-3x faster.
-    packed = np.packbits(drawn, axis=1)
-    rows_as_items = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    distinct, inverse = np.unique(rows_as_items, return_inverse=True)
-    return np.unpackbits(distinct.view(np.uint8).reshape(len(distinct), -1), axis=1, count=n_total), inverse
+    # The first run is the highest bit of the first byte, so the packed
+    # rows sort as the membership rows do.
+    distinct, inverse = _distinct_rows(np.packbits(drawn, axis=1))
+    return np.unpackbits(distinct, axis=1, count=n_total), inverse
 
 
 def _statistics(patterns: np.ndarray, splits: np.ndarray, n_a: int) -> np.ndarray:
@@ -286,8 +288,7 @@ def eaf_test(
         splits, inverse = _drawn_splits(rng, min(rows, permutations - start), n_a, n_total)
         scores = [_statistics(patterns, splits[i : i + columns], n_a) for i in range(0, len(splits), columns)]
         null_stats[start : start + len(inverse)] = np.concatenate(scores)[inverse]
-    # Free the last block before _critical_value sorts a copy of null_stats,
-    # the peak for many permutations.
+    # Free the last block: for many permutations null_stats is the peak.
     del splits, inverse, scores
 
     p_value = float(np.mean(null_stats >= observed - 1e-12))
@@ -309,11 +310,13 @@ def eaf_test(
 def _critical_value(null_stats: np.ndarray, alpha: float) -> float:
     """Smallest observed null value whose strict upper tail is below alpha.
 
-    The tail only shrinks along the sorted null values, so a binary search
-    over one sorted copy finds the first such value, each tail counted by
-    ``np.searchsorted``; no other array of the distribution's size is made.
+    Sorts ``null_stats`` in place. The tail only shrinks along the sorted
+    null values, so a binary search finds the first such value, each tail
+    counted by ``np.searchsorted``; no array of the distribution's size is
+    made.
     """
-    ordered = np.sort(null_stats)
+    null_stats.sort()
+    ordered = null_stats
     n = ordered.size
     first = bisect.bisect_left(
         range(n), True, key=lambda i: n - np.searchsorted(ordered, ordered[i] + 1e-12, side="right") < alpha * n

@@ -49,7 +49,7 @@ from trumpbench.objectives import (
     surrogate_objectives,
 )
 from trumpbench.ocd import OCDParams
-from trumpbench.stats import SampleSizeTable, ci_halfwidth, sample_size_study
+from trumpbench.stats import ci_halfwidth
 
 BALANCE_METRICS = ("win_rate", "announcer_changes", "tightness")
 POLICIES = (Policy.INFORMED, Policy.RANGE_ONLY)
@@ -550,26 +550,28 @@ def _write_indicator_csv(report: ExperimentReport, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def balance_metric_study(
-    deck: Deck,
-    sizes: list[int],
-    repeats: int,
-    alpha: float,
-    seed: int,
-) -> SampleSizeTable:
-    """Accuracy study of the three balance metrics on one deck.
+def balance_metric_study(deck: Deck, sizes: list[int], repeats: int, alpha: float, seed: int) -> str:
+    """Accuracy study of the three balance metrics on one deck, as CSV text.
 
-    Each repeat simulates one fresh batch per size, from which all three
-    metrics take their t-interval halfwidth; rows hold the .95 quantile
-    over repeats.
+    Each repeat plays one fresh batch of games per size, from which all
+    three per-game metrics take their t-interval halfwidth. The text has
+    the header ``size,metric,halfwidth_q95`` and one line per size and
+    metric, in ``BALANCE_METRICS`` order, holding the .95 quantile of the
+    halfwidths over the repeats.
     """
+    if repeats < 2:
+        raise ValueError("need at least two repeats")
+    if any(size < 2 for size in sizes):
+        raise ValueError(f"every sample size must be at least 2, got {list(sizes)}")
     n_tricks = deck.shape.K // 2
-
-    def sampler(size: int, rng: np.random.Generator) -> np.ndarray:
-        tricks_a, tricks_b, changes = play_deals(deck, POLICIES, draw_deals(deck.shape.K, size, rng))
-        return np.array(
-            [tricks_a > tricks_b, changes, np.abs(2 * tricks_a - n_tricks)], dtype=float
-        )
-
     rng = np.random.default_rng(np.random.SeedSequence((seed, 99)))
-    return sample_size_study(sampler, sizes, repeats, alpha, rng, metric=BALANCE_METRICS)
+    lines = ["size,metric,halfwidth_q95"]
+    for size in sizes:
+        widths = np.empty((len(BALANCE_METRICS), repeats))
+        for r in range(repeats):
+            tricks_a, tricks_b, changes = play_deals(deck, POLICIES, draw_deals(deck.shape.K, size, rng))
+            rows = (tricks_a > tricks_b, changes, np.abs(2 * tricks_a - n_tricks))
+            widths[:, r] = [ci_halfwidth(row, alpha) for row in rows]
+        for name, row in zip(BALANCE_METRICS, widths):
+            lines.append(f"{size},{name},{float(np.quantile(row, 0.95))!r}")
+    return "\n".join(lines) + "\n"

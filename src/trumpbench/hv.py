@@ -120,10 +120,6 @@ def _staircase_areas(pts: np.ndarray, member: np.ndarray, row: np.ndarray, top: 
     # Descending x; ties keep the order of ``pts``, as in each set's own sweep.
     ranks = np.argsort(-pts[:, 0], kind="stable")
     x, y = pts[ranks, 0], pts[ranks, 1]
-    if len(row) == 1 and top[0] == n - 1 and np.count_nonzero(member[row[0]]) == n:
-        # One staircase of all the points, as for a single 2-D set: no mask to build.
-        widths = x - np.append(x[1:], 0.0)
-        return np.vecdot(widths[None], np.maximum.accumulate(y)[None])
     length = np.cumsum(member, axis=1)[row, top]
     member = member[:, ranks]
     # Staircases by point count: one group of equal lengths per BLAS call.

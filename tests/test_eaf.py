@@ -236,6 +236,35 @@ class TestCriticalValue:
         for alpha in (0.001, 0.05, 0.5, 0.999):
             assert eaf._critical_value(null_stats, alpha) == loop_critical_value(null_stats, alpha)
 
+    def test_sorts_in_place(self):
+        # A sorted copy of a million null values alone takes 7.6 MiB.
+        null_stats = np.random.default_rng(61).uniform(0, 1, 1_000_000)
+        tracemalloc.start()
+        try:
+            critical_value = eaf._critical_value(null_stats, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # Distinct values: 49,999 lie above the 950,001st smallest.
+        assert np.all(null_stats[1:] > null_stats[:-1])
+        assert critical_value == null_stats[950_000]
+
+
+class TestDistinctRows:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 2**31))
+    def test_match_unique_rows(self, rows, width, seed):
+        # Few byte values, so rows repeat, and both ends of the byte range,
+        # so the order is the unsigned one; no rows at all, as for a block
+        # of cells that no run attains.
+        byte_values = np.array([0, 1, 127, 128, 255], dtype=np.uint8)
+        codes = np.random.default_rng(seed).choice(byte_values, (rows, width))
+        distinct, inverse = eaf._distinct_rows(codes)
+        expected, expected_inverse = np.unique(codes, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, expected)
+        assert np.array_equal(inverse, expected_inverse.reshape(-1))
+
 
 class TestDrawnSplits:
     @settings(max_examples=100, deadline=None)

@@ -325,14 +325,23 @@ class TestCompareReferenceDecks:
 class TestBalanceMetricStudy:
     def test_table_shape_and_monotonicity(self):
         deck = deck_with_dominating_pairs(DeckShape(), 0)
-        table = balance_metric_study(deck, sizes=[50, 200], repeats=10, alpha=0.05, seed=3)
-        metrics = {row.metric for row in table.rows}
-        assert metrics == {"win_rate", "announcer_changes", "tightness"}
-        win_rows = [row for row in table.rows if row.metric == "win_rate"]
-        assert win_rows[0].halfwidth_q95 > win_rows[1].halfwidth_q95
+        text = balance_metric_study(deck, sizes=[50, 200], repeats=10, alpha=0.05, seed=3)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert {metric for _, metric, _ in rows} == {"win_rate", "announcer_changes", "tightness"}
+        win_widths = [float(width) for _, metric, width in rows if metric == "win_rate"]
+        assert win_widths[0] > win_widths[1]
 
     def test_deterministic(self):
         deck = deck_with_dominating_pairs(DeckShape(K=8, L=2), 0)
         t1 = balance_metric_study(deck, [30], 5, 0.05, seed=9)
         t2 = balance_metric_study(deck, [30], 5, 0.05, seed=9)
         assert t1 == t2
+
+    def test_one_repeat_fails_before_any_deal(self, monkeypatch):
+        def no_deals(*args):
+            raise AssertionError("deals were drawn before the repeats were checked")
+
+        monkeypatch.setattr(experiments, "draw_deals", no_deals)
+        deck = deck_with_dominating_pairs(DeckShape(K=8, L=2), 0)
+        with pytest.raises(ValueError, match="need at least two repeats"):
+            balance_metric_study(deck, [30], 1, 0.05, seed=0)

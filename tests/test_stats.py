@@ -5,7 +5,11 @@ import pytest
 
 from scipy import stats as sps
 
-from trumpbench.stats import ci_halfwidth, playtest_feasibility, sample_size_study
+from trumpbench.deck import DeckShape
+from trumpbench.experiments import BALANCE_METRICS, balance_metric_study
+from trumpbench.game import Policy, draw_deals, play_deals
+from trumpbench.stats import ci_halfwidth, playtest_feasibility
+from trumpbench.synth import deck_with_dominating_pairs
 
 # Standard two-sided 97.5% t quantiles for selected degrees of freedom.
 T_TABLE = {
@@ -62,88 +66,78 @@ class TestCiHalfwidth:
             ci_halfwidth([1.0])
 
 
+def study_rows(text):
+    """The (size, metric, halfwidth) rows of a sample-size study's CSV."""
+    lines = text.splitlines()
+    assert lines[0] == "size,metric,halfwidth_q95"
+    return [(int(size), metric, float(width)) for size, metric, width in (line.split(",") for line in lines[1:])]
+
+
+def recomputed_study(deck, sizes, repeats, alpha, seed):
+    """The study's rows by hand: per size, ``repeats`` fresh batches of
+    informed-vs-range-only games drawn from one generator, and per metric
+    the .95 quantile of their interval halfwidths."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 99)))
+    rows = []
+    for size in sizes:
+        widths = {metric: [] for metric in BALANCE_METRICS}
+        for _ in range(repeats):
+            deals = draw_deals(deck.shape.K, size, rng)
+            tricks_a, tricks_b, changes = play_deals(deck, (Policy.INFORMED, Policy.RANGE_ONLY), deals)
+            widths["win_rate"].append(ci_halfwidth((tricks_a > tricks_b).astype(float), alpha))
+            widths["announcer_changes"].append(ci_halfwidth(changes, alpha))
+            widths["tightness"].append(ci_halfwidth(np.abs(2 * tricks_a - deck.shape.K // 2), alpha))
+        rows += [(size, metric, float(np.quantile(widths[metric], 0.95))) for metric in BALANCE_METRICS]
+    return rows
+
+
 class TestSampleSizeStudy:
-    def test_zero_variance_sampler(self):
-        table = sample_size_study(
-            lambda size, rng: np.full(size, 1.0),
-            sizes=[10, 100],
-            repeats=5,
-            alpha=0.05,
-            rng=np.random.default_rng(0),
-        )
-        assert all(row.halfwidth_q95 == 0.0 for row in table.rows)
-
-    def test_binomial_scaling(self):
-        def sampler(size, rng):
-            return (rng.random(size) < 0.5).astype(float)
-
-        table = sample_size_study(
-            sampler, sizes=[400, 1600], repeats=60, alpha=0.05, rng=np.random.default_rng(7)
-        )
-        w400 = table.rows[0].halfwidth_q95
-        w1600 = table.rows[1].halfwidth_q95
-        assert w400 == pytest.approx(2 * w1600, rel=0.25)
-
-    def test_inverse_sqrt_scaling_on_iid_sampler(self):
-        sizes = [100, 400, 1600, 6400]
-        table = sample_size_study(
-            lambda size, rng: rng.normal(0, 1, size),
-            sizes=sizes,
-            repeats=40,
-            alpha=0.05,
-            rng=np.random.default_rng(11),
-        )
-        widths = [row.halfwidth_q95 for row in table.rows]
-        slope = np.polyfit(np.log(sizes), np.log(widths), 1)[0]
-        assert slope == pytest.approx(-0.5, abs=0.1)
+    """The sample-size study of the balance metrics, ``balance_metric_study``."""
 
     def test_deterministic_given_seed(self):
-        def sampler(size, rng):
-            return rng.normal(0, 1, size)
-
-        t1 = sample_size_study(sampler, [50, 100], 10, 0.05, np.random.default_rng(4))
-        t2 = sample_size_study(sampler, [50, 100], 10, 0.05, np.random.default_rng(4))
-        assert t1 == t2
-
-    def test_several_metrics_from_one_sampler(self):
-        def one(size, rng):
-            return rng.normal(0, 1, size)
-
-        def both(size, rng):
-            x = rng.normal(0, 1, size)
-            return np.array([x, 3 * x])
-
-        single = sample_size_study(one, [20, 40], 5, 0.05, np.random.default_rng(2))
-        table = sample_size_study(
-            both, [20, 40], 5, 0.05, np.random.default_rng(2), metric=("x", "3x")
-        )
-        assert [(r.sample_size, r.metric) for r in table.rows] == [
-            (20, "x"), (20, "3x"), (40, "x"), (40, "3x"),
-        ]
-        x_rows, scaled_rows = table.rows[0::2], table.rows[1::2]
-        assert [r.halfwidth_q95 for r in x_rows] == [r.halfwidth_q95 for r in single.rows]
-        for x_row, scaled in zip(x_rows, scaled_rows):
-            assert scaled.halfwidth_q95 == pytest.approx(3 * x_row.halfwidth_q95)
-
-    def test_sampler_shape_checked(self):
-        with pytest.raises(ValueError, match="shape"):
-            sample_size_study(
-                lambda size, rng: np.zeros((2, size)), [10], 3, 0.05,
-                np.random.default_rng(0), metric=("a", "b", "c"),
-            )
+        # Every value is fixed by the seed: the one a hand recomputation on
+        # the same generator stream gives.
+        deck = deck_with_dominating_pairs(DeckShape(K=8, L=2), 0)
+        for sizes, repeats, alpha, seed in (([2, 30], 2, 0.05, 0), ([75, 10, 75], 5, 0.2, 4), ([4100], 3, 0.05, 9)):
+            text = balance_metric_study(deck, sizes, repeats, alpha, seed)
+            assert study_rows(text) == recomputed_study(deck, sizes, repeats, alpha, seed)
 
     def test_csv_output(self):
-        table = sample_size_study(
-            lambda size, rng: np.full(size, 2.0),
-            sizes=[10],
-            repeats=3,
-            alpha=0.05,
-            rng=np.random.default_rng(1),
-            metric="win_rate",
+        deck = deck_with_dominating_pairs(DeckShape(K=8, L=2), 0)
+        text = balance_metric_study(deck, [30, 10], 3, 0.05, seed=1)
+        assert text.endswith("\n")
+        rows = study_rows(text)
+        # One line per size, in the given order, and metric, in BALANCE_METRICS order.
+        assert [(size, metric) for size, metric, _ in rows] == [
+            (size, metric) for size in (30, 10) for metric in BALANCE_METRICS
+        ]
+        # Each halfwidth is written as its repr, which reads back exactly.
+        for line, (_, _, width) in zip(text.splitlines()[1:], rows):
+            assert line.split(",")[2] == repr(width)
+
+    def test_binomial_scaling(self):
+        # An informed win is a Bernoulli draw, so the halfwidth at n games is
+        # t(0.975, n - 1) * sqrt(p (1 - p) / n) for the deck's win rate p.
+        deck = deck_with_dominating_pairs(DeckShape(), 0)
+        tricks_a, tricks_b, _ = play_deals(
+            deck, (Policy.INFORMED, Policy.RANGE_ONLY), draw_deals(deck.shape.K, 20_000, np.random.default_rng(5))
         )
-        lines = table.to_csv().splitlines()
-        assert lines[0] == "size,metric,halfwidth_q95"
-        assert lines[1].startswith("10,win_rate,")
+        p = np.mean(tricks_a > tricks_b)
+        rows = study_rows(balance_metric_study(deck, [400, 1600], 60, 0.05, seed=7))
+        win_rows = [(size, width) for size, metric, width in rows if metric == "win_rate"]
+        for size, width in win_rows:
+            assert width == pytest.approx(sps.t.ppf(0.975, size - 1) * np.sqrt(p * (1 - p) / size), rel=0.05)
+
+    def test_inverse_sqrt_scaling_on_iid_sampler(self):
+        # The games of a batch are independent, so every metric's halfwidth
+        # falls as 1 / sqrt(games).
+        deck = deck_with_dominating_pairs(DeckShape(), 0)
+        sizes = [100, 400, 1600, 6400]
+        rows = study_rows(balance_metric_study(deck, sizes, 40, 0.05, seed=11))
+        for metric in BALANCE_METRICS:
+            widths = [width for _, name, width in rows if name == metric]
+            slope = np.polyfit(np.log(sizes), np.log(widths), 1)[0]
+            assert slope == pytest.approx(-0.5, abs=0.1)
 
 
 class TestPlaytestFeasibility:
