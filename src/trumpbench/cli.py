@@ -323,7 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rescale", action="store_true")
     p.set_defaults(func=cmd_sample_size)
 
-    text = "write the synthetic reference decks as CSV; their pair targets need 32 cards or more"
+    text = (
+        "write the 8 synthetic reference decks as CSV; their dominated-pair targets, "
+        "set for 32 cards, scale with K(K-1) to --cards"
+    )
     p = sub.add_parser("make-decks", help=text, description=text)
     p.add_argument("--out", required=True)
     _add_setting_flags(p, ("shape",))

@@ -158,8 +158,9 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 def make_evaluator(kind: ObjectiveKind, shape: DeckShape, games: int):
-    """Objective callable for the optimizers; simulation noise uses the
-    per-evaluation generator handed in by the run loop."""
+    """Objective callable for the optimizers.  Only B draws: its simulation
+    noise comes from the per-evaluation generator the run loop hands in,
+    and the D and S callables, which the run loop hands None, ignore it."""
     if kind is ObjectiveKind.DOMINANCE:
         return lambda deck, rng: dominance_fitness(deck).values
     if kind is ObjectiveKind.SURROGATE:

@@ -29,6 +29,14 @@ volume is bit for bit that of the plain recursion on that subset alone, one
   call, that is one BLAS dot per row, for each group.
 * points tied in a coordinate keep their order in the set, so a subset's
   points meet in the same order as in the subset's own sweep.
+
+The staircases' running maxima of y add no arithmetic either.  All cells of
+a block of staircases are one flat array, and each cell's key is its
+staircase's position in the block times n plus its point's rank in y.  A
+staircase's keys all exceed those of the staircases before it, so one
+``np.maximum.accumulate`` over the keys restarts at every staircase, and the
+y read back from the winning rank is one of the inputs: a max only selects,
+so each step height is the float the subset's own sweep takes.
 """
 
 from __future__ import annotations
@@ -101,25 +109,31 @@ def _volumes(pts: np.ndarray, member: np.ndarray) -> np.ndarray:
         volumes = _staircase_areas(proj, inside, row, top)
     else:
         volumes = _volumes(proj, inside[row] & (np.arange(n) <= top[:, None]))
-    terms = np.zeros(inside.shape)
-    terms[row, top] = heights[kept] * volumes
-    return _sum_in_order(terms)
-
-
-def _sum_in_order(terms: np.ndarray) -> np.ndarray:
-    # Sums along the last axis, left to right from 0.0.
-    padded = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
-    padded[..., 1:] = terms
-    return np.add.accumulate(padded, axis=-1)[..., -1]
+    # Each subset's slab terms, summed left to right from 0.0.
+    terms = np.zeros((len(inside), n + 1))
+    terms[row, top + 1] = heights[kept] * volumes
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def _staircase_areas(pts: np.ndarray, member: np.ndarray, row: np.ndarray, top: np.ndarray) -> np.ndarray:
     """2-D area of each staircase r: of the points i of (n, 2) ``pts`` with
-    ``member[row[r], i]`` and ``i <= top[r]``; 0.0 for one with no point."""
+    ``member[row[r], i]`` and ``i <= top[r]``; 0.0 for one with no point.
+
+    Step heights come from an integer running max (see the module
+    docstring): y is only ever selected, never computed, so the heights are
+    bit for bit those of a float running max over each staircase alone.
+    """
     n = len(pts)
     # Descending x; ties keep the order of ``pts``, as in each set's own sweep.
     ranks = np.argsort(-pts[:, 0], kind="stable")
     x, y = pts[ranks, 0], pts[ranks, 1]
+    # Ascending y; of equal values the later point ranks higher, so a running
+    # max of ranks keeps the one ``np.maximum`` keeps (equal floats differ at
+    # most in the sign of a zero).
+    by_y = np.argsort(y, kind="stable")
+    y_of_rank = y[by_y]
+    rank_of_y = np.empty(n, dtype=np.intp)
+    rank_of_y[by_y] = np.arange(n)
     length = np.cumsum(member, axis=1)[row, top]
     member = member[:, ranks]
     # Staircases by point count: one group of equal lengths per BLAS call.
@@ -129,12 +143,15 @@ def _staircase_areas(pts: np.ndarray, member: np.ndarray, row: np.ndarray, top: 
     step = max(1, _BLOCK_CELLS // n)
     for start in range(0, len(stairs), step):
         block = stairs[start : start + step]
-        # Row r marks staircase r's points; the running max of y sees only those.
+        # Row r marks staircase r's points: flat cell r * n + i for point i.
         inside = np.take(member, row[block], axis=0)
         inside &= ranks <= top[block, None]
-        flat = np.flatnonzero(inside)
-        run = np.maximum.accumulate(np.where(inside, y, -np.inf), axis=1).ravel()[flat]
-        left = x[flat % n]
+        base = np.repeat(np.arange(0, len(block) * n, n), length[block])
+        col = np.flatnonzero(inside) - base
+        # The key r * n + (rank of y) exceeds every key of the rows before r,
+        # so one running max over the flat cells restarts at each staircase.
+        run = y_of_rank[np.maximum.accumulate(base + rank_of_y[col]) - base]
+        left = x[col]
         widths = left.copy()
         widths[:-1] -= left[1:]
         ends = np.cumsum(length[block]) - 1

@@ -21,7 +21,9 @@ from trumpbench.indicators import hv_contributions
 from trumpbench.objectives import ObjectiveKind
 from trumpbench.ocd import Decision, OCDParams, RunIndicatorTracker, Stagnation
 
-Evaluator = Callable[[Deck, np.random.Generator], np.ndarray]
+# An objective of a deck.  Only B, the simulated objective, draws: its
+# evaluator gets the evaluation's own generator, and D and S get None.
+Evaluator = Callable[[Deck, np.random.Generator | None], np.ndarray]
 
 
 class EvaluationError(RuntimeError):
@@ -202,12 +204,13 @@ class _RunState:
         self.bounds = (self.shape.lo, self.shape.hi)
         self.init_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0)))
         self.var_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
+        self.draws = config.objective is ObjectiveKind.BALANCE
         self.n_evals = 0
         self.population: list[Individual] = []
         self.trace: list[dict[str, float]] = []
 
     def evaluate(self, deck: Deck) -> Individual:
-        rng = _eval_rng(self.config.seed, self.n_evals)
+        rng = _eval_rng(self.config.seed, self.n_evals) if self.draws else None
         try:
             objectives = np.asarray(self.evaluator(deck, rng), dtype=float)
         except Exception as exc:

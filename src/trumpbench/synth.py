@@ -83,11 +83,29 @@ def deck_with_dominating_pairs(shape: DeckShape, pairs: int) -> Deck:
     return deck
 
 
-# Pair targets for the eight stand-in reference decks.  One deck has very
-# few dominated pairs; the rest are heavy on them, averaging out near the
-# published mean quality of commercial decks.  Each target must decompose
-# into disjoint chains within 32 cards.
+# Pair targets for the eight stand-in reference decks of 32 cards.  One deck
+# has very few dominated pairs; the rest are heavy on them, averaging out
+# near the published mean quality of commercial decks.
 REFERENCE_PAIR_TARGETS = (18, 260, 255, 249, 245, 248, 242, 244)
+
+
+def reference_pair_targets(cards: int) -> list[int]:
+    """``REFERENCE_PAIR_TARGETS`` scaled from 32 cards to ``cards`` by the
+    number of ordered card pairs, K(K-1), each rounded to the nearest count
+    that :func:`chain_partition` realizes (the lower one on a tie).
+
+    At 32 cards the targets are returned as they are.  Plain rounding would
+    not do: for 8 cards it gives 14, which no partition of 8 cards realizes.
+    """
+    realizable = []
+    for pairs in range(triangular(cards) + 1):
+        try:
+            chain_partition(cards, pairs)
+        except ValueError:
+            continue
+        realizable.append(pairs)
+    scale = cards * (cards - 1) / (32 * 31)
+    return [min(realizable, key=lambda p: (abs(p - t * scale), p)) for t in REFERENCE_PAIR_TARGETS]
 
 
 def synthetic_reference_decks(shape: DeckShape | None = None) -> list[tuple[str, Deck]]:
@@ -96,10 +114,7 @@ def synthetic_reference_decks(shape: DeckShape | None = None) -> list[tuple[str,
     try:
         return [
             (f"synthetic_{i:02d}", deck_with_dominating_pairs(shape, pairs))
-            for i, pairs in enumerate(REFERENCE_PAIR_TARGETS, start=1)
+            for i, pairs in enumerate(reference_pair_targets(shape.K), start=1)
         ]
     except ValueError as exc:
-        raise ValueError(
-            f"no reference decks of {shape.K} cards x {shape.L} categories: {exc} "
-            "(the reference pair targets assume 32 cards)"
-        ) from None
+        raise ValueError(f"no reference decks of {shape.K} cards x {shape.L} categories: {exc}") from None

@@ -9,7 +9,7 @@ import pytest
 
 from trumpbench import cli
 from trumpbench.cli import SETTINGS, main, parse_config_file
-from trumpbench.deck import DeckShape, load_deck, save_deck
+from trumpbench.deck import DeckShape, deck_is_valid, dominating_pair_count, load_deck, save_deck
 from trumpbench.experiments import ExperimentConfig
 from trumpbench.indicators import (
     FrontSet,
@@ -520,6 +520,10 @@ class TestSampleSizeCommand:
         assert (tmp_path / "table.csv").read_text() == out
 
 
+# SHA-256 of the eight default 32x4 reference decks, read in file-name order.
+MAKE_DECKS_32X4_GOLDEN = "9d83b4e97432c62c37e5abdf914848be738fabccf310503b9be2b43a9744d510"
+
+
 class TestMakeDecks:
     def test_decks_written_and_loadable(self, tmp_path, capsys):
         run_cli(capsys, "make-decks", "--out", tmp_path / "decks")
@@ -527,6 +531,24 @@ class TestMakeDecks:
         assert len(files) == 8
         deck = load_deck(files[0])
         assert deck.shape.K == 32
+
+    def test_default_decks_match_golden_bytes(self, tmp_path, capsys):
+        run_cli(capsys, "make-decks", "--out", tmp_path / "decks")
+        digest = hashlib.sha256()
+        for path in sorted((tmp_path / "decks").glob("*.csv")):
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == MAKE_DECKS_32X4_GOLDEN
+
+    def test_decks_of_another_shape(self, tmp_path, capsys):
+        out = run_cli(
+            capsys, "make-decks", "--out", tmp_path / "decks", "--cards", 8, "--categories", 2
+        )
+        assert out.startswith("wrote 8 synthetic reference decks")
+        files = sorted((tmp_path / "decks").glob("*.csv"))
+        assert [path.stem for path in files] == [f"synthetic_{i:02d}" for i in range(1, 9)]
+        decks = [load_deck(path, DeckShape(K=8, L=2)) for path in files]
+        assert all(deck_is_valid(deck).valid for deck in decks)
+        assert [dominating_pair_count(deck) for deck in decks] == [1, 15, 15, 15, 13, 13, 13, 13]
 
 
 def no_run(config):
@@ -599,11 +621,12 @@ class TestCommandErrors:
         assert err.startswith("trumpbench indicators: no front files match")
 
     def test_make_decks_of_unrealizable_shape_writes_nothing(self, tmp_path, capsys):
+        # One category cannot keep the chains of dominating cards apart.
         err = self.fails(
-            capsys, "make-decks", "--out", tmp_path / "decks", "--cards", 8, "--categories", 2
+            capsys, "make-decks", "--out", tmp_path / "decks", "--cards", 8, "--categories", 1
         )
-        assert err.startswith("trumpbench make-decks: no reference decks of 8 cards x 2 categories")
-        assert "32 cards" in err
+        assert err.startswith("trumpbench make-decks: no reference decks of 8 cards x 1 categories")
+        assert "two categories" in err
         assert not (tmp_path / "decks").exists()
 
     def test_experiment_unknown_config_key(self, tmp_path, capsys):

@@ -205,6 +205,23 @@ class TestSubsetVolumes:
         volumes = union_box_volume(pts, member)
         assert volumes.tolist() == [oracle_any(pts[row]) for row in member]
 
+    @pytest.mark.parametrize("cells", [1, 30], ids=["one-staircase-per-block", "split-length-groups"])
+    def test_staircase_blocks(self, monkeypatch, cells):
+        # The running max's keys restart in every block of staircases: with
+        # one cell per block each staircase is a block of its own, and with
+        # 30 cells a block holds 3 of the 10-point staircases, so each group
+        # of 4 equal lengths (4 copies of one subset) spans two blocks.
+        monkeypatch.setattr(hv, "_BLOCK_CELLS", cells)
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            pts = rng.integers(0, 4, size=(10, 3)) * np.array([1.0, 0.1, 1.7])
+            pts[rng.random(pts.shape) < 0.2] = 0.0
+            assert len(np.unique(pts[:, 1])) < len(pts)  # tied y values
+            member = np.vstack([np.ones((4, 10), dtype=bool), rng.random((3, 10)) < 0.7])
+            volumes = union_box_volume(pts, member)
+            assert volumes.tolist() == [oracle_any(pts[row]) for row in member]
+            assert union_box_volume(pts) == oracle_volume(pts)
+
     def test_rejects_mask_of_wrong_width(self):
         with pytest.raises(ValueError, match="member must be a"):
             union_box_volume(np.ones((3, 2)), np.ones((2, 4), dtype=bool))

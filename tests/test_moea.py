@@ -15,6 +15,7 @@ from trumpbench.moea import (
     SmsEmoa,
     StopReason,
     VariationParams,
+    _eval_rng,
     hv_contributions,
     nondominated_sort,
     polynomial_mutation,
@@ -364,6 +365,37 @@ class TestRuns:
             warnings.simplefilter("error")
             result = sms_emoa_run(config, evaluator)
         assert result.n_evals > (config.ocd.window + 1) * config.mu
+
+    @pytest.mark.parametrize(
+        "kind, objective",
+        [(ObjectiveKind.DOMINANCE, dominance_evaluator), (ObjectiveKind.SURROGATE, surrogate_evaluator)],
+    )
+    def test_deterministic_objectives_get_no_generator(self, kind, objective):
+        handed = []
+
+        def recording_evaluator(deck, rng):
+            handed.append(rng)
+            return objective(deck, rng)
+
+        config = self.small_config(kind, max_evals=60)
+        optimize = so_ea_run if kind is ObjectiveKind.DOMINANCE else sms_emoa_run
+        result = optimize(config, recording_evaluator)
+        assert handed == [None] * result.n_evals
+
+    def test_balance_generator_is_the_evaluations_own(self):
+        # Each B evaluation draws what a fresh generator for its seed and
+        # evaluation index draws.
+        drawn = []
+
+        def recording_evaluator(deck, rng):
+            drawn.append(rng.random(3))
+            return drawn[-1]
+
+        config = self.small_config(ObjectiveKind.BALANCE, max_evals=40)
+        result = sms_emoa_run(config, recording_evaluator)
+        assert len(drawn) == result.n_evals
+        for index, values in enumerate(drawn):
+            assert values.tolist() == _eval_rng(config.seed, index).random(3).tolist()
 
     def test_warning_inside_a_run_is_an_error(self):
         def warning_evaluator(deck, rng):

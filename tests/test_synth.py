@@ -7,7 +7,9 @@ from trumpbench.deck import DeckShape, deck_is_valid, dominating_pair_count
 from trumpbench.objectives import dominance_fitness
 from trumpbench.synth import (
     chain_partition,
+    REFERENCE_PAIR_TARGETS,
     deck_with_dominating_pairs,
+    reference_pair_targets,
     synthetic_reference_decks,
     triangular,
 )
@@ -56,3 +58,14 @@ class TestSyntheticReferenceDecks:
         assert min(values) == pytest.approx(-30.4375)
         assert np.mean(values) == pytest.approx(-24.12, abs=0.01)
         assert all(deck_is_valid(d).valid for _, d in decks)
+
+    def test_pair_targets_scale_with_the_card_pairs(self):
+        assert reference_pair_targets(32) == list(REFERENCE_PAIR_TARGETS)
+        # 255 * 56 / 992 rounds to 14, which no partition of 8 cards
+        # realizes (5 + 3 cards give 13, 6 + 1 + 1 give 15): 15 is nearest.
+        assert reference_pair_targets(8) == [1, 15, 15, 15, 13, 13, 13, 13]
+        with pytest.raises(ValueError):
+            chain_partition(8, 14)
+        for cards in (2, 4, 8, 16, 64):
+            for pairs in reference_pair_targets(cards):
+                assert sum(chain_partition(cards, pairs)) == cards
