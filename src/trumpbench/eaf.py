@@ -129,18 +129,23 @@ def _first_layers(point_sets: list[np.ndarray], axes: list[np.ndarray]) -> np.nd
     return field
 
 
-def _distinct_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-D code array in lexicographic order, first
-    column first, and the index of each row among them: the result of
-    ``np.unique(codes, axis=0, return_inverse=True)``, by one lexsort and a
-    neighbour compare."""
+def _sorted_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows of a 2-D code array lexicographically,
+    first column first, and which ordered rows differ from the row before:
+    ``codes[order[fresh]]`` is ``np.unique(codes, axis=0)``, by one lexsort
+    and a neighbour compare."""
     order = np.lexsort(codes.T[::-1])
     ordered = codes[order]
     fresh = np.ones(len(ordered), dtype=bool)
     fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(fresh) - 1
-    return ordered[fresh], inverse
+    return order, fresh
+
+
+def _distinct_rows(codes: np.ndarray) -> np.ndarray:
+    """Distinct rows of a 2-D code array in lexicographic order, first
+    column first, as ``np.unique(codes, axis=0)`` gives them."""
+    order, fresh = _sorted_rows(codes)
+    return codes[order[fresh]]
 
 
 def attainment_surface(group: RunGroup, level: float) -> FrontSet:
@@ -207,8 +212,8 @@ def _pattern_matrix(groups: list[RunGroup]) -> np.ndarray:
         attained = np.zeros((len(block), runs, 8 * width), dtype=bool)
         np.less_equal(block[:, None, :], block[:, :, None], out=attained[:, :, :runs])
         packed = np.packbits(attained, bitorder="little").reshape(len(block), runs, width)
-        codes.append(_distinct_rows(packed[block < len(axes[-1])])[0])
-    distinct = _distinct_rows(np.vstack(codes))[0]
+        codes.append(_distinct_rows(packed[block < len(axes[-1])]))
+    distinct = _distinct_rows(np.vstack(codes))
     return np.unpackbits(distinct, axis=1, count=runs, bitorder="little").astype(bool)
 
 
@@ -229,8 +234,11 @@ def _drawn_splits(
     np.put_along_axis(drawn, orders[:, :n_a], True, axis=1)
     # The first run is the highest bit of the first byte, so the packed
     # rows sort as the membership rows do.
-    distinct, inverse = _distinct_rows(np.packbits(drawn, axis=1))
-    return np.unpackbits(distinct, axis=1, count=n_total), inverse
+    packed = np.packbits(drawn, axis=1)
+    order, fresh = _sorted_rows(packed)
+    inverse = np.empty(rows, dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    return np.unpackbits(packed[order[fresh]], axis=1, count=n_total), inverse
 
 
 def _statistics(patterns: np.ndarray, splits: np.ndarray, n_a: int) -> np.ndarray:

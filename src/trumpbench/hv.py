@@ -21,12 +21,12 @@ volume is bit for bit that of the plain recursion on that subset alone, one
 * slab terms are added left to right from 0.0 (``np.add.accumulate``), as a
   Python loop of ``+=`` adds them, never pairwise as ``np.sum`` does; a
   point outside a subset adds a term 0.0, which changes no partial sum;
-* each staircase area is one BLAS dot product of exactly its own length.
-  OpenBLAS groups the terms of a dot into FMA and SIMD lanes by the length,
-  so zero-padding the rows to a common length, ``(w * y).sum(1)``,
-  ``einsum`` or a matrix-vector product each change the last bit of some
-  areas.  The rows are therefore grouped by length, with one ``np.vecdot``
-  call, that is one BLAS dot per row, for each group.
+* each staircase area is ``np.add.reduceat`` of its own width-times-height
+  products: numpy adds a segment's first product to the pairwise sum of the
+  rest, in plain C adds with no FMA and no BLAS, grouped by the segment's
+  length alone.  An area is therefore the same at any offset of the flat
+  array of all staircases' cells, batched or alone, and on every CPU; a
+  BLAS dot would group its terms by the kernel OpenBLAS picks for the CPU.
 * points tied in a coordinate keep their order in the set, so a subset's
   points meet in the same order as in the subset's own sweep.
 
@@ -122,6 +122,8 @@ def _staircase_areas(pts: np.ndarray, member: np.ndarray, row: np.ndarray, top: 
     Step heights come from an integer running max (see the module
     docstring): y is only ever selected, never computed, so the heights are
     bit for bit those of a float running max over each staircase alone.
+    One ``np.add.reduceat`` then sums each staircase's products as its own
+    segment, so an area depends only on the staircase, not on the block.
     """
     n = len(pts)
     # Descending x; ties keep the order of ``pts``, as in each set's own sweep.
@@ -136,17 +138,18 @@ def _staircase_areas(pts: np.ndarray, member: np.ndarray, row: np.ndarray, top: 
     rank_of_y[by_y] = np.arange(n)
     length = np.cumsum(member, axis=1)[row, top]
     member = member[:, ranks]
-    # Staircases by point count: one group of equal lengths per BLAS call.
+    # ``np.add.reduceat`` gives an empty segment its first cell, not 0.0, so
+    # staircases without a point keep their zero.
     stairs = np.flatnonzero(length)
-    stairs = stairs[np.argsort(length[stairs], kind="stable")]
-    found = np.empty(len(stairs))
+    areas = np.zeros(len(row))
     step = max(1, _BLOCK_CELLS // n)
     for start in range(0, len(stairs), step):
         block = stairs[start : start + step]
         # Row r marks staircase r's points: flat cell r * n + i for point i.
         inside = np.take(member, row[block], axis=0)
         inside &= ranks <= top[block, None]
-        base = np.repeat(np.arange(0, len(block) * n, n), length[block])
+        size = length[block]
+        base = np.repeat(np.arange(0, len(block) * n, n), size)
         col = np.flatnonzero(inside) - base
         # The key r * n + (rank of y) exceeds every key of the rows before r,
         # so one running max over the flat cells restarts at each staircase.
@@ -154,19 +157,9 @@ def _staircase_areas(pts: np.ndarray, member: np.ndarray, row: np.ndarray, top: 
         left = x[col]
         widths = left.copy()
         widths[:-1] -= left[1:]
-        ends = np.cumsum(length[block]) - 1
-        widths[ends] = left[ends]  # the last step reaches down to 0
-        # One dot per staircase, of its own length: see the module docstring.
-        first, cell = start, 0
-        for s, c in enumerate(np.bincount(length[block]).tolist()):
-            if c == 0:
-                continue
-            cells = slice(cell, cell + c * s)
-            np.vecdot(
-                widths[cells].reshape(c, s), run[cells].reshape(c, s), out=found[first : first + c]
-            )
-            first += c
-            cell += c * s
-    areas = np.zeros(len(row))
-    areas[stairs] = found
+        ends = np.cumsum(size)
+        widths[ends - 1] = left[ends - 1]  # the last step reaches down to 0
+        # Each staircase's area sums its own cells: see the module docstring.
+        widths *= run
+        areas[block] = np.add.reduceat(widths, ends - size)
     return areas

@@ -249,20 +249,21 @@ class TestSettingsParity:
 
 
 # SHA-256 of the artifacts of one experiment with eight placed 8x2 reference
-# decks.  The fronts and indicators.csv are those the two-pass report code
-# wrote (it wrote report.json a second time after placing the decks).
+# decks, re-pinned when staircase areas became np.add.reduceat sums: the S
+# values moved in their last bits, and the normalized fronts of every
+# approach share their frame with the S front.
 EXPERIMENT_GOLDEN = {
-    "report.json": "7940477ccb0a0b4624b919fd08c89632d2f2ecfc6b321ce13847159cd5530f81",
-    "indicators.csv": "4787292d44ade67452e58cb0f5201b7162b64eed3e502ef733b4173a021390c7",
-    "fronts/B4_front.csv": "c7f030e2828c8cf133af1e29c5838a7b92c7161380d56973dc9e808349495570",
-    "fronts/B4_surface50.csv": "c7f030e2828c8cf133af1e29c5838a7b92c7161380d56973dc9e808349495570",
+    "report.json": "e5d269e843e1ee86a532d14372212fc58a4faefc2eaffaa5bfefded4050a1d31",
+    "indicators.csv": "8d29866768573aa3a39243551713752df2ba0cfa55ba9ec1fa90a8ad96abf9ba",
+    "fronts/B4_front.csv": "e965bcc40e378bc3ead268a8673d4893c7f6c1965476c9ba37e6c95118efb7c1",
+    "fronts/B4_surface50.csv": "e965bcc40e378bc3ead268a8673d4893c7f6c1965476c9ba37e6c95118efb7c1",
     "fronts/B4_union.csv": "7dc95d977723d1e64fd5e19710fc20ddbd3a56b0cea50d148e9640f9d22ba325",
-    "fronts/D4_front.csv": "060a83fb8a381a1932ca34f43495edbbc47ef0dbc6db15a667224a925759b903",
-    "fronts/D4_surface50.csv": "060a83fb8a381a1932ca34f43495edbbc47ef0dbc6db15a667224a925759b903",
+    "fronts/D4_front.csv": "bbac25c5648c25359066f742838ca8330cfd7cfe42929531a6e20a62a324e316",
+    "fronts/D4_surface50.csv": "bbac25c5648c25359066f742838ca8330cfd7cfe42929531a6e20a62a324e316",
     "fronts/D4_union.csv": "08b12771c6d47a724d756719b3c72ba9c5d29f496e23d8e8d230d7b1d4d2847e",
-    "fronts/S4_front.csv": "a4d666313ef5023f38d20745e7e070d306c03563e8c1c9d2362cd4d4d7b6cb71",
-    "fronts/S4_surface50.csv": "a4d666313ef5023f38d20745e7e070d306c03563e8c1c9d2362cd4d4d7b6cb71",
-    "fronts/S4_union.csv": "d36e98846996ac76bc909544d75336bb9d1e64cecadabf6107c9f7d06a7bad15",
+    "fronts/S4_front.csv": "5b7c92c1f6cac60a015133007b50e26f88338f68f795175426488c0a6994f78c",
+    "fronts/S4_surface50.csv": "5b7c92c1f6cac60a015133007b50e26f88338f68f795175426488c0a6994f78c",
+    "fronts/S4_union.csv": "dde6626d3d9dffc1895f5363bf58683c8a0933406c32106b8bfe698743c4611d",
 }
 
 
@@ -299,13 +300,13 @@ def test_experiment_with_reference_decks_matches_golden_bytes(tmp_path, capsys):
 
 
 # SHA-256 of run_S10_seed3.json from `optimize --objective S --evals 200
-# --seed 3` on 32 cards, as written by the recursive sweep with one 2-D
-# staircase per slab that the batched staircases replaced.  These decks
+# --seed 3` on 32 cards, with each staircase area an np.add.reduceat sum, as
+# the recursive oracle in tests/test_hv.py computes it.  These decks
 # reach the 4-D and 3-D hypervolume, which the 8x2 golden experiment
 # does not.
 S_RUN_GOLDEN = {
-    4: "d705bd26dc134e6e1b4460a80b2f04170f8b4208e36a5b81c018f7e830542bce",
-    3: "96c367e01956fb771ecfe1b8bc3355b6e6ecda4db37a4c4f980048c1655ba0d7",
+    4: "1c5c8a5536757cc98e9974f864c39d24f3cbcbe4a95be0100761a566b2d80fff",
+    3: "387ca04a2f0854d2c0f10e3e5b1ce32ae6b89b0a4c3880788dbc30da8dd51df7",
 }
 
 

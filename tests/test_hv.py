@@ -2,7 +2,12 @@
 values, Monte Carlo box unions, the plain recursive sweep, each subset
 measured on its own and the leave-one-out loop."""
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,11 +30,14 @@ def oracle_volume(points) -> float:
 
 
 def _oracle_2d(pts: np.ndarray) -> float:
+    """Area of one 2-D staircase: ``np.add.reduceat`` of its width-times-
+    height products as a single segment, the sum the kernel takes of every
+    staircase wherever it sits in a batch."""
     order = np.argsort(-pts[:, 0], kind="stable")
     x = pts[order, 0]
     y = np.maximum.accumulate(pts[order, 1])
     widths = x - np.append(x[1:], 0.0)
-    return float(widths @ y)
+    return float(np.add.reduceat(widths * y, [0])[0])
 
 
 def _oracle_sweep(pts: np.ndarray) -> float:
@@ -266,6 +274,50 @@ class TestMatchesRecursiveSweep:
         for n in (1, 2, 7, 12):
             pts = rng.uniform(0.0, 3.0, size=(n, 5))
             assert union_box_volume(pts) == oracle_volume(pts)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 8193])
+def test_pairwise_sum_boundaries(n):
+    # numpy's pairwise sum changes its grouping at 8 and 128 terms: one
+    # staircase of n points, alone and as the middle row of a batch.
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(0.1, 1.0, size=(n, 2))
+    pts[:, 1] = np.sort(pts[:, 1])[np.argsort(np.argsort(-pts[:, 0]))]  # every point a step
+    expected = oracle_any(pts)
+    assert union_box_volume(pts) == expected
+    member = np.vstack([rng.random(n) < 0.5, np.ones(n, dtype=bool), rng.random(n) < 0.3])
+    assert union_box_volume(pts, member)[1] == expected
+
+
+def kernel_probe() -> bytes:
+    """Raw float64 bytes of the volumes of 50 seeded random 32x4 decks and of
+    the contributions of a seeded 2-D and 3-D front."""
+    rng = np.random.default_rng(2016)
+    parts = [np.array([union_box_volume(random_valid_deck(DeckShape(), rng).values) for _ in range(50)])]
+    for m, n in ((2, 200), (3, 60)):
+        front = rng.uniform(0.1, 1.0, size=(n, m))
+        front /= np.linalg.norm(front, axis=1, keepdims=True)
+        parts.append(hv_contributions(front, np.full(m, 1.1)))
+    return np.concatenate(parts).tobytes()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86-64 kernels")
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_volumes_do_not_depend_on_the_blas_kernel(coretype):
+    # OpenBLAS reads OPENBLAS_CORETYPE when numpy loads, so each kernel
+    # needs a fresh interpreter.
+    src = Path(hv.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from test_hv import kernel_probe; "
+        "sys.stdout.write(kernel_probe().hex())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(Path(__file__).parent)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert bytes.fromhex(out) == kernel_probe()
 
 
 def test_working_set_stays_quadratic():
