@@ -4,9 +4,10 @@
 plays the decks of each run on one set of deals for the balance objectives.
 From those points alone it derives the joint normalization onto [1, 2],
 each approach's front and attainment surface, indicator tables with
-confidence intervals and ranks, the pairwise attainment tests, the set
-relations and the placement of any reference decks, which share deals of
-their own.  The report is built once from the results and written once.
+confidence intervals and ranks, the pairwise attainment tests and the set
+relations.  Any reference decks are played on the same deals, so they are
+placed among the fronts without sampling noise of their own.  The report
+is built once from the results and written once.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ class ApproachResult:
 @dataclass(frozen=True)
 class ExperimentReport:
     config: ExperimentConfig
-    evaluation_seed: int
+    evaluation_seed: int  # of the one deal table every deck in the report plays
     approaches: dict[str, ApproachResult]
     transform: NormalizeTransform | None = None
     reference_front: np.ndarray | None = None
@@ -341,7 +342,8 @@ def run_experiment(
     config: ExperimentConfig, reference_decks: Sequence[tuple[str, Deck]] = ()
 ) -> ExperimentReport:
     """Run every approach, analyze the runs, place the named reference
-    decks and, if an output directory is configured, write all artifacts.
+    decks on the games the fronts were replayed on and, if an output
+    directory is configured, write all artifacts.
 
     A bad setting raises ValueError before any run starts: building
     ``config`` checked every run's settings, and a reference deck of another
@@ -394,9 +396,9 @@ def run_experiment(
         },
         reference_decks=_place_reference_decks(
             reference_decks,
+            deals,
             shared.get("transform"),
             {label: fields["front_normalized"] for label, fields in derived.items()},
-            config,
         ),
         **shared,
     )
@@ -458,7 +460,6 @@ def _analyze(
 
     named_sets: dict[str, np.ndarray] = {}
     for label in labels:
-        named_sets[f"{label}_union"] = unions[label]
         named_sets[f"{label}_p"] = fronts[label].points
         named_sets[f"{label}_{config.surface_level:g}"] = surfaces[label].points
     set_relations = [
@@ -477,16 +478,12 @@ def _analyze(
 
 def _place_reference_decks(
     decks: Sequence[tuple[str, Deck]],
+    deals: tuple[np.ndarray, np.ndarray],
     transform: NormalizeTransform | None,
     fronts: dict[str, FrontSet],
-    config: ExperimentConfig,
 ) -> list[dict]:
-    """Evaluate external decks, all played on one set of deals, and record
-    which approaches' fronts strictly dominate them."""
-    if not decks:
-        return []
-    seed = derive_seed(config.master_seed, "reference-decks")
-    deals = draw_deals(config.shape.K, config.games, np.random.default_rng(seed))
+    """Evaluate external decks on ``deals``, the games the fronts were
+    replayed on, and record which approaches' fronts strictly dominate them."""
     entries: list[dict] = []
     for name, deck in decks:
         try:

@@ -292,7 +292,10 @@ def read_front_csv(path, origin: str | None = None) -> FrontSet:
         if len(fields) != len(header):
             raise ValueError(f"{path}, line {lineno}: expected {len(header)} values")
         try:
-            rows.append([float(x) for x in fields])
+            row = [float(x) for x in fields]
         except ValueError as exc:
             raise ValueError(f"{path}, line {lineno}: non-numeric value ({exc})") from None
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"{path}, line {lineno}: non-finite value")
+        rows.append(row)
     return FrontSet(np.array(rows), origin=origin if origin is not None else str(path))

@@ -251,9 +251,11 @@ class TestSettingsParity:
 # SHA-256 of the artifacts of one experiment with eight placed 8x2 reference
 # decks, re-pinned when staircase areas became np.add.reduceat sums: the S
 # values moved in their last bits, and the normalized fronts of every
-# approach share their frame with the S front.
+# approach share their frame with the S front.  report.json was re-pinned
+# again, in its reference_decks block only, when the reference decks came to
+# play the deals the fronts were replayed on.
 EXPERIMENT_GOLDEN = {
-    "report.json": "e5d269e843e1ee86a532d14372212fc58a4faefc2eaffaa5bfefded4050a1d31",
+    "report.json": "d837250705ac44225613e99900a8a2a0fd394ee48cd97c4220416eb3d85aadcd",
     "indicators.csv": "8d29866768573aa3a39243551713752df2ba0cfa55ba9ec1fa90a8ad96abf9ba",
     "fronts/B4_front.csv": "e965bcc40e378bc3ead268a8673d4893c7f6c1965476c9ba37e6c95118efb7c1",
     "fronts/B4_surface50.csv": "e965bcc40e378bc3ead268a8673d4893c7f6c1965476c9ba37e6c95118efb7c1",
@@ -620,6 +622,30 @@ class TestCommandErrors:
             "--refset", tmp_path / "ref.csv",
         )
         assert err.startswith("trumpbench indicators: no front files match")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("bad", ["front", "ref"])
+    def test_indicators_reject_a_non_finite_point(self, tmp_path, capsys, value, bad):
+        for name in ("front", "ref"):
+            point = value if name == bad else "1.2"
+            (tmp_path / f"{name}.csv").write_text(f"f1,f2\n1.0,1.5\n{point},1.1\n")
+        err = self.fails(
+            capsys,
+            "indicators", "--fronts", str(tmp_path / "front.csv"), "--refset", tmp_path / "ref.csv",
+        )
+        assert err == f"trumpbench indicators: {tmp_path / bad}.csv, line 3: non-finite value\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_eaf_rejects_a_non_finite_point_and_writes_nothing(self, tmp_path, capsys, value):
+        TestEafCommand().make_groups(tmp_path)
+        (tmp_path / "b_1.csv").write_text(f"f1,f2\n0.5,{value}\n")
+        err = self.fails(
+            capsys,
+            "eaf", "--group-a", str(tmp_path / "a_*.csv"), "--group-b", str(tmp_path / "b_*.csv"),
+            "--out", tmp_path / "eaf",
+        )
+        assert err == f"trumpbench eaf: {tmp_path / 'b_1.csv'}, line 2: non-finite value\n"
+        assert not (tmp_path / "eaf").exists()
 
     def test_make_decks_of_unrealizable_shape_writes_nothing(self, tmp_path, capsys):
         # One category cannot keep the chains of dominating cards apart.

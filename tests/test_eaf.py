@@ -551,3 +551,16 @@ class TestSetDominance:
                 any(all(x < y for x, y in zip(pa, pb)) for pa in a) for pb in b
             )
             assert set_strictly_dominates(a, b) == brute
+
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=8),
+        st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=8),
+    )
+    def test_a_set_and_its_front_dominate_alike(self, first, second):
+        # Every point of a set is weakly dominated by a point of its front,
+        # so an experiment's set relations need each union's front only.
+        a, b = np.array(first, float), np.array(second, float)
+        expected = set_strictly_dominates(a, b)
+        assert set_strictly_dominates(FrontSet(a), b) == expected
+        assert set_strictly_dominates(a, FrontSet(b)) == expected
+        assert set_strictly_dominates(FrontSet(a), FrontSet(b)) == expected

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from trumpbench import experiments
-from trumpbench.deck import DeckShape
+from trumpbench.deck import DeckShape, genome_to_deck
 from trumpbench.experiments import (
     Approach,
     ExperimentConfig,
     balance_metric_study,
     derive_seed,
+    execute_run,
     make_evaluator,
     run_experiment,
 )
@@ -213,6 +214,17 @@ class TestRunExperiment:
             "D5_vs_S5": {**common, "p_value": 0.21, "seed": 1915316874147300777, "statistic": 1.0},
         }
 
+    def test_set_relations_name_no_union(self):
+        # A union and its front have the same relations with every set.
+        approaches = tuple(
+            Approach(kind, 5)
+            for kind in (ObjectiveKind.SURROGATE, ObjectiveKind.DOMINANCE, ObjectiveKind.BALANCE)
+        )
+        report = run_experiment(mini_config(approaches=approaches, runs=3, master_seed=1))
+        names = {name for relation in report.set_relations for name in relation.values()}
+        assert names
+        assert not any(name.endswith("_union") for name in names)
+
     def test_killed_worker_fails_only_its_run(self, tmp_path, monkeypatch):
         config = mini_config(output_dir=str(tmp_path), workers=2)
         doomed = config.run_config(config.approaches[1], 1).seed  # submitted last
@@ -295,8 +307,9 @@ class TestCompareReferenceDecks:
         assert len(good["balance"]) == 3
         assert "normalized" in good
 
-    @pytest.mark.parametrize("decks, draws", [(0, 1), (2, 2)])
-    def test_deals_are_drawn_once_per_comparison(self, monkeypatch, decks, draws):
+    @pytest.mark.parametrize("decks", [0, 2])
+    def test_deals_are_drawn_once_per_comparison(self, monkeypatch, decks):
+        # The reference decks play the games the fronts were replayed on.
         calls = []
         draw_deals = experiments.draw_deals
 
@@ -308,7 +321,19 @@ class TestCompareReferenceDecks:
         shape = DeckShape(K=8, L=2)
         reference = [(f"deck{i}", deck_with_dominating_pairs(shape, i)) for i in range(decks)]
         run_experiment(mini_config(), reference_decks=reference)
-        assert calls == [(8, 50)] * draws
+        assert calls == [(8, 50)]
+
+    def test_front_deck_placed_as_reference_keeps_its_balance(self):
+        config = mini_config()
+        artifact, error = execute_run(config.run_config(config.approaches[0], 0))
+        assert error is None
+        decks = [
+            (f"front{i}", genome_to_deck(ind["genome"], config.shape))
+            for i, ind in enumerate(artifact["front"])
+        ]
+        report = run_experiment(config, reference_decks=decks)
+        own_points = report.approaches["S5"].run_points[0]
+        assert [entry["balance"] for entry in report.reference_decks] == own_points.tolist()
 
     def test_deck_of_another_shape_fails_before_any_run(self, tmp_path, monkeypatch):
         def no_run(config):
