@@ -85,8 +85,11 @@ def card_matrix(deck_or_values) -> np.ndarray:
 
 def dominance_matrix(deck) -> np.ndarray:
     """Boolean (K, K) matrix: entry [i, j] is True iff card i dominates card j."""
-    v = card_matrix(deck)
-    return np.all(v[:, None, :] > v[None, :, :], axis=2)
+    columns = card_matrix(deck).T
+    out = columns[0][:, None] > columns[0]
+    for c in columns[1:]:
+        out &= c[:, None] > c
+    return out
 
 
 def dominating_pair_count(deck) -> int:
@@ -102,16 +105,24 @@ def deck_is_valid(deck) -> ValidityReport:
     so is every one-category deck.  Identical cards end up next to each
     other after a lexicographic sort of the rows.  Neither rule compares
     the cards pairwise, so the check is O(K L log K).
+
+    Either broken rule alone makes the deck invalid, so a duplicate returns
+    at once.  A card holding the strict maximum of every category is the
+    first maximum of each (np.argmax), so when those first maxima fall on
+    different cards no card dominates and the deck is valid; the columns
+    are sorted, to test the maxima for strictness, only when they coincide.
     """
     v = card_matrix(deck)
     if len(v) < 2:
         return ValidityReport(valid=len(v) == 0)
     rows = v[np.lexsort(v.T)]
-    duplicate = np.any(np.all(rows[1:] == rows[:-1], axis=1))
-    top = np.argmax(v, axis=0)
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
+        return ValidityReport(valid=False)
+    top = v.argmax(axis=0)
+    if (top != top[0]).any():
+        return ValidityReport(valid=True)
     ranked = np.sort(v, axis=0)
-    dominant = np.all(top == top[0]) and np.all(ranked[-1] > ranked[-2])
-    return ValidityReport(valid=not (duplicate or dominant))
+    return ValidityReport(valid=not (ranked[-1] > ranked[-2]).all())
 
 
 def genome_to_deck(genome: np.ndarray, shape: DeckShape) -> Deck:

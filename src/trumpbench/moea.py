@@ -120,6 +120,12 @@ def sbx_crossover(
     With probability pc the pair is crossed: each gene independently takes
     part with probability 0.5, drawing a spread factor from the polynomial
     distribution with index eta_c.  Children are clipped to bounds.
+
+    The draws are the same whether or not a gene takes part (one gate
+    uniform, then one take and one spread uniform per gene), but only the
+    genes that take part are computed; each of their floats is the one the
+    whole-vector formula gives it, since every numpy operation here works
+    element by element.
     """
     p1 = np.asarray(parent1, dtype=float)
     p2 = np.asarray(parent2, dtype=float)
@@ -130,14 +136,13 @@ def sbx_crossover(
         return c1, c2
     n = p1.size
     take = rng.random(n) < 0.5
-    u = rng.random(n)
-    exponent = 1.0 / (params.eta_c + 1.0)
-    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
-    child_a = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    child_b = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    u = rng.random(n)[take]
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (params.eta_c + 1.0))
+    spread_up, spread_down = 1.0 + beta, 1.0 - beta
+    a, b = p1[take], p2[take]
     lo, hi = bounds
-    c1[take] = np.clip(child_a[take], lo, hi)
-    c2[take] = np.clip(child_b[take], lo, hi)
+    c1[take] = (0.5 * (spread_up * a + spread_down * b)).clip(lo, hi)
+    c2[take] = (0.5 * (spread_down * a + spread_up * b)).clip(lo, hi)
     return c1, c2
 
 
@@ -147,19 +152,25 @@ def polynomial_mutation(
     bounds: tuple[float, float],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Bounded polynomial mutation; each gene mutates with probability pm."""
+    """Bounded polynomial mutation; each gene mutates with probability pm.
+
+    Both uniform vectors are drawn in full, but the perturbation is
+    computed only for the genes that mutate (1/n of them by default), each
+    the float the whole-vector formula gives it.  The whole genome is then
+    clipped to bounds.
+    """
     g = np.asarray(genome, dtype=float)
     lo, hi = bounds
-    pm = params.mutation_rate(g.size)
     out = g.copy()
-    mutate = rng.random(g.size) < pm
-    u = rng.random(g.size)
-    exponent = 1.0 / (params.eta_m + 1.0)
-    down = (2.0 * u) ** exponent - 1.0  # in (-1, 0] for u < 0.5
-    up = 1.0 - (2.0 * (1.0 - u)) ** exponent  # in [0, 1) for u >= 0.5
-    delta = np.where(u < 0.5, down * (g - lo), up * (hi - g))
-    out[mutate] = g[mutate] + delta[mutate]
-    return np.clip(out, lo, hi)
+    mutate = rng.random(g.size) < params.mutation_rate(g.size)
+    u = rng.random(g.size)[mutate]
+    if u.size:
+        x = g[mutate]
+        low = u < 0.5
+        # (2u)^e - 1 lies in (-1, 0] below 0.5; 1 - (2(1-u))^e in [0, 1) above.
+        power = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) ** (1.0 / (params.eta_m + 1.0))
+        out[mutate] = x + np.where(low, (power - 1.0) * (x - lo), (1.0 - power) * (hi - x))
+    return out.clip(lo, hi)
 
 
 def nondominated_sort(points: np.ndarray) -> np.ndarray:
@@ -334,11 +345,9 @@ class SingleObjectiveEA(_RunState):
     def step(self) -> None:
         offspring = self.evaluate(self.spawn_offspring())
         pool = self.population + [offspring]
-        fitness = np.array([ind.objectives[0] for ind in pool])
-        worst = fitness.max()
-        tied = [i for i, f in enumerate(fitness) if f == worst]
-        drop = min(tied, key=lambda i: pool[i].eval_index)
-        self.population = [ind for idx, ind in enumerate(pool) if idx != drop]
+        # The worst fitness leaves; of a tie, the oldest member.
+        drop = max(pool, key=lambda ind: (ind.objectives[0], -ind.eval_index))
+        self.population = [ind for ind in pool if ind is not drop]
 
     def record_generation(self) -> Decision:
         row, decision = self.detector.update(self.objective_matrix()[:, 0])

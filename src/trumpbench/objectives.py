@@ -55,9 +55,9 @@ def dominance_fitness(deck) -> ObjectiveVector:
     """
     dom = dominance_matrix(deck)
     k = dom.shape[0]
-    # For card j, the number of other cards NOT dominating it.
-    non_dominating = (k - 1) - dom.sum(axis=0)
-    value = -float(non_dominating.sum()) / k
+    # Summed over cards j, the number of other cards NOT dominating card j.
+    non_dominating = k * (k - 1) - np.count_nonzero(dom)
+    value = -float(non_dominating) / k
     return ObjectiveVector(np.array([value]))
 
 

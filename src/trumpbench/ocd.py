@@ -118,7 +118,9 @@ class Stagnation:
 
     ``update(fitness)`` records the population's (min, mean, max) fitness
     and stops the run once each of the three has spread less than ``tol``
-    over the last ``window`` generations.
+    over the last ``window`` generations.  The window is a ring of rows:
+    each generation overwrites the oldest, and the spread does not depend
+    on the rows' order.
     """
 
     def __init__(self, window: int, tol: float):
@@ -127,16 +129,18 @@ class Stagnation:
         if not tol > 0:
             raise ValueError("tol must be positive")
         self.tol = tol
-        self.rows: deque[tuple[float, ...]] = deque(maxlen=window)
+        self.rows = np.empty((window, 3))
+        self.generations = 0
 
     def update(self, fitness: np.ndarray) -> tuple[dict[str, float], Decision]:
         f = np.asarray(fitness, dtype=float)
         row = {"min": float(f.min()), "mean": float(f.mean()), "max": float(f.max())}
-        self.rows.append(tuple(row.values()))
-        if len(self.rows) < self.rows.maxlen:
+        window = len(self.rows)
+        self.rows[self.generations % window] = tuple(row.values())
+        self.generations += 1
+        if self.generations < window:
             return row, Decision.CONTINUE
-        series = np.array(self.rows)
-        stagnant = np.all(series.max(axis=0) - series.min(axis=0) < self.tol)
+        stagnant = np.all(self.rows.max(axis=0) - self.rows.min(axis=0) < self.tol)
         return row, Decision.CONVERGED if stagnant else Decision.CONTINUE
 
 

@@ -323,6 +323,27 @@ def test_surrogate_run_matches_golden_bytes(tmp_path, capsys, categories):
     assert digest == S_RUN_GOLDEN[categories]
 
 
+# SHA-256 of run_D10_seed3.json from `optimize --objective D --evals 2000
+# --seed 3` on 32 cards, pinned before the variation operators, the validity
+# check and the dominance matrix were rewritten to compute less.  Unlike the
+# 8x2 D4 run of the golden experiment, these runs check 32-card offspring.
+D_RUN_GOLDEN = {
+    4: "5a51f995d68e134e4a2e1887c39df3001d08fdbf2e0a3de8735a26e296a6264d",
+    3: "40bf5e21ef07d3caad878872943fed8ad1c8b7d155b854ee84351c1281f50d90",
+}
+
+
+@pytest.mark.parametrize("categories", list(D_RUN_GOLDEN))
+def test_dominance_run_matches_golden_bytes(tmp_path, capsys, categories):
+    run_cli(
+        capsys,
+        "optimize", "--objective", "D", "--evals", 2000, "--seed", 3,
+        "--categories", categories, "--out", tmp_path,
+    )
+    digest = hashlib.sha256((tmp_path / "run_D10_seed3.json").read_bytes()).hexdigest()
+    assert digest == D_RUN_GOLDEN[categories]
+
+
 # SHA-256 of three outputs of simulated games on the 32x4 deck, as written
 # when each batch drew its deals and played them in one function.  5,000
 # games and the sample size 4,100 cross the 4,096-game chunk.

@@ -10,7 +10,9 @@ from trumpbench.deck import (
     DeckFormatError,
     DeckShape,
     card_dominates,
+    ValidityReport,
     deck_is_valid,
+    dominance_matrix,
     dominating_pair_count,
     genome_to_deck,
     load_deck,
@@ -86,6 +88,49 @@ class TestDeckValidity:
     def test_matches_pairwise_rule(self, v):
         # A three-value lattice makes ties, duplicates and dominant cards common.
         assert deck_is_valid(v).valid == pairwise_valid(v)
+
+
+def dominance_matrix_oracle(deck) -> np.ndarray:
+    """Reference: the (K, K, L) comparison tensor reduced over categories."""
+    v = np.atleast_2d(np.asarray(deck, dtype=float))
+    return np.all(v[:, None, :] > v[None, :, :], axis=2)
+
+
+def deck_is_valid_oracle(deck) -> ValidityReport:
+    """Reference: both rules evaluated in full, without early exits."""
+    v = np.atleast_2d(np.asarray(deck, dtype=float))
+    if len(v) < 2:
+        return ValidityReport(valid=len(v) == 0)
+    rows = v[np.lexsort(v.T)]
+    duplicate = np.any(np.all(rows[1:] == rows[:-1], axis=1))
+    top = np.argmax(v, axis=0)
+    ranked = np.sort(v, axis=0)
+    dominant = np.all(top == top[0]) and np.all(ranked[-1] > ranked[-2])
+    return ValidityReport(valid=not (duplicate or dominant))
+
+
+# Decks on a small integer lattice, where ties, duplicate cards and
+# all-dominating cards are common; two-card decks get their own draws.
+lattice_decks = arrays(
+    float,
+    st.tuples(st.one_of(st.just(2), st.integers(0, 12)), st.integers(1, 5)),
+    elements=st.integers(0, 3).map(float),
+)
+
+
+class TestKernelsMatchOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_decks)
+    def test_dominance_matrix(self, v):
+        out = dominance_matrix(v)
+        expected = dominance_matrix_oracle(v)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert np.array_equal(out, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lattice_decks)
+    def test_deck_is_valid(self, v):
+        assert deck_is_valid(v) == deck_is_valid_oracle(v)
 
 
 class TestGenomeCodec:

@@ -1,6 +1,12 @@
-"""Variation operator laws, sorting oracle, and optimizer run contracts."""
+"""Variation operator laws and oracles, sorting oracle, and optimizer run contracts."""
 
+import json
+import os
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +116,151 @@ class TestPolynomialMutation:
             out = polynomial_mutation(genes, params, (1.0, 10.0), rng)
             assert np.all(out >= 1.0)
             assert np.all(out <= 10.0)
+
+
+def sbx_crossover_oracle(parent1, parent2, params, bounds, rng):
+    """Reference: SBX computing the spread factor and both children for
+    every gene, then keeping those of the genes that take part."""
+    p1 = np.asarray(parent1, dtype=float)
+    p2 = np.asarray(parent2, dtype=float)
+    c1, c2 = p1.copy(), p2.copy()
+    if rng.random() >= params.pc:
+        return c1, c2
+    n = p1.size
+    take = rng.random(n) < 0.5
+    u = rng.random(n)
+    exponent = 1.0 / (params.eta_c + 1.0)
+    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
+    child_a = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+    child_b = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    lo, hi = bounds
+    c1[take] = np.clip(child_a[take], lo, hi)
+    c2[take] = np.clip(child_b[take], lo, hi)
+    return c1, c2
+
+
+def polynomial_mutation_oracle(genome, params, bounds, rng):
+    """Reference: polynomial mutation computing the perturbation of every
+    gene, then applying those of the genes that mutate."""
+    g = np.asarray(genome, dtype=float)
+    lo, hi = bounds
+    pm = params.mutation_rate(g.size)
+    out = g.copy()
+    mutate = rng.random(g.size) < pm
+    u = rng.random(g.size)
+    exponent = 1.0 / (params.eta_m + 1.0)
+    down = (2.0 * u) ** exponent - 1.0
+    up = 1.0 - (2.0 * (1.0 - u)) ** exponent
+    delta = np.where(u < 0.5, down * (g - lo), up * (hi - g))
+    out[mutate] = g[mutate] + delta[mutate]
+    return np.clip(out, lo, hi)
+
+
+def run_both(operator, oracle, seed, *args):
+    """Outputs of an operator and its oracle from twin generators, as raw
+    bytes, and whether the generators end in the same state."""
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+
+    def raw(arrays):
+        return [a.tobytes() for a in (arrays if isinstance(arrays, tuple) else (arrays,))]
+
+    out = raw(operator(*args, rng))
+    return out, raw(oracle(*args, twin)), rng.bit_generator.state == twin.bit_generator.state
+
+
+@st.composite
+def variation_cases(draw):
+    """Bounds, a pair of genomes inside them with genes often at a bound,
+    and operator settings from both ends of their ranges."""
+    lo = draw(st.sampled_from([-5.0, -1.0, 0.0, 1.0]))
+    hi = lo + draw(st.sampled_from([0.5, 1.0, 9.0]))
+    n = draw(st.integers(1, 40))
+    gene = st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+    genomes = [np.array(draw(st.lists(gene, min_size=n, max_size=n))) for _ in range(2)]
+    eta = st.sampled_from([-0.5, 0.0, 1.0, 5.0, 15.0, 20.0, 100.0])
+    params = VariationParams(
+        pc=draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0])),
+        pm=draw(st.sampled_from([None, 0.1, 0.5, 1.0])),
+        eta_c=draw(eta),
+        eta_m=draw(eta),
+    )
+    return genomes, params, (lo, hi), draw(st.integers(0, 2**32 - 1))
+
+
+class TestVariationMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(variation_cases())
+    def test_sbx_children_and_draws(self, case):
+        (p1, p2), params, bounds, seed = case
+        out, expected, same_state = run_both(
+            sbx_crossover, sbx_crossover_oracle, seed, p1, p2, params, bounds
+        )
+        assert out == expected
+        assert same_state
+
+    @settings(max_examples=150, deadline=None)
+    @given(variation_cases())
+    def test_mutation_genome_and_draws(self, case):
+        (genome, _), params, bounds, seed = case
+        out, expected, same_state = run_both(
+            polynomial_mutation, polynomial_mutation_oracle, seed, genome, params, bounds
+        )
+        assert out == expected
+        assert same_state
+
+
+def oracle_probe() -> list[str]:
+    """Names of the variation operators and deck kernels that differ from
+    their oracles, in output bytes or generator state, on seeded 32x4
+    genomes and decks: an empty list when all agree."""
+    from tests.test_deck import deck_is_valid_oracle, dominance_matrix_oracle
+    from trumpbench.deck import dominance_matrix
+
+    rng = np.random.default_rng(1603)
+    bounds = (1.0, 10.0)
+    differ = set()
+    for eta in (0.5, 2.0, 15.0, 20.0, 100.0):
+        params = VariationParams(pc=0.9, pm=0.25, eta_c=eta, eta_m=eta)
+        for seed in range(20):
+            p1, p2 = rng.uniform(*bounds, size=(2, 128))
+            p1[rng.random(128) < 0.1] = bounds[int(rng.integers(2))]
+            for name, operator, oracle, args in (
+                ("sbx_crossover", sbx_crossover, sbx_crossover_oracle, (p1, p2)),
+                ("polynomial_mutation", polynomial_mutation, polynomial_mutation_oracle, (p1,)),
+            ):
+                out, expected, same_state = run_both(operator, oracle, seed, *args, params, bounds)
+                if out != expected or not same_state:
+                    differ.add(name)
+    for _ in range(200):
+        deck = rng.integers(1, 4, size=(32, 4)).astype(float)
+        if not np.array_equal(dominance_matrix(deck), dominance_matrix_oracle(deck)):
+            differ.add("dominance_matrix")
+        if deck_is_valid(deck) != deck_is_valid_oracle(deck):
+            differ.add("deck_is_valid")
+    return sorted(differ)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 dispatch targets")
+@pytest.mark.parametrize("disabled", ["", "AVX512_SPR AVX512_ICL X86_V4"], ids=["default", "no-avx512"])
+def test_kernels_match_oracles_under_each_simd_dispatch(disabled):
+    # numpy picks its SIMD loops when it loads, and on AVX-512 CPUs float64
+    # ** runs a vector pow whose last bits differ from the scalar one, so
+    # each dispatch setting needs a fresh interpreter.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")]))
+    probe = (
+        "import json; from numpy._core._multiarray_umath import __cpu_features__ as f; "
+        "from tests.test_moea import oracle_probe; "
+        "print(json.dumps([oracle_probe(), f['X86_V4']]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, cwd=root, capture_output=True, text=True, check=True
+    ).stdout
+    differ, v4 = json.loads(out)
+    assert differ == []
+    if disabled:
+        assert v4 is False
 
 
 class TestSettingChecks:

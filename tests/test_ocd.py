@@ -286,6 +286,30 @@ class TestParams:
             OCDParams(indicators=("hv", "foo"))
 
 
+class StagnationOracle:
+    """Reference: the window as a deque of rows, copied into an array once full."""
+
+    def __init__(self, window: int, tol: float):
+        self.tol = tol
+        self.rows = deque(maxlen=window)
+
+    def update(self, fitness):
+        f = np.asarray(fitness, dtype=float)
+        row = {"min": float(f.min()), "mean": float(f.mean()), "max": float(f.max())}
+        self.rows.append(tuple(row.values()))
+        if len(self.rows) < self.rows.maxlen:
+            return row, Decision.CONTINUE
+        series = np.array(self.rows)
+        stagnant = np.all(series.max(axis=0) - series.min(axis=0) < self.tol)
+        return row, Decision.CONVERGED if stagnant else Decision.CONTINUE
+
+
+def assert_stagnation_matches_oracle(window, tol, stream):
+    detector, oracle = Stagnation(window, tol), StagnationOracle(window, tol)
+    for fitness in stream:
+        assert detector.update(fitness) == oracle.update(fitness)
+
+
 class TestStagnation:
     def test_constant_series_converge(self):
         detector = Stagnation(window=5, tol=1e-9)
@@ -310,6 +334,32 @@ class TestStagnation:
     def test_trace_row_is_min_mean_max(self):
         row, _ = Stagnation(window=2, tol=1e-9).update([-3.0, -1.0, -2.0])
         assert row == {"min": -3.0, "mean": -2.0, "max": -1.0}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 12),
+        st.sampled_from([1e-9, 0.5, 2.0]),
+        st.lists(
+            st.lists(st.floats(-4.0, 4.0).map(lambda x: round(x * 4) / 4), min_size=1, max_size=6),
+            max_size=40,
+        ),
+    )
+    def test_random_streams_match_deque_oracle(self, window, tol, stream):
+        # Values on a quarter grid make spreads of exactly tol (0.5, 2.0) common.
+        assert_stagnation_matches_oracle(window, tol, stream)
+
+    @pytest.mark.parametrize("window", [2, 3, 7])
+    def test_constant_stream_matches_deque_oracle(self, window):
+        assert_stagnation_matches_oracle(window, 1e-9, [[-31.0, -30.0]] * (3 * window + 1))
+
+    @pytest.mark.parametrize("spread", [0.5, np.nextafter(0.5, 0.0)], ids=["at-tol", "below-tol"])
+    def test_tol_boundary_matches_deque_oracle(self, spread):
+        # A window's spread of exactly tol goes on; one just below stops.
+        stream = [[0.0], [spread], [spread], [spread], [0.0], [0.0]]
+        assert_stagnation_matches_oracle(2, 0.5, stream)
+        decisions = [d for _, d in map(Stagnation(2, 0.5).update, stream)]
+        stops = Decision.CONVERGED if spread < 0.5 else Decision.CONTINUE
+        assert decisions == [Decision.CONTINUE, stops, Decision.CONVERGED, Decision.CONVERGED, stops, Decision.CONVERGED]
 
     def test_rejects_bad_window_or_tol(self):
         with pytest.raises(ValueError, match="window"):
