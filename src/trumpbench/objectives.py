@@ -11,6 +11,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,11 @@ class ObjectiveVector:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1:
             raise ValueError("objective values must form a 1-D vector")
-        if not np.all(np.isfinite(v)):
+        # One pass of math.isfinite over the Python floats costs less than
+        # numpy's isfinite and all on a vector of one to three values.
+        if not all(map(math.isfinite, v.tolist())):
             raise ValueError("objective values must be finite")
-        v.setflags(write=False)
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
 

@@ -1,12 +1,24 @@
 """Confidence-interval halfwidths: of a sample mean, which the sample-size
-study of games per evaluation takes, and of a human-playtest budget."""
+study of games per evaluation takes, and of a human-playtest budget.
+
+The Student t quantile is ``scipy.stats``' own formula (``t.ppf`` returns
+the very same float), called through ``scipy.special.stdtrit``: importing
+``scipy.stats`` would take most of every process's start-up.
+"""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
+
+
+def _two_sided_t_quantile(alpha: float, dof: int) -> np.float64:
+    """The two-sided (1 - alpha) t quantile, ``scipy.stats.t.ppf(1 - alpha / 2, dof)``."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return special.stdtrit(dof, 1.0 - alpha / 2.0)
 
 
 def ci_halfwidth(samples: Sequence[float], alpha: float = 0.05) -> float:
@@ -15,10 +27,8 @@ def ci_halfwidth(samples: Sequence[float], alpha: float = 0.05) -> float:
     n = x.size
     if n < 2:
         raise ValueError("need at least two samples for a confidence interval")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     sd = float(np.std(x, ddof=1))
-    return sps.t.ppf(1.0 - alpha / 2.0, n - 1) * sd / np.sqrt(n)
+    return _two_sided_t_quantile(alpha, n - 1) * sd / np.sqrt(n)
 
 
 def playtest_feasibility(
@@ -36,4 +46,4 @@ def playtest_feasibility(
     if n < 2:
         raise ValueError("need at least two observations in total")
     sd = np.asarray(sd_vector, dtype=float)
-    return sps.t.ppf(1.0 - alpha / 2.0, n - 1) * sd / np.sqrt(n)
+    return _two_sided_t_quantile(alpha, n - 1) * sd / np.sqrt(n)

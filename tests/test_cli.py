@@ -3,6 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -761,3 +765,17 @@ class TestCommandErrors:
         assert err.startswith(f"trumpbench experiment: {tmp_path / 'decks' / 'synthetic_01.csv'}")
         assert "32 cards x 4 categories, expected 8 x 2" in err
         assert not (tmp_path / "out" / "runs").exists()
+
+
+def test_start_up_does_not_import_scipy_stats():
+    # Importing scipy.stats takes most of a fresh process's start-up, and
+    # the package needs only the quantiles scipy.special computes; only a
+    # fresh interpreter shows what an import pulls in.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    probe = (
+        "import sys, trumpbench.cli, trumpbench.experiments; "
+        "sys.stdout.write(' '.join(m for m in sorted(sys.modules) if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out == ""

@@ -32,6 +32,17 @@ class TestObjectiveVector:
         with pytest.raises(ValueError, match=message):
             ObjectiveVector(values)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ObjectiveVector(np.array([0.0, bad, 1.0]))
+
+    def test_values_are_read_only(self):
+        v = ObjectiveVector([1, 2.5])
+        assert v.values.dtype == float and v.values.tolist() == [1.0, 2.5]
+        with pytest.raises(ValueError):
+            v.values[0] = 0.0
+
 
 class TestDominanceFitness:
     def test_antichain_hits_lower_bound(self):

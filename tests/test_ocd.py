@@ -22,6 +22,8 @@ from trumpbench.ocd import (
     OCDParams,
     RunIndicatorTracker,
     Stagnation,
+    _chi2_quantile,
+    _t_quantile,
     slope_is_zero,
     variance_below_limit,
 )
@@ -266,6 +268,24 @@ class TestQuantiles:
         for side, hit in ((1 - 1e-4, True), (1 + 1e-4, False)):
             scale = side * 1e-8 / (quantile * se_unit)
             assert slope_is_zero(1.0 + scale * residual, alpha) is hit
+
+
+class TestQuantileOracle:
+    """The quantiles are scipy.stats' own: every value equal, bit for bit,
+    to ``chi2.ppf`` and ``t.ppf`` (each oracle call vectorized over dof)."""
+
+    DOFS = np.arange(1, 601)
+    QS = [1e-6, 0.001, 0.01, 0.025, 0.05, 0.1, 0.2, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 1 - 1e-6, 1.0]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_chi2(self, q):
+        expected = sps.chi2.ppf(q, self.DOFS).tolist()
+        assert [_chi2_quantile(q, dof) for dof in self.DOFS.tolist()] == expected
+
+    @pytest.mark.parametrize("q", QS)
+    def test_t(self, q):
+        expected = sps.t.ppf(q, self.DOFS).tolist()
+        assert [_t_quantile(q, dof) for dof in self.DOFS.tolist()] == expected
 
 
 class TestParams:

@@ -24,6 +24,8 @@ T_TABLE = {
     29: 2.0452,
 }
 
+ALPHAS = (1e-6, 0.01, 0.05, 0.2, 0.9)
+
 
 class TestTQuantile:
     """The Student-t quantile that both interval functions apply."""
@@ -42,6 +44,43 @@ class TestTQuantile:
             ci_halfwidth([1.0])
         with pytest.raises(ValueError):
             playtest_feasibility([0.5], players=1, games_each=1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.0, np.nan])
+    @pytest.mark.parametrize(
+        "halfwidth",
+        [
+            lambda alpha: ci_halfwidth([0.0, 1.0, 3.0], alpha),
+            lambda alpha: playtest_feasibility([0.5, 0.2], players=10, games_each=3, alpha=alpha),
+        ],
+        ids=["ci_halfwidth", "playtest_feasibility"],
+    )
+    def test_rejects_alpha_outside_unit_interval(self, halfwidth, alpha):
+        # Outside (0, 1) the quantile is no interval's: 1 - alpha / 2 = 0 at
+        # alpha = 2, where stdtrit gives +inf and t.ppf -inf, and a quantile
+        # below the median gives negative widths.
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            halfwidth(alpha)
+
+    def test_ci_halfwidth_is_the_scipy_stats_formula(self):
+        # Bit for bit and of the same type (np.float64) as t.ppf gives.
+        rng = np.random.default_rng(5)
+        for n in range(2, 200):
+            samples = rng.normal(0.0, 1.0, size=n)
+            sd = float(np.std(samples, ddof=1))
+            for alpha in ALPHAS:
+                got = ci_halfwidth(samples, alpha)
+                expected = sps.t.ppf(1.0 - alpha / 2.0, n - 1) * sd / np.sqrt(n)
+                assert got == expected and type(got) is type(expected), (n, alpha)
+
+    def test_playtest_feasibility_is_the_scipy_stats_formula(self):
+        sd = np.array([0.0427, 0.3191, 0.3576, 0.0])
+        for players, games_each in ((1, 2), (3, 7), (100, 10), (1000, 1000)):
+            n = players * games_each
+            for alpha in ALPHAS:
+                got = playtest_feasibility(sd, players, games_each, alpha)
+                expected = sps.t.ppf(1.0 - alpha / 2.0, n - 1) * sd / np.sqrt(n)
+                assert got.dtype == expected.dtype and type(got) is type(expected)
+                assert np.array_equal(got, expected), (n, alpha)
 
 
 class TestCiHalfwidth:
