@@ -4,9 +4,14 @@ the flat genome encoding used by the optimizers, and deck CSV files."""
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+# Decks random_valid_deck draws before it gives up on a shape.
+RANDOM_DECK_TRIES = 10_000
 
 
 class DeckFormatError(ValueError):
@@ -27,21 +32,14 @@ class DeckShape:
             raise ValueError(f"K must be a positive even integer, got {self.K}")
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"lo and hi must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
     @property
     def genome_length(self) -> int:
         return self.K * self.L
-
-
-def card_dominates(a, b) -> bool:
-    """True iff ``a`` beats ``b`` in every category (strictly greater everywhere)."""
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    if av.shape != bv.shape:
-        raise ValueError(f"cards have different category counts: {av.shape} vs {bv.shape}")
-    return bool(np.all(av > bv))
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +136,7 @@ def genome_to_deck(genome: np.ndarray, shape: DeckShape) -> Deck:
     return Deck(g.reshape(shape.K, shape.L), shape)
 
 
-def random_valid_deck(
-    shape: DeckShape, rng: np.random.Generator, max_tries: int = 10_000
-) -> Deck:
+def random_valid_deck(shape: DeckShape, rng: np.random.Generator) -> Deck:
     """Draw genes uniformly from [lo, hi], resampling until the deck is valid.
 
     With one category the highest card beats every other card, so no valid
@@ -148,30 +144,22 @@ def random_valid_deck(
     """
     if shape.L == 1:
         raise ValueError(f"no valid deck exists for {shape}: with L=1 the highest card dominates")
-    for _ in range(max_tries):
+    for _ in range(RANDOM_DECK_TRIES):
         mat = rng.uniform(shape.lo, shape.hi, size=(shape.K, shape.L))
         deck = Deck(mat, shape)
         if deck_is_valid(deck).valid:
             return deck
-    raise RuntimeError(f"no valid deck found in {max_tries} draws for {shape}")
+    raise RuntimeError(f"no valid deck found in {RANDOM_DECK_TRIES} draws for {shape}")
 
 
-def save_deck(deck: Deck, path, names: list[str] | None = None) -> None:
-    """Write a deck CSV: header ``name,<cat_1>,...,<cat_L>``, one card per row.
-
-    Values are written with full round-trip precision; a name holding a
-    comma or a quote is quoted.
-    """
-    k, l = deck.values.shape
-    if names is None:
-        names = [f"card_{i:02d}" for i in range(k)]
-    if len(names) != k:
-        raise ValueError(f"need {k} card names, got {len(names)}")
+def save_deck(deck: Deck, path) -> None:
+    """Write a deck CSV: header ``name,cat_1,...,cat_L``, then one row per
+    card, named ``card_00``, ``card_01``, ..., with full round-trip precision."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", *(f"cat_{j + 1}" for j in range(l))])
-        for name, row in zip(names, deck.values):
-            writer.writerow([name, *(repr(float(x)) for x in row)])
+        writer.writerow(["name", *(f"cat_{j + 1}" for j in range(deck.shape.L))])
+        for i, row in enumerate(deck.values):
+            writer.writerow([f"card_{i:02d}", *(repr(float(x)) for x in row)])
 
 
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:

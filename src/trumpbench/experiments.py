@@ -559,8 +559,12 @@ def balance_metric_study(deck: Deck, sizes: list[int], repeats: int, alpha: floa
     """
     if repeats < 2:
         raise ValueError("need at least two repeats")
+    if not sizes:
+        raise ValueError("need at least one sample size")
     if any(size < 2 for size in sizes):
         raise ValueError(f"every sample size must be at least 2, got {list(sizes)}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
     n_tricks = deck.shape.K // 2
     rng = np.random.default_rng(np.random.SeedSequence((seed, 99)))
     lines = ["size,metric,halfwidth_q95"]

@@ -188,14 +188,6 @@ def eps_indicator(front, refset) -> float | np.ndarray:
     return _per_front(np.minimum.reduceat(worst, stack.starts, axis=0).max(axis=1), front)
 
 
-def eps_dominance_check(front: FrontSet, refset: FrontSet) -> bool:
-    """True iff every reference point is weakly dominated by some front point."""
-    a = front.points
-    r = refset.points
-    le = np.all(a[:, None, :] <= r[None, :, :], axis=2)
-    return bool(le.any(axis=0).all())
-
-
 def simplex_lattice_weights(m: int, subdivisions: int = R2_SUBDIVISIONS) -> np.ndarray:
     """All nonnegative weight vectors with components k/subdivisions summing
     to 1, in lexicographic order."""

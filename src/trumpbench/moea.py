@@ -21,6 +21,9 @@ from trumpbench.indicators import hv_contributions
 from trumpbench.objectives import ObjectiveKind
 from trumpbench.ocd import Decision, OCDParams, RunIndicatorTracker, Stagnation
 
+# Invalid children spawn_offspring rejects before it draws a random valid deck.
+OFFSPRING_TRIES = 1000
+
 # An objective of a deck.  Only B, the simulated objective, draws: its
 # evaluator gets the evaluation's own generator, and D and S get None.
 Evaluator = Callable[[Deck, np.random.Generator | None], np.ndarray]
@@ -237,10 +240,10 @@ class _RunState:
         for _ in range(self.config.mu):
             self.population.append(self.evaluate(random_valid_deck(self.shape, self.init_rng)))
 
-    def spawn_offspring(self, max_tries: int = 1000) -> Deck:
+    def spawn_offspring(self) -> Deck:
         """Variation with rejection of invalid decks; retries are free."""
         mu = len(self.population)
-        for _ in range(max_tries):
+        for _ in range(OFFSPRING_TRIES):
             i, j = self.var_rng.integers(mu, size=2)
             child, _ = sbx_crossover(
                 self.population[i].genome,

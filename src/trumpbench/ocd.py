@@ -66,7 +66,7 @@ class OCDParams:
             raise ValueError("window must be at least 3 generations")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.var_limit <= 0.0:
+        if not self.var_limit > 0.0:  # written so that NaN fails
             raise ValueError("var_limit must be positive")
         if not self.indicators:
             raise ValueError("need at least one tracked indicator")

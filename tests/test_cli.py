@@ -612,6 +612,24 @@ class TestCommandErrors:
         err = self.fails(capsys, "sample-size", "--deck", deck_file, "--sizes", "30,1")
         assert err.startswith("trumpbench sample-size: every sample size must be at least 2")
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [(("--sizes", ""), "need at least one sample size"), (("--alpha", 1.5), "alpha must lie in (0, 1)")],
+        ids=["no-size", "alpha-1.5"],
+    )
+    def test_sample_size_bad_argument_fails_before_simulating(
+        self, deck_file, tmp_path, capsys, monkeypatch, setting, message
+    ):
+        def no_games(*args, **kwargs):
+            raise AssertionError("simulated before the arguments were checked")
+
+        monkeypatch.setattr("trumpbench.experiments.draw_deals", no_games)
+        err = self.fails(
+            capsys, "sample-size", "--deck", deck_file, *setting, "--out", tmp_path / "table.csv"
+        )
+        assert err.startswith(f"trumpbench sample-size: {message}")
+        assert not (tmp_path / "table.csv").exists()
+
     def test_eaf_glob_without_match(self, tmp_path, capsys):
         err = self.fails(
             capsys,
@@ -680,6 +698,30 @@ class TestCommandErrors:
         assert err.startswith("trumpbench make-decks: no reference decks of 8 cards x 1 categories")
         assert "two categories" in err
         assert not (tmp_path / "decks").exists()
+
+    def test_make_decks_with_infinite_bound_writes_nothing(self, tmp_path, capsys):
+        err = self.fails(capsys, "make-decks", "--out", tmp_path / "decks", "--hi", "inf")
+        assert err.startswith("trumpbench make-decks: lo and hi must be finite")
+        assert not (tmp_path / "decks").exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (("--hi", "inf"), "lo and hi must be finite"),
+            (("--lo=-inf",), "lo and hi must be finite"),
+            (("--ocd-var-limit", "nan"), "var_limit must be positive"),
+        ],
+        ids=["hi-inf", "lo-minus-inf", "var-limit-nan"],
+    )
+    def test_optimize_non_finite_setting_fails_before_any_run(
+        self, tmp_path, capsys, monkeypatch, setting, message
+    ):
+        monkeypatch.setattr(cli, "execute_run", no_run)
+        err = self.fails(
+            capsys, "optimize", "--objective", "S", *setting, "--out", tmp_path / "x"
+        )
+        assert err.startswith(f"trumpbench optimize: {message}")
+        assert not (tmp_path / "x").exists()
 
     def test_experiment_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

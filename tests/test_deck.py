@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from trumpbench import deck as deck_module
 from trumpbench.deck import (
     DeckFormatError,
     DeckShape,
-    card_dominates,
     ValidityReport,
     deck_is_valid,
     dominance_matrix,
@@ -22,32 +22,31 @@ from trumpbench.deck import (
 )
 
 
+def card_dominates(a, b) -> bool:
+    """Reference: card ``a`` beats card ``b`` in every category."""
+    return bool(np.all(np.asarray(a, dtype=float) > np.asarray(b, dtype=float)))
+
+
 class TestCardDominance:
+    """Card against card, as entries of ``dominance_matrix``."""
+
     def test_strictly_greater_everywhere(self):
-        assert card_dominates((3, 5), (2, 4))
+        assert dominance_matrix([[3, 5], [2, 4]]).tolist() == [[False, True], [False, False]]
 
     def test_incomparable(self):
-        assert not card_dominates((3, 5), (5, 3))
+        assert not dominance_matrix([[3, 5], [5, 3]]).any()
 
     def test_irreflexive(self):
-        assert not card_dominates((3, 5), (3, 5))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            card_dominates((1, 2), (1, 2, 3))
+        assert not dominance_matrix([[3, 5], [3, 5]]).any()
 
     def test_order_properties_on_random_sets(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            cards = rng.uniform(1, 10, size=(6, 3))
-            for i in range(6):
-                assert not card_dominates(cards[i], cards[i])
-                for j in range(6):
-                    if card_dominates(cards[i], cards[j]):
-                        assert not card_dominates(cards[j], cards[i])
-                        for k in range(6):
-                            if card_dominates(cards[j], cards[k]):
-                                assert card_dominates(cards[i], cards[k])
+            d = dominance_matrix(rng.uniform(1, 10, size=(6, 3)))
+            assert not d.diagonal().any()
+            assert not (d & d.T).any()
+            # Transitive: wherever i beats j and j beats k, i beats k.
+            assert not ((d.astype(int) @ d.astype(int) > 0) & ~d).any()
 
 
 def pairwise_valid(v: np.ndarray) -> bool:
@@ -133,6 +132,16 @@ class TestKernelsMatchOracles:
         assert deck_is_valid(v) == deck_is_valid_oracle(v)
 
 
+class TestDeckShape:
+    @pytest.mark.parametrize(
+        "lo, hi", [(1.0, np.inf), (-np.inf, 10.0), (np.nan, 10.0), (1.0, np.nan)]
+    )
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        # A non-finite bound leaves no range to draw genes from.
+        with pytest.raises(ValueError, match="lo and hi must be finite"):
+            DeckShape(lo=lo, hi=hi)
+
+
 class TestGenomeCodec:
     def test_row_major_layout(self):
         shape = DeckShape(K=2, L=2)
@@ -175,6 +184,17 @@ class TestRandomValidDeck:
             assert deck.values.min() >= shape.lo
             assert deck.values.max() <= shape.hi
 
+    def test_gives_up_after_the_draw_limit(self, monkeypatch):
+        monkeypatch.setattr(deck_module, "RANDOM_DECK_TRIES", 3)
+        monkeypatch.setattr(deck_module, "deck_is_valid", lambda deck: ValidityReport(valid=False))
+        rng = np.random.default_rng(5)
+        with pytest.raises(RuntimeError, match=r"no valid deck found in 3 draws for .*K=8, L=2"):
+            random_valid_deck(DeckShape(K=8, L=2), rng)
+        # Each try draws one whole deck.
+        expected = np.random.default_rng(5)
+        expected.uniform(size=(3, 8, 2))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
     def test_single_category_fails_before_drawing(self):
         rng = np.random.default_rng(5)
         before = rng.bit_generator.state
@@ -191,13 +211,10 @@ class TestDeckFiles:
         save_deck(deck, path)
         assert load_deck(path) == deck
 
-    def test_round_trip_with_comma_in_name(self, tmp_path):
-        shape = DeckShape(K=4, L=3)
-        deck = random_valid_deck(shape, np.random.default_rng(3))
+    def test_quoted_names_with_commas_and_quotes(self, tmp_path):
         path = tmp_path / "deck.csv"
-        save_deck(deck, path, names=["Ace, high", 'say "hi"', "c", "d"])
-        assert path.read_text().splitlines()[1].startswith('"Ace, high",')
-        assert load_deck(path) == deck
+        path.write_text('name,a,b\n"Ace, high",1,2\n"say ""hi""",2,1\n')
+        assert load_deck(path).values.tolist() == [[1.0, 2.0], [2.0, 1.0]]
 
     def test_rescale_maps_midpoint(self, tmp_path):
         path = tmp_path / "raw.csv"

@@ -370,3 +370,21 @@ class TestBalanceMetricStudy:
         deck = deck_with_dominating_pairs(DeckShape(K=8, L=2), 0)
         with pytest.raises(ValueError, match="need at least two repeats"):
             balance_metric_study(deck, [30], 1, 0.05, seed=0)
+
+    @pytest.mark.parametrize(
+        "sizes, alpha, message",
+        [
+            ([], 0.05, "need at least one sample size"),
+            ([30], 0.0, r"alpha must lie in \(0, 1\)"),
+            ([30], float("nan"), r"alpha must lie in \(0, 1\)"),
+        ],
+        ids=["no-size", "alpha-0", "alpha-nan"],
+    )
+    def test_bad_argument_fails_before_any_deal(self, monkeypatch, sizes, alpha, message):
+        def no_deals(*args):
+            raise AssertionError("deals were drawn before the arguments were checked")
+
+        monkeypatch.setattr(experiments, "draw_deals", no_deals)
+        deck = deck_with_dominating_pairs(DeckShape(K=8, L=2), 0)
+        with pytest.raises(ValueError, match=message):
+            balance_metric_study(deck, sizes, 2, alpha, seed=0)

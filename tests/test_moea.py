@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trumpbench.deck import DeckShape, deck_is_valid, genome_to_deck
+from trumpbench import moea
+from trumpbench.deck import (
+    DeckShape,
+    ValidityReport,
+    deck_is_valid,
+    genome_to_deck,
+    random_valid_deck,
+)
 from trumpbench.moea import (
     EAConfig,
     EvaluationError,
@@ -565,6 +572,32 @@ class TestRuns:
             child = algo.spawn_offspring()
             assert child.shape == config.shape
             assert deck_is_valid(child).valid
+
+    def test_offspring_falls_back_to_a_random_valid_deck(self, monkeypatch):
+        # Every child is rejected, so after OFFSPRING_TRIES children the
+        # offspring is a random valid deck drawn from the variation stream.
+        config = self.small_config(ObjectiveKind.SURROGATE)
+        algo = SmsEmoa(config, surrogate_evaluator)
+        algo.initialize()
+        rejected, fallbacks = [], []
+
+        def reject(deck):
+            rejected.append(deck)
+            return ValidityReport(valid=False)
+
+        def fallback(shape, rng):
+            fallbacks.append((rng, random_valid_deck(shape, rng)))
+            return fallbacks[-1][1]
+
+        monkeypatch.setattr(moea, "OFFSPRING_TRIES", 3)
+        monkeypatch.setattr(moea, "deck_is_valid", reject)
+        monkeypatch.setattr(moea, "random_valid_deck", fallback)
+        child = algo.spawn_offspring()
+        assert len(rejected) == 3
+        assert len(fallbacks) == 1
+        rng, deck = fallbacks[0]
+        assert rng is algo.var_rng and deck is child
+        assert deck_is_valid(child).valid
 
 
 def test_hv_contributions_alias():

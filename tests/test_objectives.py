@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trumpbench.deck import DeckShape, card_dominates, random_valid_deck
+from trumpbench.deck import DeckShape, random_valid_deck
 from trumpbench.game import Policy, SimulationSummary, simulate
 from trumpbench.objectives import (
     ObjectiveVector,
@@ -12,6 +12,8 @@ from trumpbench.objectives import (
     dominance_fitness,
     surrogate_objectives,
 )
+
+from tests.test_deck import card_dominates
 
 
 def brute_force_dominance_fitness(cards: np.ndarray) -> float:

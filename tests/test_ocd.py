@@ -301,6 +301,11 @@ class TestParams:
         with pytest.raises(ValueError):
             OCDParams(var_limit=0.0)
 
+    def test_var_limit_nan(self):
+        # A NaN limit would make a variance test that never fires.
+        with pytest.raises(ValueError, match="var_limit must be positive"):
+            OCDParams(var_limit=float("nan"))
+
     def test_unknown_indicator(self):
         with pytest.raises(ValueError, match="unknown indicators \\['foo'\\]"):
             OCDParams(indicators=("hv", "foo"))

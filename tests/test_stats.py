@@ -8,7 +8,7 @@ from scipy import stats as sps
 from trumpbench.deck import DeckShape
 from trumpbench.experiments import BALANCE_METRICS, balance_metric_study
 from trumpbench.game import Policy, draw_deals, play_deals
-from trumpbench.stats import ci_halfwidth, playtest_feasibility
+from trumpbench.stats import ci_halfwidth
 from trumpbench.synth import deck_with_dominating_pairs
 
 # Standard two-sided 97.5% t quantiles for selected degrees of freedom.
@@ -28,7 +28,8 @@ ALPHAS = (1e-6, 0.01, 0.05, 0.2, 0.9)
 
 
 class TestTQuantile:
-    """The Student-t quantile that both interval functions apply."""
+    """The Student-t quantile that ``ci_halfwidth`` applies, and the range
+    of alpha that it and the sample-size study accept."""
 
     def test_matches_published_table(self):
         # With n samples the halfwidth is t(0.975, n - 1) * sd / sqrt(n).
@@ -42,17 +43,17 @@ class TestTQuantile:
         # One observation leaves n - 1 = 0 degrees of freedom.
         with pytest.raises(ValueError):
             ci_halfwidth([1.0])
-        with pytest.raises(ValueError):
-            playtest_feasibility([0.5], players=1, games_each=1)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, 2.0, np.nan])
     @pytest.mark.parametrize(
         "halfwidth",
         [
             lambda alpha: ci_halfwidth([0.0, 1.0, 3.0], alpha),
-            lambda alpha: playtest_feasibility([0.5, 0.2], players=10, games_each=3, alpha=alpha),
+            lambda alpha: balance_metric_study(
+                deck_with_dominating_pairs(DeckShape(K=8, L=2), 0), [30], 2, alpha, seed=0
+            ),
         ],
-        ids=["ci_halfwidth", "playtest_feasibility"],
+        ids=["ci_halfwidth", "balance_metric_study"],
     )
     def test_rejects_alpha_outside_unit_interval(self, halfwidth, alpha):
         # Outside (0, 1) the quantile is no interval's: 1 - alpha / 2 = 0 at
@@ -71,16 +72,6 @@ class TestTQuantile:
                 got = ci_halfwidth(samples, alpha)
                 expected = sps.t.ppf(1.0 - alpha / 2.0, n - 1) * sd / np.sqrt(n)
                 assert got == expected and type(got) is type(expected), (n, alpha)
-
-    def test_playtest_feasibility_is_the_scipy_stats_formula(self):
-        sd = np.array([0.0427, 0.3191, 0.3576, 0.0])
-        for players, games_each in ((1, 2), (3, 7), (100, 10), (1000, 1000)):
-            n = players * games_each
-            for alpha in ALPHAS:
-                got = playtest_feasibility(sd, players, games_each, alpha)
-                expected = sps.t.ppf(1.0 - alpha / 2.0, n - 1) * sd / np.sqrt(n)
-                assert got.dtype == expected.dtype and type(got) is type(expected)
-                assert np.array_equal(got, expected), (n, alpha)
 
 
 class TestCiHalfwidth:
@@ -177,22 +168,3 @@ class TestSampleSizeStudy:
             widths = [width for _, name, width in rows if name == metric]
             slope = np.polyfit(np.log(sizes), np.log(widths), 1)[0]
             assert slope == pytest.approx(-0.5, abs=0.1)
-
-
-class TestPlaytestFeasibility:
-    def test_zero_sd_gives_zero_width(self):
-        widths = playtest_feasibility([0.0, 0.0], players=100, games_each=10)
-        assert np.all(widths == 0.0)
-
-    def test_standard_formula(self):
-        sd = np.array([0.0427, 0.3191, 0.3576])
-        widths = playtest_feasibility(sd, players=100, games_each=10, alpha=0.05)
-        expected = sps.t.ppf(0.975, 999) * sd / np.sqrt(1000)
-        assert widths == pytest.approx(expected)
-
-    def test_halving_n_scales_by_sqrt_two(self):
-        sd = [0.5]
-        wide = playtest_feasibility(sd, players=50, games_each=10)[0]
-        narrow = playtest_feasibility(sd, players=100, games_each=10)[0]
-        # t quantiles at n=500 and n=1000 are nearly equal, so the ratio is ~sqrt(2).
-        assert wide / narrow == pytest.approx(np.sqrt(2), rel=0.01)
