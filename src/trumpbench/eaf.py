@@ -42,6 +42,9 @@ from trumpbench.indicators import FrontSet
 
 # Refuse an input whose first-layer field (runs x cells x itemsize) exceeds this.
 MAX_FIELD_BYTES = 2**27
+# Refuse a permutation test whose null distribution (one float64 per
+# permutation) exceeds 128 MiB.
+MAX_PERMUTATIONS = 2**24
 # Entries of one (permutations, runs) or (patterns, splits) block of the
 # permutation test, and of one (cells, runs, runs) block of its patterns.
 BLOCK_ELEMENTS = 2**18
@@ -259,6 +262,16 @@ def _statistics(patterns: np.ndarray, splits: np.ndarray, n_a: int) -> np.ndarra
     return np.abs(counts_a, out=counts_a).max(axis=0)
 
 
+def check_permutations(permutations: int) -> None:
+    """Raise ValueError unless 1 <= permutations <= ``MAX_PERMUTATIONS``."""
+    if permutations < 1:
+        raise ValueError("need at least one permutation")
+    if permutations > MAX_PERMUTATIONS:
+        raise ValueError(
+            f"{permutations} permutations are more than the {MAX_PERMUTATIONS} supported"
+        )
+
+
 def eaf_test(
     group_a: RunGroup,
     group_b: RunGroup,
@@ -279,8 +292,7 @@ def eaf_test(
         raise ValueError("both groups need at least two runs")
     if group_a.m != group_b.m:
         raise ValueError("groups must share the objective count")
-    if permutations < 1:
-        raise ValueError("need at least one permutation")
+    check_permutations(permutations)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     rng = np.random.default_rng(seed)

@@ -26,8 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from trumpbench.deck import Deck, DeckShape, genome_to_deck
-from trumpbench.eaf import EAFTestResult, RunGroup, attainment_surface, eaf_test, set_strictly_dominates
-from trumpbench.game import Policy, draw_deals, play_deals, simulate, simulate_deals
+from trumpbench.eaf import (
+    EAFTestResult,
+    RunGroup,
+    attainment_surface,
+    check_permutations,
+    eaf_test,
+    set_strictly_dominates,
+)
+from trumpbench.game import Policy, check_deal_bytes, draw_deals, play_deals, simulate, simulate_deals
 from trumpbench.indicators import (
     FrontSet,
     NormalizeTransform,
@@ -108,8 +115,7 @@ class ExperimentConfig:
             raise ValueError("need at least one run per approach")
         if not 0.0 < self.surface_level <= 1.0:
             raise ValueError("surface_level must lie in (0, 1]")
-        if self.permutations < 1:
-            raise ValueError("need at least one permutation")
+        check_permutations(self.permutations)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.workers < 1:
@@ -563,6 +569,8 @@ def balance_metric_study(deck: Deck, sizes: list[int], repeats: int, alpha: floa
         raise ValueError("need at least one sample size")
     if any(size < 2 for size in sizes):
         raise ValueError(f"every sample size must be at least 2, got {list(sizes)}")
+    for size in sizes:
+        check_deal_bytes(deck.shape.K, size)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n_tricks = deck.shape.K // 2

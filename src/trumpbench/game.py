@@ -25,6 +25,9 @@ from trumpbench.deck import Deck
 
 # Games drawn at once and played per kernel call; bounds the (games, K, L) tensor.
 CHUNK_GAMES = 4096
+# Refuse a batch whose deals (games x K int64 card indices) exceed this:
+# 4,194,304 games of 32 cards.
+MAX_DEAL_BYTES = 2**30
 
 
 class Policy(enum.Enum):
@@ -159,6 +162,16 @@ def _play_batch(
     return (result > 0).sum(axis=0), (result < 0).sum(axis=0), changes
 
 
+def check_deal_bytes(k: int, games: int) -> None:
+    """Raise ValueError if the deals of ``games`` games on K cards exceed ``MAX_DEAL_BYTES``."""
+    nbytes = games * k * 8
+    if nbytes > MAX_DEAL_BYTES:
+        raise ValueError(
+            f"{games} games of {k} cards need {nbytes} bytes of deals, more than the "
+            f"{MAX_DEAL_BYTES} supported; reduce the games"
+        )
+
+
 def draw_deals(k: int, games: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(perms, a_starts) of ``games`` uniform deals on K cards, as ``_play_batch`` takes them.
 
@@ -167,6 +180,7 @@ def draw_deals(k: int, games: int, rng: np.random.Generator) -> tuple[np.ndarray
     """
     if games < 1:
         raise ValueError("need at least one game")
+    check_deal_bytes(k, games)
     perms = np.tile(np.arange(k), (games, 1))
     a_starts = np.empty(games, dtype=bool)
     for start in range(0, games, CHUNK_GAMES):

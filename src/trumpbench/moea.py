@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from trumpbench.deck import Deck, DeckShape, deck_is_valid, genome_to_deck, random_valid_deck
+from trumpbench.game import check_deal_bytes
 from trumpbench.indicators import hv_contributions
 from trumpbench.objectives import ObjectiveKind
 from trumpbench.ocd import Decision, OCDParams, RunIndicatorTracker, Stagnation
@@ -88,6 +89,7 @@ class EAConfig:
             raise ValueError(f"no valid deck exists for {self.shape}: need L >= 2")
         if self.games < 1:
             raise ValueError("need at least one game per evaluation")
+        check_deal_bytes(self.shape.K, self.games)
         if self.so_window < 2:
             raise ValueError("stagnation window must be at least 2")
         if not self.so_tol > 0:  # written so that NaN fails

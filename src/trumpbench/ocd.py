@@ -16,8 +16,9 @@ on it once per generation: the row goes into the run's indicator trace, and
   a confidently zero regression slope; two consecutive hits stop the run.
   The tests' chi-square and Student t quantiles are ``scipy.stats``' own
   formulas (``chi2.ppf`` and ``t.ppf`` return the very same floats), called
-  through the ``scipy.special`` functions they rest on: importing
-  ``scipy.stats`` would take most of every process's start-up.
+  through the ``scipy.special`` functions they rest on. ``scipy.special`` is
+  imported at the first quantile, not with this module: it costs a fresh
+  process ~0.1 s and ~24 MB, and only S and B runs reach a quantile.
 - :class:`Stagnation` stops the single-objective baseline once the
   population's min / mean / max fitness have all stalled over a window.
 """
@@ -31,7 +32,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from trumpbench import indicators
 from trumpbench.indicators import (
@@ -77,10 +77,14 @@ class OCDParams:
 
 # The quantiles of the two tests depend only on a run's alpha and window,
 # so every generation's decision reuses them: a cache hit instead of the
-# ~2 µs each scipy.special call takes (timeit, 2-core x86-64 box).
+# ~2 µs each scipy.special call takes (timeit, 2-core x86-64 box). Each
+# imports scipy.special in its body: a process pays the import (~0.1 s,
+# ~24 MB) at its first quantile, and D runs and analyses never pay it.
 @functools.cache
 def _chi2_quantile(q: float, dof: int) -> float:
     """``scipy.stats.chi2.ppf(q, dof)``, bit for bit: the formula of its ``_ppf``."""
+    from scipy import special
+
     return float(2 * special.gammaincinv(dof / 2, q))
 
 
@@ -91,6 +95,8 @@ def _t_quantile(q: float, dof: int) -> float:
     That holds for q in (0, 1], where ``OCDParams`` keeps 1 - alpha: at
     q = 0 ``stdtrit`` gives +inf where ``t.ppf`` gives -inf.
     """
+    from scipy import special
+
     return float(special.stdtrit(dof, q))
 
 

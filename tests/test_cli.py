@@ -599,6 +599,21 @@ class TestCommandErrors:
         err = self.fails(capsys, "simulate", "--deck", deck_file, "--games", 0)
         assert err.startswith("trumpbench simulate: need at least one game")
 
+    def test_simulate_oversized_games_fails_before_allocation(self, deck_file, capsys):
+        # 2**50 games of 32 cards are 2**58 bytes of deals, more than any
+        # address space holds, so the bound is all that stands before numpy.
+        err = self.fails(capsys, "simulate", "--deck", deck_file, "--games", 2**50)
+        assert err.startswith(f"trumpbench simulate: {2**50} games of 32 cards need")
+
+    def test_optimize_oversized_games_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "execute_run", no_run)
+        err = self.fails(
+            capsys,
+            "optimize", "--objective", "B", "--games", 2**50, "--evals", 20, "--out", tmp_path / "x",
+        )
+        assert err.startswith(f"trumpbench optimize: {2**50} games of 32 cards need")
+        assert not (tmp_path / "x").exists()
+
     def test_simulate_missing_deck(self, tmp_path, capsys):
         err = self.fails(capsys, "simulate", "--deck", tmp_path / "absent.csv")
         assert err.startswith("trumpbench simulate: ")
@@ -643,6 +658,8 @@ class TestCommandErrors:
         "setting, message",
         [
             (("--permutations", 0), "need at least one permutation"),
+            # 2**60 float64 null statistics are more bytes than numpy can address.
+            (("--permutations", 2**60), f"{2**60} permutations are more than the"),
             (("--level", 0), "level must lie in (0, 1]"),
             (("--alpha", 1.5), "alpha must lie in (0, 1)"),
             (("--alpha", "nan"), "alpha must lie in (0, 1)"),
@@ -771,6 +788,19 @@ class TestCommandErrors:
         assert err.startswith(f"trumpbench experiment: {message}")
         assert not (tmp_path / "out").exists()
 
+    def test_experiment_oversized_permutations_fail_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("trumpbench.experiments.execute_run", no_run)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "approaches = D4, S4\nruns = 2\nk = 8\nl = 2\nevals = 60\n"
+            f"permutations = 1000000000000\nout = {tmp_path / 'out'}\n"
+        )
+        err = self.fails(capsys, "experiment", "--config", cfg)
+        assert err.startswith("trumpbench experiment: 1000000000000 permutations are more than the")
+        assert not (tmp_path / "out").exists()
+
     def test_experiment_without_approaches_fails_before_any_run(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"approaches =\nk = 8\nl = 2\nout = {tmp_path / 'out'}\n")
@@ -809,15 +839,62 @@ class TestCommandErrors:
         assert not (tmp_path / "out" / "runs").exists()
 
 
+def package_env() -> dict:
+    """The environment of a fresh interpreter that imports this package's sources."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def test_start_up_does_not_import_scipy_stats():
     # Importing scipy.stats takes most of a fresh process's start-up, and
     # the package needs only the quantiles scipy.special computes; only a
     # fresh interpreter shows what an import pulls in.
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = package_env()
     probe = (
         "import sys, trumpbench.cli, trumpbench.experiments; "
         "sys.stdout.write(' '.join(m for m in sorted(sys.modules) if m.split('.')[:2] == ['scipy', 'stats']))"
     )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
     assert out == ""
+
+
+SCIPY_SPECIAL_PROBE = """
+import json, os, sys
+import numpy as np
+from trumpbench import cli, deck, eaf, experiments, game, indicators, moea, objectives
+from trumpbench.indicators import FrontSet, write_front_csv
+
+os.chdir(sys.argv[1])
+rng = np.random.default_rng(3)
+for name in ("a_0", "a_1", "b_0", "b_1", "ref"):
+    write_front_csv(FrontSet(rng.uniform(1, 2, size=(4, 2))), name + ".csv")
+commands = [
+    ["make-decks", "--out", "decks"],
+    ["simulate", "--deck", "decks/synthetic_01.csv", "--games", "100"],
+    ["indicators", "--fronts", "a_*.csv", "--refset", "ref.csv"],
+    ["eaf", "--group-a", "a_*.csv", "--group-b", "b_*.csv", "--permutations", "50", "--out", "eaf"],
+    ["optimize", "--objective", "D", "--evals", "200", "--out", "runs"],
+]
+codes = [cli.main(argv) for argv in commands]
+before = sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "special"])
+from trumpbench import ocd
+value = ocd._chi2_quantile(0.05, 9)
+loaded = "scipy.special" in sys.modules
+from scipy import stats
+print(json.dumps({"codes": codes, "before": before, "loaded": loaded,
+                  "equal": bool(value == stats.chi2.ppf(0.05, 9))}))
+"""
+
+
+def test_only_a_quantile_imports_scipy_special(tmp_path):
+    # scipy.special costs a fresh process ~0.1 s and ~24 MB, and only the
+    # OCD tests and ci_halfwidth need it: the package's modules (those the
+    # benchmark workloads import among them) and the commands that compute
+    # no quantile must not load it, and the first quantile must.
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_SPECIAL_PROBE, str(tmp_path)],
+        env=package_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record == {"codes": [0] * 5, "before": [], "loaded": True, "equal": True}

@@ -451,6 +451,14 @@ class TestEafTest:
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             eaf_test(a, a, permutations=10, alpha=alpha, seed=0)
 
+    def test_permutations_beyond_the_bound_fail_before_allocation(self, monkeypatch):
+        # Lowered so that nothing large is allocated: 10 permutations still run.
+        monkeypatch.setattr(eaf, "MAX_PERMUTATIONS", 10)
+        a = group_of([[[0.0, 0.0]], [[1.0, 1.0]]], "a")
+        assert eaf_test(a, a, permutations=10, seed=0).permutations == 10
+        with pytest.raises(ValueError, match="11 permutations are more than the 10 supported"):
+            eaf_test(a, a, permutations=11, seed=0)
+
     def test_requires_two_runs_per_group(self):
         a = group_of([[[0.0, 0.0]]], "a")
         b = group_of([[[1.0, 1.0]], [[2.0, 2.0]]], "b")

@@ -64,6 +64,7 @@ class TestConfig:
             {"surface_level": 0.0},
             {"surface_level": 1.5},
             {"permutations": 0},
+            {"permutations": 10**12},
             {"alpha": 0.0},
             {"alpha": 1.0},
             {"workers": 0},
@@ -377,8 +378,9 @@ class TestBalanceMetricStudy:
             ([], 0.05, "need at least one sample size"),
             ([30], 0.0, r"alpha must lie in \(0, 1\)"),
             ([30], float("nan"), r"alpha must lie in \(0, 1\)"),
+            ([30, 2**50], 0.05, f"{2**50} games of 8 cards need"),
         ],
-        ids=["no-size", "alpha-0", "alpha-nan"],
+        ids=["no-size", "alpha-0", "alpha-nan", "size-beyond-deal-bytes"],
     )
     def test_bad_argument_fails_before_any_deal(self, monkeypatch, sizes, alpha, message):
         def no_deals(*args):

@@ -367,6 +367,14 @@ class TestDealDraw:
         play_deals(four_card_deck(), (Policy.INFORMED, Policy.RANGE_ONLY), deals)
         assert seen == [CHUNK_GAMES] * 6 + [3]
 
+    def test_deals_beyond_max_deal_bytes_fail_before_allocation(self, monkeypatch):
+        # Lowered so that nothing large is allocated: 10 games of 4 cards fit exactly.
+        monkeypatch.setattr(game, "MAX_DEAL_BYTES", 10 * 4 * 8)
+        assert draw_deals(4, 10, np.random.default_rng(2))[0].shape == (10, 4)
+        message = "11 games of 4 cards need 352 bytes of deals, more than the 320 supported"
+        with pytest.raises(ValueError, match=message):
+            draw_deals(4, 11, np.random.default_rng(2))
+
     @pytest.mark.parametrize("k", [2, 8])
     def test_deals_of_another_card_count_rejected(self, k):
         deals = draw_deals(k, 5, np.random.default_rng(2))
