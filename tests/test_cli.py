@@ -658,11 +658,11 @@ class TestCommandErrors:
         "setting, message",
         [
             (("--permutations", 0), "need at least one permutation"),
-            # 2**60 float64 null statistics are more bytes than numpy can address.
-            (("--permutations", 2**60), f"{2**60} permutations are more than the"),
             (("--level", 0), "level must lie in (0, 1]"),
             (("--alpha", 1.5), "alpha must lie in (0, 1)"),
             (("--alpha", "nan"), "alpha must lie in (0, 1)"),
+            # 2**60 float64 null statistics are more bytes than numpy can address.
+            (("--permutations", 2**60), f"{2**60} permutations are more than the"),
         ],
     )
     def test_eaf_bad_argument_writes_nothing(self, tmp_path, capsys, setting, message):
