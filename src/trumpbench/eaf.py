@@ -28,6 +28,19 @@ the 924 possible splits. Each block of at most ``BLOCK_ELEMENTS``
 the splits' 0/1 membership columns. Its entries count at most ``runs``
 ones, so they are the exact integers an integer product gives, and BLAS
 computes them.
+
+A split scores the largest |ca/nₐ − (t − ca)/n_b| over the patterns,
+where t is a pattern's total of runs and ca how many of them the first
+group holds. The pattern rows are sorted by their total, and for each
+total only the smallest and the largest ca of its rows are scored, one
+minimum and one maximum over its segment of rows. That is exact,
+not a bound: for a fixed t the score is V-shaped in ca, so an inner ca
+scores strictly less than one of the two extremes. The exact scores are
+multiples of 1/(nₐ·n_b), so distinct ones lie at least that far apart,
+far beyond the rounding of a float64 score, and the rounded inner score
+stays below the rounded extreme. The extremes are computed with the same
+operations as every row's score would be, so the maximum is the same
+float.
 """
 
 from __future__ import annotations
@@ -139,8 +152,12 @@ def _sorted_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and a neighbour compare."""
     order = np.lexsort(codes.T[::-1])
     ordered = codes[order]
-    fresh = np.ones(len(ordered), dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    # Neighbours compared one column at a time: a short-axis any() over
+    # an (n, width) mask reduces its rows one by one.
+    fresh = np.zeros(len(ordered), dtype=bool)
+    fresh[:1] = True
+    for column in ordered.T:
+        fresh[1:] |= column[1:] != column[:-1]
     return order, fresh
 
 
@@ -244,18 +261,34 @@ def _drawn_splits(
     return np.unpackbits(packed[order[fresh]], axis=1, count=n_total), inverse
 
 
-def _statistics(patterns: np.ndarray, splits: np.ndarray, n_a: int) -> np.ndarray:
+def _by_total(patterns: np.ndarray) -> tuple[np.ndarray, list[slice]]:
+    """The 0/1 pattern rows as floats, sorted by their total, and the
+    segment of rows of each total, as :func:`_statistics` takes them."""
+    totals = patterns.sum(axis=1)
+    order = np.argsort(totals, kind="stable")
+    bounds = np.flatnonzero(np.diff(totals[order], prepend=-1, append=-1)).tolist()
+    return patterns[order].astype(float), [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _statistics(patterns: np.ndarray, segments: list[slice], splits: np.ndarray, n_a: int) -> np.ndarray:
     """Largest attainment difference of each row of ``splits``, a 0/1
     (splits, runs) mask of the ``n_a`` runs that form the first group.
 
-    ``patterns`` is the 0/1 pattern matrix as floats, and one float product
+    ``patterns`` is the 0/1 pattern matrix as floats, its rows sorted by
+    their total, and ``segments`` the rows of each total. One float product
     gives the first group's counts. Each count is a sum of at most ``runs``
     ones, so it is the exact integer, and each mean is a count divided by
     its group size, as ``np.mean`` of the boolean pattern rows computes it.
+    Only the smallest and largest count of each total are scored, which
+    gives the same maximum (see the module docstring).
     """
     n_b = patterns.shape[1] - n_a
-    counts_a = patterns @ splits.T.astype(float)
-    counts_b = patterns.sum(axis=1, keepdims=True) - counts_a
+    counts = patterns @ splits.T.astype(float)
+    # One reduction per segment of contiguous rows: np.minimum.reduceat
+    # along axis 0 took 7x as long on (463, 829) counts.
+    counts_a = np.vstack([counts[s].min(axis=0) for s in segments] + [counts[s].max(axis=0) for s in segments])
+    totals = patterns.sum(axis=1)[[s.start for s in segments] * 2, None]
+    counts_b = totals - counts_a
     counts_a /= n_a
     counts_b /= n_b
     counts_a -= counts_b
@@ -297,16 +330,18 @@ def eaf_test(
         raise ValueError("alpha must lie in (0, 1)")
     rng = np.random.default_rng(seed)
 
-    patterns = _pattern_matrix([group_a, group_b]).astype(float)
+    patterns, segments = _by_total(_pattern_matrix([group_a, group_b]))
     n_a = len(group_a)
     n_total = n_a + len(group_b)
-    observed = float(_statistics(patterns, (np.arange(n_total) < n_a)[None, :], n_a)[0])
+    observed = float(_statistics(patterns, segments, (np.arange(n_total) < n_a)[None, :], n_a)[0])
     null_stats = np.empty(permutations)
     rows = max(1, BLOCK_ELEMENTS // n_total)
     columns = max(1, BLOCK_ELEMENTS // len(patterns))
     for start in range(0, permutations, rows):
         splits, inverse = _drawn_splits(rng, min(rows, permutations - start), n_a, n_total)
-        scores = [_statistics(patterns, splits[i : i + columns], n_a) for i in range(0, len(splits), columns)]
+        scores = [
+            _statistics(patterns, segments, splits[i : i + columns], n_a) for i in range(0, len(splits), columns)
+        ]
         null_stats[start : start + len(inverse)] = np.concatenate(scores)[inverse]
     # Free the last block: for many permutations null_stats is the peak.
     del splits, inverse, scores

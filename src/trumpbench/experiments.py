@@ -34,7 +34,7 @@ from trumpbench.eaf import (
     eaf_test,
     set_strictly_dominates,
 )
-from trumpbench.game import Policy, check_deal_bytes, draw_deals, play_deals, simulate, simulate_deals
+from trumpbench.game import Policy, check_games, draw_deals, play_deals, simulate, simulate_deals
 from trumpbench.indicators import (
     FrontSet,
     NormalizeTransform,
@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise ValueError("need at least one approach")
         if self.runs < 1:
             raise ValueError("need at least one run per approach")
+        # Every experiment replays its fronts on one deal table of games deals.
+        check_games(self.shape.K, self.games)
         if not 0.0 < self.surface_level <= 1.0:
             raise ValueError("surface_level must lie in (0, 1]")
         check_permutations(self.permutations)
@@ -570,7 +572,7 @@ def balance_metric_study(deck: Deck, sizes: list[int], repeats: int, alpha: floa
     if any(size < 2 for size in sizes):
         raise ValueError(f"every sample size must be at least 2, got {list(sizes)}")
     for size in sizes:
-        check_deal_bytes(deck.shape.K, size)
+        check_games(deck.shape.K, size)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     n_tricks = deck.shape.K // 2

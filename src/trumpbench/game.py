@@ -162,8 +162,11 @@ def _play_batch(
     return (result > 0).sum(axis=0), (result < 0).sum(axis=0), changes
 
 
-def check_deal_bytes(k: int, games: int) -> None:
-    """Raise ValueError if the deals of ``games`` games on K cards exceed ``MAX_DEAL_BYTES``."""
+def check_games(k: int, games: int) -> None:
+    """Raise ValueError unless games >= 1 and the deals of ``games`` games
+    on K cards fit in ``MAX_DEAL_BYTES``."""
+    if games < 1:
+        raise ValueError("need at least one game")
     nbytes = games * k * 8
     if nbytes > MAX_DEAL_BYTES:
         raise ValueError(
@@ -178,9 +181,7 @@ def draw_deals(k: int, games: int, rng: np.random.Generator) -> tuple[np.ndarray
     Per chunk of at most ``CHUNK_GAMES`` games, ``rng.permuted`` shuffles each row
     of card indices (an exact Fisher-Yates shuffle); then one starter per game, A on 0.
     """
-    if games < 1:
-        raise ValueError("need at least one game")
-    check_deal_bytes(k, games)
+    check_games(k, games)
     perms = np.tile(np.arange(k), (games, 1))
     a_starts = np.empty(games, dtype=bool)
     for start in range(0, games, CHUNK_GAMES):

@@ -9,7 +9,8 @@ not strictly dominate the reference point instead of dropping it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
@@ -73,8 +74,12 @@ def prune_to_front(points: np.ndarray, labels: np.ndarray | None = None) -> Fron
     labels = np.zeros(n, dtype=int) if labels is None else np.asarray(labels)
     order = np.lexsort((*pts.T[::-1], labels))
     pts, labels = pts[order], labels[order]
+    # Neighbours compared one column at a time: a short-axis np.any over
+    # an (n, m) mask reduces its rows one by one.
     first = np.ones(n, dtype=bool)
-    first[1:] = (labels[1:] != labels[:-1]) | np.any(pts[1:] != pts[:-1], axis=1)
+    first[1:] = labels[1:] != labels[:-1]
+    for col in pts.T:
+        first[1:] |= col[1:] != col[:-1]
     uniq, labels = pts[first], labels[first]
     n = uniq.shape[0]
     # A block of rows is compared with all n points one coordinate at a
@@ -96,10 +101,17 @@ def prune_to_front(points: np.ndarray, labels: np.ndarray | None = None) -> Fron
 
 @dataclass(frozen=True, eq=False)
 class FrontSet:
-    """A mutually non-dominated point set tagged with its originating run."""
+    """A mutually non-dominated point set tagged with its originating run.
+
+    Its points are read-only, so :meth:`volume` measures its hypervolume
+    once per reference point and returns the stored value after that: a
+    reference front that every front of an analysis is compared with is
+    measured once, not once per front.
+    """
 
     points: np.ndarray
     origin: str = ""
+    _volumes: dict[bytes, float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         pruned = prune_to_front(self.points).points
@@ -112,6 +124,13 @@ class FrontSet:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    def volume(self, ref) -> float:
+        """Hypervolume w.r.t. ``ref``, measured at the first call for ``ref``."""
+        key = np.asarray(ref, dtype=float).tobytes()
+        if key not in self._volumes:
+            self._volumes[key] = hypervolume(self, ref)
+        return self._volumes[key]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FrontSet):
@@ -167,7 +186,7 @@ def hv_contributions(points, ref) -> np.ndarray:
 
 def hv_indicator(front: FrontSet, refset: FrontSet, ref) -> float:
     """Hypervolume missed by ``front`` relative to ``refset`` (smaller is better)."""
-    return hypervolume(refset, ref) - hypervolume(front, ref)
+    return refset.volume(ref) - hypervolume(front, ref)
 
 
 def eps_indicator(front, refset) -> float | np.ndarray:
@@ -183,14 +202,24 @@ def eps_indicator(front, refset) -> float | np.ndarray:
         raise ValueError("epsilon indicator needs non-empty sets")
     if a.shape[1] != r.shape[1]:
         raise ValueError("sets must share the objective count")
+    # worst[a, r] = max_j a_j - r_j, the shift point a needs to cover r:
+    # a running maximum over the objective columns, in the order a
+    # reduction along a length-m axis takes them.
+    worst = np.subtract.outer(a[:, 0], r[:, 0])
+    for j in range(1, a.shape[1]):
+        np.maximum(worst, np.subtract.outer(a[:, j], r[:, j]), out=worst)
     # For each reference point: the best achievable worst-coordinate shift.
-    worst = (a[:, None, :] - r[None, :, :]).max(axis=2)
     return _per_front(np.minimum.reduceat(worst, stack.starts, axis=0).max(axis=1), front)
 
 
+@functools.cache
 def simplex_lattice_weights(m: int, subdivisions: int = R2_SUBDIVISIONS) -> np.ndarray:
     """All nonnegative weight vectors with components k/subdivisions summing
-    to 1, in lexicographic order."""
+    to 1, in lexicographic order.
+
+    Built once per (m, subdivisions) and returned read-only: every R2 of an
+    analysis or an OCD run shares one lattice.
+    """
     if m < 1 or subdivisions < 1:
         raise ValueError("need m >= 1 and subdivisions >= 1")
     # Stars and bars: each choice of m - 1 bar positions among
@@ -200,7 +229,9 @@ def simplex_lattice_weights(m: int, subdivisions: int = R2_SUBDIVISIONS) -> np.n
     choices = list(combinations(range(slots), m - 1))
     bars = np.array(choices, dtype=int).reshape(len(choices), m - 1)
     edges = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), slots)])
-    return (np.diff(edges, axis=1) - 1) / subdivisions
+    weights = (np.diff(edges, axis=1) - 1) / subdivisions
+    weights.setflags(write=False)
+    return weights
 
 
 def r2_indicator(front, weights: np.ndarray, ideal) -> float | np.ndarray:
@@ -220,10 +251,15 @@ def r2_indicator(front, weights: np.ndarray, ideal) -> float | np.ndarray:
     a = stack.points
     if a.shape[0] == 0:
         raise ValueError("front must be non-empty")
+    if a.shape[1] != w.shape[1]:
+        raise ValueError("weight vectors must have one component per objective")
     ideal = np.asarray(ideal, dtype=float)
     dist = np.abs(a - ideal)  # (nA, m)
-    # utility[a, w] = max_j w_j * |a_j - ideal_j|
-    utility = (dist[:, None, :] * w[None, :, :]).max(axis=2)
+    # utility[a, w] = max_j w_j * |a_j - ideal_j|: a running maximum over
+    # the objective columns, in the order a length-m reduction takes them.
+    utility = np.multiply.outer(dist[:, 0], w[:, 0])
+    for j in range(1, w.shape[1]):
+        np.maximum(utility, np.multiply.outer(dist[:, j], w[:, j]), out=utility)
     # Each front's best utilities form one C-contiguous row, so its mean is
     # the pairwise sum of that row alone: the same bits as a single front's.
     best = np.minimum.reduceat(utility, stack.starts, axis=0)

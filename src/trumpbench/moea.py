@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from trumpbench.deck import Deck, DeckShape, deck_is_valid, genome_to_deck, random_valid_deck
-from trumpbench.game import check_deal_bytes
+from trumpbench.game import check_games
 from trumpbench.indicators import hv_contributions
 from trumpbench.objectives import ObjectiveKind
 from trumpbench.ocd import Decision, OCDParams, RunIndicatorTracker, Stagnation
@@ -87,9 +87,9 @@ class EAConfig:
             raise ValueError("evaluation budget must exceed the population size")
         if self.shape.L < 2:
             raise ValueError(f"no valid deck exists for {self.shape}: need L >= 2")
-        if self.games < 1:
-            raise ValueError("need at least one game per evaluation")
-        check_deal_bytes(self.shape.K, self.games)
+        # Only B evaluations draw deals; D and S runs never read games.
+        if self.objective is ObjectiveKind.BALANCE:
+            check_games(self.shape.K, self.games)
         if self.so_window < 2:
             raise ValueError("stagnation window must be at least 2")
         if not self.so_tol > 0:  # written so that NaN fails
@@ -119,36 +119,34 @@ def sbx_crossover(
     params: VariationParams,
     bounds: tuple[float, float],
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover.
+) -> np.ndarray:
+    """Simulated binary crossover; returns the first child, the one
+    ``spawn_offspring`` keeps.
 
     With probability pc the pair is crossed: each gene independently takes
     part with probability 0.5, drawing a spread factor from the polynomial
-    distribution with index eta_c.  Children are clipped to bounds.
+    distribution with index eta_c.  The child is clipped to bounds.
 
     The draws are the same whether or not a gene takes part (one gate
     uniform, then one take and one spread uniform per gene), but only the
-    genes that take part are computed; each of their floats is the one the
-    whole-vector formula gives it, since every numpy operation here works
-    element by element.
+    genes that take part are computed, and the second child not at all;
+    each float of the child is the one the whole-vector formula gives it,
+    since every numpy operation here works element by element.
     """
     p1 = np.asarray(parent1, dtype=float)
     p2 = np.asarray(parent2, dtype=float)
     if p1.shape != p2.shape:
         raise ValueError("parents must have equal length")
-    c1, c2 = p1.copy(), p2.copy()
+    child = p1.copy()
     if rng.random() >= params.pc:
-        return c1, c2
+        return child
     n = p1.size
     take = rng.random(n) < 0.5
     u = rng.random(n)[take]
     beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (params.eta_c + 1.0))
-    spread_up, spread_down = 1.0 + beta, 1.0 - beta
-    a, b = p1[take], p2[take]
     lo, hi = bounds
-    c1[take] = (0.5 * (spread_up * a + spread_down * b)).clip(lo, hi)
-    c2[take] = (0.5 * (spread_down * a + spread_up * b)).clip(lo, hi)
-    return c1, c2
+    child[take] = (0.5 * ((1.0 + beta) * p1[take] + (1.0 - beta) * p2[take])).clip(lo, hi)
+    return child
 
 
 def polynomial_mutation(
@@ -247,7 +245,7 @@ class _RunState:
         mu = len(self.population)
         for _ in range(OFFSPRING_TRIES):
             i, j = self.var_rng.integers(mu, size=2)
-            child, _ = sbx_crossover(
+            child = sbx_crossover(
                 self.population[i].genome,
                 self.population[j].genome,
                 self.config.variation,

@@ -282,6 +282,66 @@ class TestDrawnSplits:
         assert np.array_equal(inverse, expected_inverse.reshape(-1))
 
 
+def sorted_rows_broadcast(codes):
+    """The neighbour compare that the column-by-column one replaced, kept
+    as the oracle: one any() along the short code axis."""
+    order = np.lexsort(codes.T[::-1])
+    ordered = codes[order]
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, fresh
+
+
+def statistics_broadcast(patterns, splits, n_a):
+    """The scoring of every pattern row that the per-total extremes
+    replaced, kept as the oracle."""
+    n_b = patterns.shape[1] - n_a
+    counts_a = patterns.astype(float) @ splits.T.astype(float)
+    counts_b = patterns.sum(axis=1, keepdims=True) - counts_a
+    return np.abs(counts_a / n_a - counts_b / n_b).max(axis=0)
+
+
+class TestSortedRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 2**31))
+    def test_match_any_along_rows(self, rows, width, seed):
+        codes = np.random.default_rng(seed).choice(np.array([0, 1, 128, 255], dtype=np.uint8), (rows, width))
+        order, fresh = eaf._sorted_rows(codes)
+        expected_order, expected_fresh = sorted_rows_broadcast(codes)
+        assert np.array_equal(order, expected_order)
+        assert np.array_equal(fresh, expected_fresh)
+
+
+class TestStatisticsMatchEveryRow:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(3, 9), (9, 3), (2, 2), (10, 10), (5, 7)]), st.integers(1, 60), st.data())
+    def test_unequal_groups(self, sizes, rows, data):
+        n_a, n_b = sizes
+        seed = data.draw(st.integers(0, 2**31))
+        rng = np.random.default_rng(seed)
+        patterns = rng.random((rows, n_a + n_b)) < data.draw(st.sampled_from([0.1, 0.5, 0.9]))
+        splits = np.array([rng.permutation(n_a + n_b) < n_a for _ in range(data.draw(st.integers(1, 50)))])
+        sorted_patterns, segments = eaf._by_total(patterns)
+        assert eaf._statistics(sorted_patterns, segments, splits, n_a).tolist() == (
+            statistics_broadcast(patterns, splits, n_a).tolist()
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([(3, 9), (2, 2), (10, 10)]), st.integers(1, 40), st.data())
+    def test_patterns_sharing_one_total(self, sizes, rows, data):
+        # One segment: every row holds the same number of runs.
+        n_a, n_b = sizes
+        total = data.draw(st.integers(0, n_a + n_b))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        patterns = np.array([rng.permutation(n_a + n_b) < total for _ in range(rows)])
+        splits = np.array([rng.permutation(n_a + n_b) < n_a for _ in range(data.draw(st.integers(1, 50)))])
+        sorted_patterns, segments = eaf._by_total(patterns)
+        assert segments == [slice(0, rows)]
+        assert eaf._statistics(sorted_patterns, segments, splits, n_a).tolist() == (
+            statistics_broadcast(patterns, splits, n_a).tolist()
+        )
+
+
 class TestSplitScoringMatchesLoop:
     @settings(max_examples=100, deadline=None)
     @given(run_groups(unequal=True), st.integers(1, 300), st.floats(0.01, 0.5), st.integers(0, 2**31))
@@ -309,9 +369,9 @@ class TestSplitScoringMatchesLoop:
         scored = []
         statistics = eaf._statistics
 
-        def counted(patterns, splits, n_a):
+        def counted(patterns, segments, splits, n_a):
             scored.append(len(splits))
-            return statistics(patterns, splits, n_a)
+            return statistics(patterns, segments, splits, n_a)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(eaf, "BLOCK_ELEMENTS", 64)

@@ -68,6 +68,9 @@ class TestConfig:
             {"alpha": 0.0},
             {"alpha": 1.0},
             {"workers": 0},
+            # Beyond game.MAX_DEAL_BYTES: the replay deals of an experiment
+            # of S and D runs, which draw no deals themselves.
+            {"games": 2**50},
         ],
     )
     def test_invalid_setting_rejected_by_the_config(self, setting):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from trumpbench import indicators
 from trumpbench.indicators import (
     FrontSet,
+    FrontStack,
     eps_indicator,
     hv_indicator,
     fit_normalize_transform,
@@ -61,6 +62,33 @@ def lattice_weights_loop(m: int, subdivisions: int) -> np.ndarray:
     return np.unique(np.array(rows), axis=0)
 
 
+# The (n, W, m) and (n, n, m) broadcasts that the column-by-column kernels
+# replaced, kept as oracles: each reduces a length-m axis in one call.
+
+
+def eps_broadcast(stack: FrontStack, refset: np.ndarray) -> np.ndarray:
+    worst = (stack.points[:, None, :] - refset[None, :, :]).max(axis=2)
+    return np.minimum.reduceat(worst, stack.starts, axis=0).max(axis=1)
+
+
+def r2_broadcast(stack: FrontStack, weights: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    utility = (np.abs(stack.points - ideal)[:, None, :] * weights[None, :, :]).max(axis=2)
+    return np.minimum.reduceat(utility, stack.starts, axis=0).mean(axis=1)
+
+
+def prune_broadcast(points: np.ndarray, labels: np.ndarray) -> FrontStack:
+    order = np.lexsort((*points.T[::-1], labels))
+    pts, labels = points[order], labels[order]
+    first = np.ones(len(pts), dtype=bool)
+    first[1:] = (labels[1:] != labels[:-1]) | np.any(pts[1:] != pts[:-1], axis=1)
+    uniq, labels = pts[first], labels[first]
+    le = np.all(uniq[None, :, :] <= uniq[:, None, :], axis=2)
+    lt = np.any(uniq[None, :, :] < uniq[:, None, :], axis=2)
+    keep = ~((labels[:, None] == labels[None, :]) & le & lt).any(axis=1)
+    labels = labels[keep]
+    return FrontStack(uniq[keep], np.flatnonzero(np.append(True, labels[1:] != labels[:-1])))
+
+
 @st.composite
 def labelled_points(draw):
     """(points, labels): 1-40 points in 1-3 dimensions on a coarse lattice or
@@ -109,6 +137,55 @@ class TestPruning:
     def test_front_set_prunes_on_construction(self):
         fs = FrontSet(np.array([[1.0, 1.0], [2.0, 2.0]]), "run")
         assert len(fs) == 1
+
+
+@st.composite
+def kernel_cases(draw):
+    """(points, labels, refset, weights, ideal) in 1-4 objectives: points on
+    a coarse lattice or not, with -0.0, repeated rows and ties with the
+    ideal point, in 1-4 labelled sets; lattice or Dirichlet weights, often
+    with zero components."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    value = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 2.0]), st.floats(-1.0, 3.0))
+    rows = st.lists(value, min_size=m, max_size=m)
+    pts = np.array(draw(st.lists(rows, min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    refset = np.array(draw(st.lists(rows, min_size=1, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    if draw(st.booleans()):
+        weights = simplex_lattice_weights(m, draw(st.integers(1, 8)))
+    else:
+        weights = rng.dirichlet(np.ones(m), size=draw(st.integers(1, 40)))
+        weights[rng.random(weights.shape) < 0.2] = 0.0
+        weights[:, 0] = np.maximum(0.0, 1.0 - weights[:, 1:].sum(axis=1))
+    ideal = pts[rng.integers(n)] - draw(st.sampled_from([0.0, 0.01]))
+    return pts, labels, refset, weights, ideal
+
+
+class TestColumnKernelsMatchBroadcast:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_eps_and_r2_of_stacks_and_single_fronts(self, case):
+        pts, labels, refset, weights, ideal = case
+        stack = prune_to_front(pts, labels)
+        assert eps_indicator(stack, refset).tolist() == eps_broadcast(stack, refset).tolist()
+        assert r2_indicator(stack, weights, ideal).tolist() == r2_broadcast(stack, weights, ideal).tolist()
+        whole = FrontStack(pts, np.zeros(1, dtype=int))
+        assert eps_indicator(pts, refset) == eps_broadcast(whole, refset)[0]
+        assert r2_indicator(pts, weights, ideal) == r2_broadcast(whole, weights, ideal)[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_prune_to_front(self, case):
+        pts, labels, *_ = case
+        stack, expected = prune_to_front(pts, labels), prune_broadcast(pts, labels)
+        assert np.array_equal(stack.points, expected.points)
+        assert np.array_equal(stack.starts, expected.starts)
+
+    def test_r2_weights_of_another_objective_count_fail(self):
+        with pytest.raises(ValueError, match="one component per objective"):
+            r2_indicator(np.ones((2, 3)), simplex_lattice_weights(2, 4), np.zeros(3))
 
 
 class TestStacks:
@@ -191,6 +268,30 @@ class TestHvIndicator:
         full = FrontSet(np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0]]), "ref")
         partial = FrontSet(np.array([[1.0, 3.0], [3.0, 1.0]]), "a")
         assert hv_indicator(partial, full, ref) == pytest.approx(1.0)
+
+
+    def test_reference_volume_measured_once(self, monkeypatch):
+        calls = []
+        union_box_volume = indicators.union_box_volume
+
+        def counted(boxes, member):
+            calls.append(len(boxes))
+            return union_box_volume(boxes, member)
+
+        monkeypatch.setattr(indicators, "union_box_volume", counted)
+        rng = np.random.default_rng(5)
+        refset = FrontSet(rng.uniform(0, 1, size=(20, 3)), "ref")
+        fronts = [FrontSet(rng.uniform(0, 1, size=(4, 3)), f"run{i}") for i in range(6)]
+        ref = np.full(3, 1.1)
+        gaps = [hv_indicator(f, refset, ref) for f in fronts]
+        # One call per front, and one for the reference front at the first.
+        assert calls == [len(refset)] + [len(f) for f in fronts]
+        assert gaps == [hypervolume(refset, ref) - hypervolume(f, ref) for f in fronts]
+        assert refset.volume(ref) == hypervolume(refset, ref)
+        # Another reference point is measured once too.
+        calls.clear()
+        assert refset.volume(np.full(3, 1.2)) == refset.volume([1.2, 1.2, 1.2])
+        assert calls == [len(refset)]
 
 
 class TestEpsIndicator:

@@ -37,6 +37,7 @@ from trumpbench.moea import (
     so_ea_run,
 )
 from trumpbench.experiments import make_evaluator
+from trumpbench.game import MAX_DEAL_BYTES
 from trumpbench.indicators import hypervolume
 from trumpbench.objectives import ObjectiveKind, dominance_fitness, surrogate_objectives
 from trumpbench.ocd import OCDParams
@@ -68,36 +69,35 @@ class TestSBX:
         p1 = np.array([2.0, 5.0])
         p2 = np.array([7.0, 3.0])
         rng = ScriptedRng([0.0, 0.0, 0.0, 0.5, 0.5])  # pc gate, take mask, u values
-        c1, c2 = sbx_crossover(p1, p2, VariationParams(), (1.0, 10.0), rng)
-        assert np.allclose(c1, p1)
-        assert np.allclose(c2, p2)
+        child = sbx_crossover(p1, p2, VariationParams(), (1.0, 10.0), rng)
+        assert np.allclose(child, p1)
 
     def test_spread_factor_formula(self):
         p1, p2 = np.array([4.0]), np.array([6.0])
         rng = ScriptedRng([0.0, 0.0, 0.8])
-        c1, c2 = sbx_crossover(p1, p2, VariationParams(eta_c=20.0), (-100.0, 100.0), rng)
+        child = sbx_crossover(p1, p2, VariationParams(eta_c=20.0), (-100.0, 100.0), rng)
         beta = 2.5 ** (1.0 / 21.0)
         assert beta == pytest.approx(1.0446, abs=1e-4)
-        assert c1[0] == pytest.approx(0.5 * ((1 + beta) * 4.0 + (1 - beta) * 6.0))
-        assert c2[0] == pytest.approx(0.5 * ((1 - beta) * 4.0 + (1 + beta) * 6.0))
+        assert child[0] == pytest.approx(0.5 * ((1 + beta) * 4.0 + (1 - beta) * 6.0))
 
     def test_mean_preservation_without_clipping(self):
-        rng = np.random.default_rng(99)
+        # The child and its sibling, the oracle's second child from the
+        # same draws, keep the parents' mean.
+        parents = np.random.default_rng(99)
         params = VariationParams()
         wide = (-1e9, 1e9)
-        for _ in range(200):
-            p1 = rng.uniform(1, 10, size=16)
-            p2 = rng.uniform(1, 10, size=16)
-            c1, c2 = sbx_crossover(p1, p2, params, wide, rng)
-            assert np.all(np.abs((c1 + c2) - (p1 + p2)) < 1e-9)
+        for seed in range(200):
+            p1, p2 = parents.uniform(1, 10, size=(2, 16))
+            child = sbx_crossover(p1, p2, params, wide, np.random.default_rng(seed))
+            sibling = sbx_crossover_oracle(p1, p2, params, wide, np.random.default_rng(seed), both=True)[1]
+            assert np.all(np.abs((child + sibling) - (p1 + p2)) < 1e-9)
 
     def test_no_crossover_when_gate_fails(self):
         p1 = np.array([2.0, 5.0])
         p2 = np.array([7.0, 3.0])
         rng = ScriptedRng([0.99])
-        c1, c2 = sbx_crossover(p1, p2, VariationParams(pc=0.5), (1.0, 10.0), rng)
-        assert np.array_equal(c1, p1)
-        assert np.array_equal(c2, p2)
+        child = sbx_crossover(p1, p2, VariationParams(pc=0.5), (1.0, 10.0), rng)
+        assert np.array_equal(child, p1)
 
 
 class TestPolynomialMutation:
@@ -125,14 +125,15 @@ class TestPolynomialMutation:
             assert np.all(out <= 10.0)
 
 
-def sbx_crossover_oracle(parent1, parent2, params, bounds, rng):
+def sbx_crossover_oracle(parent1, parent2, params, bounds, rng, both=False):
     """Reference: SBX computing the spread factor and both children for
-    every gene, then keeping those of the genes that take part."""
+    every gene, then keeping those of the genes that take part. Returns
+    the first child, or both children with ``both``."""
     p1 = np.asarray(parent1, dtype=float)
     p2 = np.asarray(parent2, dtype=float)
     c1, c2 = p1.copy(), p2.copy()
     if rng.random() >= params.pc:
-        return c1, c2
+        return (c1, c2) if both else c1
     n = p1.size
     take = rng.random(n) < 0.5
     u = rng.random(n)
@@ -143,7 +144,7 @@ def sbx_crossover_oracle(parent1, parent2, params, bounds, rng):
     lo, hi = bounds
     c1[take] = np.clip(child_a[take], lo, hi)
     c2[take] = np.clip(child_b[take], lo, hi)
-    return c1, c2
+    return (c1, c2) if both else c1
 
 
 def polynomial_mutation_oracle(genome, params, bounds, rng):
@@ -302,7 +303,20 @@ class TestSettingChecks:
     )
     def test_config_rejects_what_no_run_can_use(self, setting, message):
         with pytest.raises(ValueError, match=message):
-            EAConfig(mu=4, objective=ObjectiveKind.DOMINANCE, **setting)
+            EAConfig(mu=4, objective=ObjectiveKind.BALANCE, **setting)
+
+    @pytest.mark.parametrize(
+        "games, message",
+        # 0, and the fewest games of 32 cards whose deals exceed MAX_DEAL_BYTES.
+        [(0, "need at least one game"), (MAX_DEAL_BYTES // (32 * 8) + 1, "bytes of deals")],
+        ids=["none", "beyond-deal-bytes"],
+    )
+    def test_only_balance_configs_bound_games(self, games, message):
+        # Only B evaluations draw deals, so D and S runs take any games.
+        for kind in (ObjectiveKind.DOMINANCE, ObjectiveKind.SURROGATE):
+            assert EAConfig(mu=4, objective=kind, games=games).games == games
+        with pytest.raises(ValueError, match=message):
+            EAConfig(mu=4, objective=ObjectiveKind.BALANCE, games=games)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan")])
     def test_config_rejects_stagnation_tol_not_above_zero(self, tol):
