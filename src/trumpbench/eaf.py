@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from trumpbench.indicators import FrontSet
+from trumpbench.indicators import FrontSet, sorted_rows
 
 # Refuse an input whose first-layer field (runs x cells x itemsize) exceeds this.
 MAX_FIELD_BYTES = 2**27
@@ -145,26 +145,10 @@ def _first_layers(point_sets: list[np.ndarray], axes: list[np.ndarray]) -> np.nd
     return field
 
 
-def _sorted_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order that sorts the rows of a 2-D code array lexicographically,
-    first column first, and which ordered rows differ from the row before:
-    ``codes[order[fresh]]`` is ``np.unique(codes, axis=0)``, by one lexsort
-    and a neighbour compare."""
-    order = np.lexsort(codes.T[::-1])
-    ordered = codes[order]
-    # Neighbours compared one column at a time: a short-axis any() over
-    # an (n, width) mask reduces its rows one by one.
-    fresh = np.zeros(len(ordered), dtype=bool)
-    fresh[:1] = True
-    for column in ordered.T:
-        fresh[1:] |= column[1:] != column[:-1]
-    return order, fresh
-
-
 def _distinct_rows(codes: np.ndarray) -> np.ndarray:
     """Distinct rows of a 2-D code array in lexicographic order, first
     column first, as ``np.unique(codes, axis=0)`` gives them."""
-    order, fresh = _sorted_rows(codes)
+    order, fresh = sorted_rows(codes)
     return codes[order[fresh]]
 
 
@@ -255,7 +239,7 @@ def _drawn_splits(
     # The first run is the highest bit of the first byte, so the packed
     # rows sort as the membership rows do.
     packed = np.packbits(drawn, axis=1)
-    order, fresh = _sorted_rows(packed)
+    order, fresh = sorted_rows(packed)
     inverse = np.empty(rows, dtype=np.intp)
     inverse[order] = np.cumsum(fresh) - 1
     return np.unpackbits(packed[order[fresh]], axis=1, count=n_total), inverse

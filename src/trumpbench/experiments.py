@@ -102,6 +102,8 @@ class ExperimentConfig:
     output_dir: str | None = None
     max_evals: int = 30_000
     workers: int = 1
+    """Processes of the pool every run goes through; it starts at most
+    ``min(workers, runs)`` of them, runs counted over all approaches."""
     variation: VariationParams = field(default_factory=VariationParams)
     ocd: OCDParams = field(default_factory=OCDParams)
     surface_level: float = 0.5
@@ -357,7 +359,9 @@ def run_experiment(
     ``config`` checked every run's settings, and a reference deck of another
     shape than ``config.shape`` is rejected here.  A run that starts and
     fails is recorded in its approach's ``errors``, which marks the approach
-    incomplete; the other runs and the analysis go on."""
+    incomplete; the other runs and the analysis go on.  Every run goes
+    through one process pool of at most ``min(workers, runs)`` processes,
+    so a run that kills its process fails that run, not the experiment."""
     for name, deck in reference_decks:
         if deck.shape != config.shape:
             raise ValueError(f"reference deck {name} has shape {deck.shape}, not {config.shape}")
@@ -369,14 +373,12 @@ def run_experiment(
         for run_idx in range(config.runs)
     ]
 
-    if config.workers > 1:
-        # Runs are submitted one by one, so a worker that dies (the pool is
-        # then broken) fails the runs it takes down, not the experiment.
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [_submit(pool, job) for _, job in jobs]
-            outcomes = [_outcome(future) for future in futures]
-    else:
-        outcomes = [execute_run(job) for _, job in jobs]
+    # Runs are submitted one by one, so a worker that dies (the pool is
+    # then broken) fails the runs it takes down, not the experiment. The
+    # pool starts all its processes up front, so it gets no more than runs.
+    with ProcessPoolExecutor(max_workers=min(config.workers, len(jobs))) as pool:
+        futures = [_submit(pool, job) for _, job in jobs]
+        outcomes = [_outcome(future) for future in futures]
 
     for (label, job), (artifact, error) in zip(jobs, outcomes):
         if error is not None:

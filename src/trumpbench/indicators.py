@@ -57,6 +57,22 @@ class FrontStack:
         return (rows >= self.starts[:, None]) & (rows < self._ends()[:, None])
 
 
+def sorted_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows of a 2-D array lexicographically,
+    first column first, and which ordered rows differ from the row before:
+    ``codes[order[fresh]]`` is ``np.unique(codes, axis=0)``, by one lexsort
+    and a neighbour compare."""
+    order = np.lexsort(codes.T[::-1])
+    ordered = codes[order]
+    # Neighbours compared one column at a time: a short-axis any() over
+    # an (n, width) mask reduces its rows one by one.
+    fresh = np.zeros(len(ordered), dtype=bool)
+    fresh[:1] = True
+    for column in ordered.T:
+        fresh[1:] |= column[1:] != column[:-1]
+    return order, fresh
+
+
 def prune_to_front(points: np.ndarray, labels: np.ndarray | None = None) -> FrontStack:
     """The front of each labelled set of points: its unique points that no
     other point with the same label weakly dominates.
@@ -72,15 +88,8 @@ def prune_to_front(points: np.ndarray, labels: np.ndarray | None = None) -> Fron
     if n == 0:
         return FrontStack(pts.copy(), np.zeros(1, dtype=int))
     labels = np.zeros(n, dtype=int) if labels is None else np.asarray(labels)
-    order = np.lexsort((*pts.T[::-1], labels))
-    pts, labels = pts[order], labels[order]
-    # Neighbours compared one column at a time: a short-axis np.any over
-    # an (n, m) mask reduces its rows one by one.
-    first = np.ones(n, dtype=bool)
-    first[1:] = labels[1:] != labels[:-1]
-    for col in pts.T:
-        first[1:] |= col[1:] != col[:-1]
-    uniq, labels = pts[first], labels[first]
+    order, fresh = sorted_rows(np.column_stack([labels, pts]))
+    uniq, labels = pts[order[fresh]], labels[order[fresh]]
     n = uniq.shape[0]
     # A block of rows is compared with all n points one coordinate at a
     # time, so the (block, n) masks hold at most PRUNE_BLOCK_ELEMENTS.

@@ -14,11 +14,8 @@ on it once per generation: the row goes into the run's indicator trace, and
   The generation scores a hit when every tracked series has a variance
   significantly below a limit (chi-square test) or every tracked series has
   a confidently zero regression slope; two consecutive hits stop the run.
-  The tests' chi-square and Student t quantiles are ``scipy.stats``' own
-  formulas (``chi2.ppf`` and ``t.ppf`` return the very same floats), called
-  through the ``scipy.special`` functions they rest on. ``scipy.special`` is
-  imported at the first quantile, not with this module: it costs a fresh
-  process ~0.1 s and ~24 MB, and only S and B runs reach a quantile.
+  The tests' chi-square and Student t quantiles come from
+  :mod:`trumpbench.stats`.
 - :class:`Stagnation` stops the single-objective baseline once the
   population's min / mean / max fitness have all stalled over a window.
 """
@@ -26,7 +23,6 @@ on it once per generation: the row goes into the run's indicator trace, and
 from __future__ import annotations
 
 import enum
-import functools
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -43,6 +39,7 @@ from trumpbench.indicators import (
     r2_indicator,
     simplex_lattice_weights,
 )
+from trumpbench.stats import chi2_quantile, t_quantile
 
 DEFAULT_INDICATORS = ("hv", "eps", "r2")
 
@@ -75,37 +72,12 @@ class OCDParams:
             raise ValueError(f"unknown indicators {unknown}; choose from {DEFAULT_INDICATORS}")
 
 
-# The quantiles of the two tests depend only on a run's alpha and window,
-# so every generation's decision reuses them: a cache hit instead of the
-# ~2 µs each scipy.special call takes (timeit, 2-core x86-64 box). Each
-# imports scipy.special in its body: a process pays the import (~0.1 s,
-# ~24 MB) at its first quantile, and D runs and analyses never pay it.
-@functools.cache
-def _chi2_quantile(q: float, dof: int) -> float:
-    """``scipy.stats.chi2.ppf(q, dof)``, bit for bit: the formula of its ``_ppf``."""
-    from scipy import special
-
-    return float(2 * special.gammaincinv(dof / 2, q))
-
-
-@functools.cache
-def _t_quantile(q: float, dof: int) -> float:
-    """``scipy.stats.t.ppf(q, dof)``, bit for bit: the formula of its ``_ppf``.
-
-    That holds for q in (0, 1], where ``OCDParams`` keeps 1 - alpha: at
-    q = 0 ``stdtrit`` gives +inf where ``t.ppf`` gives -inf.
-    """
-    from scipy import special
-
-    return float(special.stdtrit(dof, q))
-
-
 def variance_below_limit(values: np.ndarray, var_limit: float, alpha: float) -> bool:
     """One-sided chi-square test: is the variance significantly below var_limit?"""
     v = np.asarray(values, dtype=float)
     n = v.size
     statistic = (n - 1) * np.var(v, ddof=1) / var_limit
-    return bool(statistic < _chi2_quantile(alpha, n - 1))
+    return bool(statistic < chi2_quantile(alpha, n - 1))
 
 
 def slope_is_zero(values: np.ndarray, alpha: float) -> bool:
@@ -126,7 +98,7 @@ def slope_is_zero(values: np.ndarray, alpha: float) -> bool:
     if rss <= 1e-24 * max(1.0, float((y**2).sum())):
         return abs(slope) < threshold
     se = np.sqrt(rss / (n - 2) / sxx)
-    upper_bound = abs(slope) + _t_quantile(1.0 - alpha, n - 2) * se
+    upper_bound = abs(slope) + t_quantile(1.0 - alpha, n - 2) * se
     return bool(upper_bound < threshold)
 
 
@@ -137,14 +109,11 @@ class Stagnation:
     and stops the run once each of the three has spread less than ``tol``
     over the last ``window`` generations.  The window is a ring of rows:
     each generation overwrites the oldest, and the spread does not depend
-    on the rows' order.
+    on the rows' order.  ``window`` and ``tol`` are the ``so_window`` and
+    ``so_tol`` that ``EAConfig`` has checked.
     """
 
     def __init__(self, window: int, tol: float):
-        if window < 2:
-            raise ValueError("window must be at least 2")
-        if not tol > 0:
-            raise ValueError("tol must be positive")
         self.tol = tol
         self.rows = np.empty((window, 3))
         self.generations = 0

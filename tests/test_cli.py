@@ -877,12 +877,12 @@ commands = [
 ]
 codes = [cli.main(argv) for argv in commands]
 before = sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "special"])
-from trumpbench import ocd
-value = ocd._chi2_quantile(0.05, 9)
+from trumpbench import stats
+values = [stats.chi2_quantile(0.05, 9), stats.t_quantile(0.95, 8)]
 loaded = "scipy.special" in sys.modules
-from scipy import stats
+from scipy import stats as sps
 print(json.dumps({"codes": codes, "before": before, "loaded": loaded,
-                  "equal": bool(value == stats.chi2.ppf(0.05, 9))}))
+                  "equal": values == [sps.chi2.ppf(0.05, 9), sps.t.ppf(0.95, 8)]}))
 """
 
 

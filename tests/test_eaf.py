@@ -282,16 +282,6 @@ class TestDrawnSplits:
         assert np.array_equal(inverse, expected_inverse.reshape(-1))
 
 
-def sorted_rows_broadcast(codes):
-    """The neighbour compare that the column-by-column one replaced, kept
-    as the oracle: one any() along the short code axis."""
-    order = np.lexsort(codes.T[::-1])
-    ordered = codes[order]
-    fresh = np.ones(len(ordered), dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return order, fresh
-
-
 def statistics_broadcast(patterns, splits, n_a):
     """The scoring of every pattern row that the per-total extremes
     replaced, kept as the oracle."""
@@ -299,17 +289,6 @@ def statistics_broadcast(patterns, splits, n_a):
     counts_a = patterns.astype(float) @ splits.T.astype(float)
     counts_b = patterns.sum(axis=1, keepdims=True) - counts_a
     return np.abs(counts_a / n_a - counts_b / n_b).max(axis=0)
-
-
-class TestSortedRows:
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 2**31))
-    def test_match_any_along_rows(self, rows, width, seed):
-        codes = np.random.default_rng(seed).choice(np.array([0, 1, 128, 255], dtype=np.uint8), (rows, width))
-        order, fresh = eaf._sorted_rows(codes)
-        expected_order, expected_fresh = sorted_rows_broadcast(codes)
-        assert np.array_equal(order, expected_order)
-        assert np.array_equal(fresh, expected_fresh)
 
 
 class TestStatisticsMatchEveryRow:

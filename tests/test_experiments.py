@@ -3,6 +3,7 @@
 import json
 import os
 import time
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -254,6 +255,47 @@ class TestRunExperiment:
         written = json.loads((tmp_path / "report.json").read_text())
         assert written["approaches"]["D5"]["errors"] == d5.errors
         assert (tmp_path / "runs" / "D5" / "run_000.json").is_file()
+
+    def test_killed_run_with_one_worker_fails_only_that_run(self, monkeypatch):
+        # One worker is a pool of one process too, so a run that kills its
+        # process fails that run, not the experiment.
+        config = mini_config(workers=1)
+        doomed = config.run_config(config.approaches[1], 1).seed  # submitted last
+        so_ea_run = experiments.so_ea_run
+
+        def dies_on_the_doomed_seed(run_config, evaluator):
+            if run_config.seed == doomed:
+                os._exit(1)
+            return so_ea_run(run_config, evaluator)
+
+        monkeypatch.setattr(experiments, "so_ea_run", dies_on_the_doomed_seed)
+        report = run_experiment(config)
+
+        assert report.approaches["S5"].complete
+        d5 = report.approaches["D5"]
+        assert [art["seed"] for art in d5.run_artifacts] == [config.run_config(config.approaches[1], 0).seed]
+        assert len(d5.errors) == 1
+        assert d5.errors[0].startswith(f"seed {doomed}: BrokenProcessPool: ")
+
+    @pytest.mark.parametrize("workers, processes", [(1, 1), (3, 3), (64, 4)])
+    def test_pool_starts_no_more_processes_than_runs(self, monkeypatch, workers, processes):
+        # The executor forks all its processes up front, so a stand-in that
+        # runs each job in this process records the size it was asked for.
+        sizes = []
+
+        class RecordingPool(Executor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        report = run_experiment(mini_config(workers=workers))
+        assert sizes == [processes]
+        assert all(result.complete for result in report.approaches.values())
 
     def test_failed_approach_marked_incomplete(self, tmp_path, monkeypatch):
         def broken_run(config, evaluator):

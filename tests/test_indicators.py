@@ -20,6 +20,7 @@ from trumpbench.indicators import (
     r2_indicator,
     read_front_csv,
     simplex_lattice_weights,
+    sorted_rows,
     write_front_csv,
 )
 
@@ -87,6 +88,41 @@ def prune_broadcast(points: np.ndarray, labels: np.ndarray) -> FrontStack:
     keep = ~((labels[:, None] == labels[None, :]) & le & lt).any(axis=1)
     labels = labels[keep]
     return FrontStack(uniq[keep], np.flatnonzero(np.append(True, labels[1:] != labels[:-1])))
+
+
+def sorted_rows_broadcast(codes):
+    """The neighbour compare that the column-by-column one replaced, kept
+    as the oracle: one any() along the short code axis."""
+    order = np.lexsort(codes.T[::-1])
+    ordered = codes[order]
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, fresh
+
+
+class TestSortedRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 2**31))
+    def test_match_any_along_rows(self, rows, width, seed):
+        codes = np.random.default_rng(seed).choice(np.array([0, 1, 128, 255], dtype=np.uint8), (rows, width))
+        order, fresh = sorted_rows(codes)
+        expected_order, expected_fresh = sorted_rows_broadcast(codes)
+        assert np.array_equal(order, expected_order)
+        assert np.array_equal(fresh, expected_fresh)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.integers(1, 4), st.integers(0, 2**31))
+    def test_labelled_float_rows(self, rows, m, seed):
+        # The rows prune_to_front sorts: an integer label column, then float
+        # points with -0.0 and 0.0 among them, which compare equal.
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 4, rows)
+        pts = rng.choice(np.array([-0.0, 0.0, 0.5, 1.0]), (rows, m))
+        codes = np.column_stack([labels, pts])
+        order, fresh = sorted_rows(codes)
+        expected_order, expected_fresh = sorted_rows_broadcast(codes)
+        assert np.array_equal(order, expected_order)
+        assert np.array_equal(fresh, expected_fresh)
 
 
 @st.composite

@@ -299,11 +299,12 @@ class TestSettingChecks:
             ({"shape": DeckShape(K=8, L=1)}, "no valid deck exists"),
             ({"games": 0}, "need at least one game"),
             ({"games": 2**50}, f"{2**50} games of 32 cards need"),
+            ({"objective": ObjectiveKind.DOMINANCE, "so_window": 1}, "stagnation window must be at least 2"),
         ],
     )
     def test_config_rejects_what_no_run_can_use(self, setting, message):
         with pytest.raises(ValueError, match=message):
-            EAConfig(mu=4, objective=ObjectiveKind.BALANCE, **setting)
+            EAConfig(**{"mu": 4, "objective": ObjectiveKind.BALANCE, **setting})
 
     @pytest.mark.parametrize(
         "games, message",
