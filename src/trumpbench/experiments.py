@@ -196,7 +196,7 @@ def run_to_artifact(result: RunResult, config: EAConfig) -> dict:
     return {
         "approach": Approach(config.objective, config.mu).label,
         "config": _plain_dict(config),
-        "seed": result.seed,
+        "seed": config.seed,
         "n_evals": result.n_evals,
         "stop_reason": result.stop_reason.value,
         "population": individuals(result.final_population),

@@ -25,6 +25,12 @@ from trumpbench.ocd import Decision, OCDParams, RunIndicatorTracker, Stagnation
 # Invalid children spawn_offspring rejects before it draws a random valid deck.
 OFFSPRING_TRIES = 1000
 
+# The dominance objective lives on a 1/K lattice, so mid-climb plateaus of
+# many generations are routine; the single-objective baseline's stagnation
+# window is therefore much wider than the indicator-test window.
+STAGNATION_WINDOW = 500
+STAGNATION_TOL = 1e-9
+
 # An objective of a deck.  Only B, the simulated objective, draws: its
 # evaluator gets the evaluation's own generator, and D and S get None.
 Evaluator = Callable[[Deck, np.random.Generator | None], np.ndarray]
@@ -74,11 +80,6 @@ class EAConfig:
     seed: int = 0
     ocd: OCDParams = field(default_factory=OCDParams)
     games: int = 2_000
-    # The dominance objective lives on a 1/K lattice, so mid-climb plateaus
-    # of many generations are routine; its stagnation window is therefore
-    # much wider than the indicator-test window.
-    so_window: int = 500
-    so_tol: float = 1e-9
 
     def __post_init__(self) -> None:
         if self.mu < 2:
@@ -90,10 +91,6 @@ class EAConfig:
         # Only B evaluations draw deals; D and S runs never read games.
         if self.objective is ObjectiveKind.BALANCE:
             check_games(self.shape.K, self.games)
-        if self.so_window < 2:
-            raise ValueError("stagnation window must be at least 2")
-        if not self.so_tol > 0:  # written so that NaN fails
-            raise ValueError(f"stagnation tolerance must be positive, got {self.so_tol}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,6 @@ class RunResult:
     n_evals: int
     stop_reason: StopReason
     indicator_trace: tuple[dict[str, float], ...]
-    seed: int
 
 
 def sbx_crossover(
@@ -295,7 +291,6 @@ class _RunState:
                 n_evals=self.n_evals,
                 stop_reason=stop_reason,
                 indicator_trace=tuple(self.trace),
-                seed=self.config.seed,
             )
 
 
@@ -343,7 +338,7 @@ class SingleObjectiveEA(_RunState):
         if config.objective.n_objectives != 1:
             raise ValueError("the single-objective baseline needs a 1-D objective")
         super().__init__(config, evaluator)
-        self.detector = Stagnation(config.so_window, config.so_tol)
+        self.detector = Stagnation(STAGNATION_WINDOW, STAGNATION_TOL)
 
     def step(self) -> None:
         offspring = self.evaluate(self.spawn_offspring())

@@ -10,10 +10,11 @@ on it once per generation: the row goes into the run's indicator trace, and
   It measures the populations of the last ``window`` generations against
   the non-dominated union of those same generations, each objective mapped
   onto [1, 2] by its range over the window, fitted afresh each generation.
-  This gives one series of ``window`` values per indicator (hv, eps, r2).
-  The generation scores a hit when every tracked series has a variance
-  significantly below a limit (chi-square test) or every tracked series has
-  a confidently zero regression slope; two consecutive hits stop the run.
+  This gives one series of ``window`` values for each of the three
+  indicators the published method tracks: hv, eps and r2.
+  The generation scores a hit when every series has a variance
+  significantly below a limit (chi-square test) or every series has a
+  confidently zero regression slope; two consecutive hits stop the run.
   The tests' chi-square and Student t quantiles come from
   :mod:`trumpbench.stats`.
 - :class:`Stagnation` stops the single-objective baseline once the
@@ -41,8 +42,6 @@ from trumpbench.indicators import (
 )
 from trumpbench.stats import chi2_quantile, t_quantile
 
-DEFAULT_INDICATORS = ("hv", "eps", "r2")
-
 
 class Decision(enum.Enum):
     CONTINUE = "continue"
@@ -51,12 +50,12 @@ class Decision(enum.Enum):
 
 @dataclass(frozen=True)
 class OCDParams:
-    """Window length (generations), variance limit, test level and tracked indicators."""
+    """Window length (generations), variance limit and test level of OCD;
+    the tracked indicators are always hv, eps and r2."""
 
     window: int = 10
     var_limit: float = 1e-4
     alpha: float = 0.05
-    indicators: tuple[str, ...] = DEFAULT_INDICATORS
 
     def __post_init__(self) -> None:
         if self.window < 3:
@@ -65,11 +64,6 @@ class OCDParams:
             raise ValueError("alpha must lie in (0, 1)")
         if not self.var_limit > 0.0:  # written so that NaN fails
             raise ValueError("var_limit must be positive")
-        if not self.indicators:
-            raise ValueError("need at least one tracked indicator")
-        unknown = sorted(set(self.indicators) - set(DEFAULT_INDICATORS))
-        if unknown:
-            raise ValueError(f"unknown indicators {unknown}; choose from {DEFAULT_INDICATORS}")
 
 
 def variance_below_limit(values: np.ndarray, var_limit: float, alpha: float) -> bool:
@@ -109,8 +103,9 @@ class Stagnation:
     and stops the run once each of the three has spread less than ``tol``
     over the last ``window`` generations.  The window is a ring of rows:
     each generation overwrites the oldest, and the spread does not depend
-    on the rows' order.  ``window`` and ``tol`` are the ``so_window`` and
-    ``so_tol`` that ``EAConfig`` has checked.
+    on the rows' order.  The optimizer passes the constants
+    ``moea.STAGNATION_WINDOW`` and ``moea.STAGNATION_TOL``; a window of at
+    least 2 and a positive ``tol`` are the caller's to give.
     """
 
     def __init__(self, window: int, tol: float):
@@ -197,14 +192,14 @@ class RunIndicatorTracker:
         return row, (self.decide(series) if full else Decision.CONTINUE)
 
     def decide(self, series: Mapping[str, np.ndarray]) -> Decision:
-        """Score one generation's series (one per tracked indicator, oldest
-        first) as a hit or not, and stop on the second hit in a row.
+        """Score one generation's series (one per indicator, oldest first)
+        as a hit or not, and stop on the second hit in a row.
 
-        A hit needs every tracked series to pass the variance test, or every
-        tracked series to have a confidently zero slope.
+        A hit needs every series given to pass the variance test, or every
+        series given to have a confidently zero slope.
         """
         p = self.params
-        tracked = [np.asarray(series[name], dtype=float) for name in p.indicators]
+        tracked = [np.asarray(v, dtype=float) for v in series.values()]
         hit = all(variance_below_limit(v, p.var_limit, p.alpha) for v in tracked) or all(
             slope_is_zero(v, p.alpha) for v in tracked
         )

@@ -36,10 +36,10 @@ def feed(params, streams):
     """Slide a window of ``params.window`` values over parallel streams and
     decide on every full window; return the stop generation or None."""
     tracker = RunIndicatorTracker(1, params)
-    windows = {n: deque(maxlen=params.window) for n in params.indicators}
+    windows = {n: deque(maxlen=params.window) for n in streams}
     length = len(next(iter(streams.values())))
     for t in range(length):
-        for n in params.indicators:
+        for n in streams:
             windows[n].append(streams[n][t])
         if t + 1 < params.window:
             continue
@@ -107,7 +107,7 @@ class LoopTracker:
 
     def decide(self, series):
         p = self.params
-        tracked = [series[name] for name in p.indicators]
+        tracked = list(series.values())
 
         def variance_hit(v):
             statistic = (v.size - 1) * np.var(v, ddof=1) / p.var_limit
@@ -139,7 +139,6 @@ def tracker_runs(draw):
     generations, so that some windows score hits."""
     m = draw(st.sampled_from([2, 3]))
     window = draw(st.integers(3, 12))
-    indicators = draw(st.sampled_from([("hv", "eps", "r2"), ("hv",), ("eps", "r2")]))
     value = st.integers(0, 8).map(lambda k: k / 4)
     constant = draw(st.none() | st.integers(0, m - 1))
     populations = []
@@ -152,7 +151,7 @@ def tracker_runs(draw):
         populations.append(pop)
     settled = draw(st.integers(0, len(populations) - 1))
     populations[settled:] = [populations[settled]] * (len(populations) - settled)
-    return m, OCDParams(window=window, indicators=indicators), populations
+    return m, OCDParams(window=window), populations
 
 
 def stop_generation(tracker, populations):
@@ -166,31 +165,31 @@ def stop_generation(tracker, populations):
 
 class TestOcdUpdate:
     def test_constant_stream_converges_at_window_plus_one(self):
-        params = OCDParams(window=10, indicators=("hv",))
+        params = OCDParams(window=10)
         stop = feed(params, {"hv": [0.5] * 30})
         assert stop == 11
 
     def test_never_before_window_plus_one(self):
         for window in (3, 5, 10):
-            params = OCDParams(window=window, indicators=("hv",))
+            params = OCDParams(window=window)
             stop = feed(params, {"hv": [0.0] * (window + 5)})
             assert stop == window + 1
 
     def test_linear_trend_never_converges(self):
-        params = OCDParams(window=10, indicators=("hv",))
+        params = OCDParams(window=10)
         stop = feed(params, {"hv": list(np.arange(100, dtype=float))})
         assert stop is None
 
     def test_small_noise_converges_quickly(self):
         rng = np.random.default_rng(8)
-        params = OCDParams(window=10, var_limit=1e-4, indicators=("hv",))
+        params = OCDParams(window=10, var_limit=1e-4)
         noise = 1.0 + rng.normal(0, np.sqrt(1e-6), size=30)
         stop = feed(params, {"hv": list(noise)})
         assert stop is not None
         assert stop <= 30
 
     def test_all_indicators_must_agree(self):
-        params = OCDParams(window=5, indicators=("hv", "eps"))
+        params = OCDParams(window=5)
         streams = {"hv": [1.0] * 40, "eps": list(np.arange(40, dtype=float))}
         assert feed(params, streams) is None
 
@@ -198,7 +197,7 @@ class TestOcdUpdate:
         # Two steep, hit-free decays of different length and scale feed into
         # the same settling tail; the stop must come the same number of
         # steps after each prefix ends.
-        params = OCDParams(window=6, indicators=("hv",))
+        params = OCDParams(window=6)
         common = list(5000.0 * 0.55 ** np.arange(9)) + [2.0] * 20
         prefix_a = list(400000.0 * 0.55 ** np.arange(8))
         prefix_b = list(2.0e7 * 0.5 ** np.arange(13))
@@ -211,7 +210,7 @@ class TestOcdUpdate:
         # The stop time equals the first index where two consecutive
         # windows each pass one of the two tests.
         rng = np.random.default_rng(61)
-        params = OCDParams(window=5, indicators=("hv",))
+        params = OCDParams(window=5)
         stream = list(np.cumsum(rng.uniform(0.5, 1.5, size=12))[::-1]) + list(
             1.0 + rng.normal(0, 1e-4, size=25)
         )
@@ -229,7 +228,7 @@ class TestOcdUpdate:
 
 
     def test_a_miss_resets_the_hit_streak(self):
-        tracker = RunIndicatorTracker(1, OCDParams(window=5, indicators=("hv",)))
+        tracker = RunIndicatorTracker(1, OCDParams(window=5))
         hit = {"hv": np.full(5, 0.5)}
         miss = {"hv": np.arange(5, dtype=float)}
         decisions = [tracker.decide(w) for w in (hit, miss, hit, hit)]
@@ -304,10 +303,6 @@ class TestParams:
         # A NaN limit would make a variance test that never fires.
         with pytest.raises(ValueError, match="var_limit must be positive"):
             OCDParams(var_limit=float("nan"))
-
-    def test_unknown_indicator(self):
-        with pytest.raises(ValueError, match="unknown indicators \\['foo'\\]"):
-            OCDParams(indicators=("hv", "foo"))
 
 
 class StagnationOracle:
