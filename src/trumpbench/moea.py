@@ -139,7 +139,11 @@ def sbx_crossover(
     n = p1.size
     take = rng.random(n) < 0.5
     u = rng.random(n)[take]
-    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** (1.0 / (params.eta_c + 1.0))
+    base = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
+    # float_power has no SIMD loop, so every CPU gives the scalar pow's
+    # floats; float64 ** runs a vector pow on AVX-512 CPUs that differs in
+    # the last bits.
+    beta = np.float_power(base, 1.0 / (params.eta_c + 1.0))
     lo, hi = bounds
     child[take] = (0.5 * ((1.0 + beta) * p1[take] + (1.0 - beta) * p2[take])).clip(lo, hi)
     return child
@@ -166,8 +170,9 @@ def polynomial_mutation(
     if u.size:
         x = g[mutate]
         low = u < 0.5
-        # (2u)^e - 1 lies in (-1, 0] below 0.5; 1 - (2(1-u))^e in [0, 1) above.
-        power = np.where(low, 2.0 * u, 2.0 * (1.0 - u)) ** (1.0 / (params.eta_m + 1.0))
+        # (2u)^e - 1 lies in (-1, 0] below 0.5; 1 - (2(1-u))^e in [0, 1) above;
+        # float_power for the reason sbx_crossover gives.
+        power = np.float_power(np.where(low, 2.0 * u, 2.0 * (1.0 - u)), 1.0 / (params.eta_m + 1.0))
         out[mutate] = x + np.where(low, (power - 1.0) * (x - lo), (1.0 - power) * (hi - x))
     return out.clip(lo, hi)
 

@@ -253,23 +253,21 @@ class TestSettingsParity:
 
 
 # SHA-256 of the artifacts of one experiment with eight placed 8x2 reference
-# decks, re-pinned when staircase areas became np.add.reduceat sums: the S
-# values moved in their last bits, and the normalized fronts of every
-# approach share their frame with the S front.  report.json was re-pinned
-# again, in its reference_decks block only, when the reference decks came to
-# play the deals the fronts were replayed on.
+# decks, re-pinned last when the variation operators took np.float_power,
+# which gives the same floats on every CPU, and the run configs lost the
+# settings no command could set (report.json carries their hash).
 EXPERIMENT_GOLDEN = {
-    "report.json": "d837250705ac44225613e99900a8a2a0fd394ee48cd97c4220416eb3d85aadcd",
-    "indicators.csv": "8d29866768573aa3a39243551713752df2ba0cfa55ba9ec1fa90a8ad96abf9ba",
-    "fronts/B4_front.csv": "e965bcc40e378bc3ead268a8673d4893c7f6c1965476c9ba37e6c95118efb7c1",
-    "fronts/B4_surface50.csv": "e965bcc40e378bc3ead268a8673d4893c7f6c1965476c9ba37e6c95118efb7c1",
+    "report.json": "a2d6ca906700de3ffc746ddbca40ff646c23e5c2c3bea67a0f1f6c3111726994",
+    "indicators.csv": "bac6dd449e26f2c781c5a2d7c9ebfe344f0a84158d7a3701cab601bcd3ce58c7",
+    "fronts/B4_front.csv": "e6dd16e8f747e51a7652d920b011b6a00082c46a904ec57233a8bb5665cb7b58",
+    "fronts/B4_surface50.csv": "e6dd16e8f747e51a7652d920b011b6a00082c46a904ec57233a8bb5665cb7b58",
     "fronts/B4_union.csv": "7dc95d977723d1e64fd5e19710fc20ddbd3a56b0cea50d148e9640f9d22ba325",
-    "fronts/D4_front.csv": "bbac25c5648c25359066f742838ca8330cfd7cfe42929531a6e20a62a324e316",
-    "fronts/D4_surface50.csv": "bbac25c5648c25359066f742838ca8330cfd7cfe42929531a6e20a62a324e316",
+    "fronts/D4_front.csv": "0d1ca416ffa551be6f85bd49016a72822679315597dc2b47c88f360c09505540",
+    "fronts/D4_surface50.csv": "0d1ca416ffa551be6f85bd49016a72822679315597dc2b47c88f360c09505540",
     "fronts/D4_union.csv": "08b12771c6d47a724d756719b3c72ba9c5d29f496e23d8e8d230d7b1d4d2847e",
-    "fronts/S4_front.csv": "5b7c92c1f6cac60a015133007b50e26f88338f68f795175426488c0a6994f78c",
-    "fronts/S4_surface50.csv": "5b7c92c1f6cac60a015133007b50e26f88338f68f795175426488c0a6994f78c",
-    "fronts/S4_union.csv": "dde6626d3d9dffc1895f5363bf58683c8a0933406c32106b8bfe698743c4611d",
+    "fronts/S4_front.csv": "08aa5bd8ac998eb4937e81d95f86679b26b16a768b03bbe1cf5e9eece4456679",
+    "fronts/S4_surface50.csv": "08aa5bd8ac998eb4937e81d95f86679b26b16a768b03bbe1cf5e9eece4456679",
+    "fronts/S4_union.csv": "be6cfd06e0b29977b49a920b9185b4b426dd3d34e263d857b97bc949afe3c823",
 }
 
 
@@ -307,12 +305,13 @@ def test_experiment_with_reference_decks_matches_golden_bytes(tmp_path, capsys):
 
 # SHA-256 of run_S10_seed3.json from `optimize --objective S --evals 200
 # --seed 3` on 32 cards, with each staircase area an np.add.reduceat sum, as
-# the recursive oracle in tests/test_hv.py computes it.  These decks
+# the recursive oracle in tests/test_hv.py computes it, and each spread
+# factor of the variation operators an np.float_power.  These decks
 # reach the 4-D and 3-D hypervolume, which the 8x2 golden experiment
 # does not.
 S_RUN_GOLDEN = {
-    4: "1c5c8a5536757cc98e9974f864c39d24f3cbcbe4a95be0100761a566b2d80fff",
-    3: "387ca04a2f0854d2c0f10e3e5b1ce32ae6b89b0a4c3880788dbc30da8dd51df7",
+    4: "cdcac1add45f022f32a3c4837e4f61132afa4f4b0a192393920f90c4d0f2b371",
+    3: "9fd8dccc181a49b61ebd108de7516a49fab50566d10db1f053d9d47d4e14a9be",
 }
 
 
@@ -328,12 +327,13 @@ def test_surrogate_run_matches_golden_bytes(tmp_path, capsys, categories):
 
 
 # SHA-256 of run_D10_seed3.json from `optimize --objective D --evals 2000
-# --seed 3` on 32 cards, pinned before the variation operators, the validity
-# check and the dominance matrix were rewritten to compute less.  Unlike the
+# --seed 3` on 32 cards, which the rewrites of the variation operators, the
+# validity check and the dominance matrix to compute less kept, re-pinned
+# when the spread factors came to be raised by np.float_power.  Unlike the
 # 8x2 D4 run of the golden experiment, these runs check 32-card offspring.
 D_RUN_GOLDEN = {
-    4: "5a51f995d68e134e4a2e1887c39df3001d08fdbf2e0a3de8735a26e296a6264d",
-    3: "40bf5e21ef07d3caad878872943fed8ad1c8b7d155b854ee84351c1281f50d90",
+    4: "3b9ffe904c19bb6d1ca4a7c3d82072b5d32336a6f33beb43e018adb050934291",
+    3: "ba7949b550d52d92ce68406f0588115ce7c057f49d95e3f73176127dd97fd187",
 }
 
 
@@ -349,12 +349,13 @@ def test_dominance_run_matches_golden_bytes(tmp_path, capsys, categories):
 
 
 # SHA-256 of three outputs of simulated games on the 32x4 deck, as written
-# when each batch drew its deals and played them in one function.  5,000
+# when each batch drew its deals and played them in one function; the
+# optimize run was re-pinned with the other optimizer goldens.  5,000
 # games and the sample size 4,100 cross the 4,096-game chunk.
 GAMES_GOLDEN = {
     "simulate": "5ac3ae004af183f348c1c9b0d45e8f502a1b67e8029707c292497ff7062369f7",
     "sample-size": "835115b503f665693d4a575bb2bbd74e0ff704debf6441570d8d6239227147fb",
-    "optimize": "1d9a0d8f7a9bd619dd1870196c3c551d878075092b7cb650c3ee48fc44be8cf3",
+    "optimize": "72ccbfea25e394d252bc07bcefca81a71046119ad40243c471ae63ab02066952",
 }
 
 

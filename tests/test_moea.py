@@ -138,7 +138,7 @@ def sbx_crossover_oracle(parent1, parent2, params, bounds, rng, both=False):
     take = rng.random(n) < 0.5
     u = rng.random(n)
     exponent = 1.0 / (params.eta_c + 1.0)
-    beta = np.where(u <= 0.5, (2.0 * u) ** exponent, (1.0 / (2.0 * (1.0 - u))) ** exponent)
+    beta = np.where(u <= 0.5, np.float_power(2.0 * u, exponent), np.float_power(1.0 / (2.0 * (1.0 - u)), exponent))
     child_a = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
     child_b = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
     lo, hi = bounds
@@ -157,8 +157,8 @@ def polynomial_mutation_oracle(genome, params, bounds, rng):
     mutate = rng.random(g.size) < pm
     u = rng.random(g.size)
     exponent = 1.0 / (params.eta_m + 1.0)
-    down = (2.0 * u) ** exponent - 1.0
-    up = 1.0 - (2.0 * (1.0 - u)) ** exponent
+    down = np.float_power(2.0 * u, exponent) - 1.0
+    up = 1.0 - np.float_power(2.0 * (1.0 - u), exponent)
     delta = np.where(u < 0.5, down * (g - lo), up * (hi - g))
     out[mutate] = g[mutate] + delta[mutate]
     return np.clip(out, lo, hi)
@@ -251,9 +251,10 @@ def oracle_probe() -> list[str]:
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 dispatch targets")
 @pytest.mark.parametrize("disabled", ["", "AVX512_SPR AVX512_ICL X86_V4"], ids=["default", "no-avx512"])
 def test_kernels_match_oracles_under_each_simd_dispatch(disabled):
-    # numpy picks its SIMD loops when it loads, and on AVX-512 CPUs float64
-    # ** runs a vector pow whose last bits differ from the scalar one, so
-    # each dispatch setting needs a fresh interpreter.
+    # numpy picks its SIMD loops when it loads, so each dispatch setting
+    # needs a fresh interpreter.  On AVX-512 CPUs float64 ** runs a vector
+    # pow whose last bits differ from the scalar one; the operators and
+    # their oracles raise by np.float_power, which has no vector loop.
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")]))
