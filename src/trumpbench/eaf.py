@@ -153,7 +153,8 @@ def _distinct_rows(codes: np.ndarray) -> np.ndarray:
 
 
 def attainment_surface(group: RunGroup, level: float) -> FrontSet:
-    """Minimal goal points attained by at least ``level`` of the runs.
+    """Minimal goal points attained by at least ``level`` of the runs, and
+    by one run at least.
 
     Evaluated on the grid of componentwise combinations of coordinates
     occurring in the group; the result is a mutually non-dominated set.
@@ -163,12 +164,10 @@ def attainment_surface(group: RunGroup, level: float) -> FrontSet:
     fronts = [f.points for f in group.fronts]
     axes = _axes(fronts)
     field = _first_layers(fronts, axes)
-    # A cell counts from the layer where the rank-th of its runs reaches it.
-    rank = math.ceil(level * len(group) - 1e-9)
-    if rank > 0:
-        layer = np.partition(field, rank - 1, axis=0)[rank - 1, ...]
-    else:
-        layer = np.zeros_like(field[0, ...])
+    # A cell counts from the layer where the rank-th of its runs reaches it;
+    # a level below 1/n still needs one run.
+    rank = max(1, math.ceil(level * len(group) - 1e-9))
+    layer = np.partition(field, rank - 1, axis=0)[rank - 1, ...]
     # The eligible region is upward closed, so a cell's first eligible point
     # is minimal exactly when no single-coordinate step down the grid axes
     # is eligible at its layer or below. FrontSet would prune the other

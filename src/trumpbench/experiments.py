@@ -471,7 +471,7 @@ def _analyze(
     named_sets: dict[str, np.ndarray] = {}
     for label in labels:
         named_sets[f"{label}_p"] = fronts[label].points
-        named_sets[f"{label}_{config.surface_level:g}"] = surfaces[label].points
+        named_sets[f"{label}_{config.surface_tag}"] = surfaces[label].points
     set_relations = [
         {"dominator": name_a, "dominated": name_b}
         for name_a, name_b in itertools.permutations(sorted(named_sets), 2)

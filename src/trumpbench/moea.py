@@ -140,9 +140,8 @@ def sbx_crossover(
     take = rng.random(n) < 0.5
     u = rng.random(n)[take]
     base = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
-    # float_power has no SIMD loop, so every CPU gives the scalar pow's
-    # floats; float64 ** runs a vector pow on AVX-512 CPUs that differs in
-    # the last bits.
+    # float_power has no SIMD loop, so its floats are the same on every CPU;
+    # float64 ** takes a vector pow on AVX-512 CPUs that differs in the last bits.
     beta = np.float_power(base, 1.0 / (params.eta_c + 1.0))
     lo, hi = bounds
     child[take] = (0.5 * ((1.0 + beta) * p1[take] + (1.0 - beta) * p2[take])).clip(lo, hi)

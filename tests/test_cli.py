@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from trumpbench import cli
-from trumpbench.cli import SETTINGS, main, parse_config_file
+from trumpbench.cli import RUN_SECTIONS, SETTINGS, main, parse_config_file
 from trumpbench.deck import DeckShape, deck_is_valid, dominating_pair_count, load_deck, save_deck
 from trumpbench.experiments import ExperimentConfig
 from trumpbench.indicators import (
@@ -213,12 +213,37 @@ def setting(plain_config: dict, key: str):
     return plain_config[name] if section == "run" else plain_config[section][name]
 
 
+def leaf_fields(config_class, prefix=()) -> set[tuple[str, ...]]:
+    """Paths of the fields of a config dataclass that hold no dataclass,
+    with the fields of its nested config dataclasses."""
+    paths = set()
+    for f in dataclasses.fields(config_class):
+        if dataclasses.is_dataclass(f.default_factory):
+            paths |= leaf_fields(f.default_factory, prefix + (f.name,))
+        else:
+            paths.add(prefix + (f.name,))
+    return paths
+
+
 class TestSettingsParity:
     """`optimize` flags and config-file keys set the same run settings."""
 
     def test_every_run_setting_is_covered(self):
         keys = {key for key, (section, *_) in SETTINGS.items() if section != "experiment"}
         assert {key for key, _, _ in RUN_SETTINGS} == keys
+
+    def test_every_config_field_can_be_set(self):
+        # A field that no flag or config-file key sets is a constant, not a
+        # setting; optimize sets mu, objective and seed by flags of its own.
+        def settable(sections):
+            return {
+                (name,) if section in ("run", "experiment") else (section, name)
+                for section, name, *_ in SETTINGS.values()
+                if section in sections
+            }
+
+        assert leaf_fields(EAConfig) - settable(RUN_SECTIONS) == {("mu",), ("objective",), ("seed",)}
+        assert leaf_fields(ExperimentConfig) <= settable(("experiment", *RUN_SECTIONS))
 
     def test_optimize_flags_match_config_file_keys(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

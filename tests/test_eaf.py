@@ -51,7 +51,7 @@ def grid_surface(group, level):
     counts = np.zeros(shape, dtype=np.int32)
     for front in group.fronts:
         counts += attained_grid(front.points, axes)
-    eligible = counts >= level * len(group) - 1e-9
+    eligible = counts >= max(1, level * len(group) - 1e-9)
     dominated_from_below = np.zeros(shape, dtype=bool)
     for d in range(len(axes)):
         shifted = np.zeros(shape, dtype=bool)
@@ -191,8 +191,13 @@ class TestFirstLayersMatchGrid:
     @settings(max_examples=50, deadline=None)
     @given(run_groups(dims=(1, 2, 3, 4)), st.integers(0, 2**31))
     def test_level_below_one_run(self, groups, seed):
-        # Every cell is eligible from the first layer on, attained or not.
+        # A level below 1/n still needs one run: the surface is the 1/n
+        # surface, and every point of it is attained.
         assert_sweep_matches_grid(groups, 1e-12, seed)
+        for group in groups:
+            surface = attainment_surface(group, 1e-12)
+            assert np.array_equal(surface.points, attainment_surface(group, 1 / len(group)).points)
+            assert all(eaf_value(group, z) >= 1e-12 for z in surface.points)
 
 
 def loop_critical_value(null_stats, alpha):

@@ -220,16 +220,20 @@ class TestRunExperiment:
             "D5_vs_S5": {**common, "p_value": 0.275, "seed": 1915316874147300777, "statistic": 1.0},
         }
 
-    def test_set_relations_name_no_union(self):
-        # A union and its front have the same relations with every set.
+    def test_set_relations_name_no_union(self, tmp_path):
+        # A union and its front have the same relations with every set, and
+        # each set is named as indicators.csv names it.
         approaches = tuple(
             Approach(kind, 5)
             for kind in (ObjectiveKind.SURROGATE, ObjectiveKind.DOMINANCE, ObjectiveKind.BALANCE)
         )
-        report = run_experiment(mini_config(approaches=approaches, runs=3, master_seed=1))
+        config = mini_config(approaches=approaches, runs=3, master_seed=1, output_dir=str(tmp_path))
+        report = run_experiment(config)
         names = {name for relation in report.set_relations for name in relation.values()}
         assert names
         assert not any(name.endswith("_union") for name in names)
+        rows = (tmp_path / "indicators.csv").read_text().splitlines()[1:]
+        assert names <= {row.split(",")[0] for row in rows}
 
     def test_killed_worker_fails_only_its_run(self, tmp_path, monkeypatch):
         config = mini_config(output_dir=str(tmp_path), workers=2)

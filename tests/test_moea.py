@@ -138,7 +138,9 @@ def sbx_crossover_oracle(parent1, parent2, params, bounds, rng, both=False):
     take = rng.random(n) < 0.5
     u = rng.random(n)
     exponent = 1.0 / (params.eta_c + 1.0)
-    beta = np.where(u <= 0.5, np.float_power(2.0 * u, exponent), np.float_power(1.0 / (2.0 * (1.0 - u)), exponent))
+    beta = np.where(
+        u <= 0.5, np.float_power(2.0 * u, exponent), np.float_power(1.0 / (2.0 * (1.0 - u)), exponent)
+    )
     child_a = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
     child_b = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
     lo, hi = bounds
@@ -304,7 +306,7 @@ class TestSettingChecks:
     )
     def test_config_rejects_what_no_run_can_use(self, setting, message):
         with pytest.raises(ValueError, match=message):
-            EAConfig(**{"mu": 4, "objective": ObjectiveKind.BALANCE, **setting})
+            EAConfig(mu=4, objective=ObjectiveKind.BALANCE, **setting)
 
     @pytest.mark.parametrize(
         "games, message",
