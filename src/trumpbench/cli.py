@@ -61,14 +61,15 @@ def cmd_simulate(args) -> int:
     policies = POLICY_PAIRS[args.policies]
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     summary = simulate(deck, policies, args.games, rng)
+    a = args.policies[:2]  # player A's policy: p4 informed, p0 range-only
     record = {
         "deck": str(args.deck),
         "games": summary.games,
         "policies": args.policies,
         "seed": args.seed,
-        "win_rate_p4": summary.win_rate_a,
+        f"win_rate_{a}": summary.win_rate_a,
         "draw_rate": summary.draw_rate,
-        "loss_rate_p4": summary.loss_rate_a,
+        f"loss_rate_{a}": summary.loss_rate_a,
         "mean_announcer_changes": summary.mean_announcer_changes,
         "mean_tightness": summary.mean_tightness,
     }

@@ -169,15 +169,16 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 
 def make_evaluator(kind: ObjectiveKind, shape: DeckShape, games: int):
-    """Objective callable for the optimizers.  Only B draws: its simulation
-    noise comes from the per-evaluation generator the run loop hands in,
-    and the D and S callables, which the run loop hands None, ignore it."""
+    """Evaluator for the optimizers: D and S objective values, B games.  Only
+    B draws: its simulation noise comes from the per-evaluation generator
+    the run loop hands in, and the D and S callables, which the run loop
+    hands None, ignore it."""
     if kind is ObjectiveKind.DOMINANCE:
         return lambda deck, rng: dominance_fitness(deck).values
     if kind is ObjectiveKind.SURROGATE:
         return lambda deck, rng: surrogate_objectives(deck, shape).values
     if kind is ObjectiveKind.BALANCE:
-        return lambda deck, rng: balance_objectives(simulate(deck, POLICIES, games, rng)).values
+        return lambda deck, rng: simulate(deck, POLICIES, games, rng)
     raise ValueError(f"unsupported objective kind: {kind}")
 
 
@@ -348,6 +349,22 @@ def _ci_halfwidths(group: RunGroup, reference: FrontSet, alpha: float) -> dict:
     }
 
 
+def _check_output_dir(config: ExperimentConfig) -> None:
+    """Raise ValueError unless ``config.output_dir`` holds no report or one of ``config``."""
+    path = Path(config.output_dir) / "report.json"
+    if not path.exists():
+        return
+    try:
+        found = json.loads(path.read_text(encoding="utf-8"))["config_hash"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"cannot read the config hash of {path}: {describe_error(exc)}") from None
+    if found != config.config_hash():
+        raise ValueError(
+            f"output directory {config.output_dir} holds experiment {found}, "
+            f"not {config.config_hash()}; choose another directory"
+        )
+
+
 def run_experiment(
     config: ExperimentConfig, reference_decks: Sequence[tuple[str, Deck]] = ()
 ) -> ExperimentReport:
@@ -357,14 +374,19 @@ def run_experiment(
 
     A bad setting raises ValueError before any run starts: building
     ``config`` checked every run's settings, and a reference deck of another
-    shape than ``config.shape`` is rejected here.  A run that starts and
-    fails is recorded in its approach's ``errors``, which marks the approach
-    incomplete; the other runs and the analysis go on.  Every run goes
-    through one process pool of at most ``min(workers, runs)`` processes,
-    so a run that kills its process fails that run, not the experiment."""
+    shape than ``config.shape`` is rejected here, as is an output directory
+    whose ``report.json`` another config wrote or no one can read, since the
+    files of that experiment would stay beside this one's.  A run that
+    starts and fails is recorded in its approach's ``errors``, which marks
+    the approach incomplete; the other runs and the analysis go on.  Every
+    run goes through one process pool of at most ``min(workers, runs)``
+    processes, so a run that kills its process fails that run, not the
+    experiment."""
     for name, deck in reference_decks:
         if deck.shape != config.shape:
             raise ValueError(f"reference deck {name} has shape {deck.shape}, not {config.shape}")
+    if config.output_dir is not None:
+        _check_output_dir(config)
     errors: dict[str, list[str]] = {a.label: [] for a in config.approaches}
     artifacts: dict[str, list[dict]] = {a.label: [] for a in config.approaches}
     jobs = [

@@ -12,12 +12,17 @@ over the K/2 tricks and never over games.  Deals come from :func:`draw_deals`
 in chunks of ``CHUNK_GAMES`` (hand orders, then starters), so the games a
 seed yields depend on ``CHUNK_GAMES``.  Decks compared share deals through
 :func:`play_deals` and :func:`simulate_deals`; :func:`simulate` draws its own.
+
+A :class:`SimulationSummary` holds the integer sums the kernel counts; its
+rates and means divide them by the games.  Two summaries of one deck, on two
+deal tables, add with ``+`` to the summary of both tables.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import operator
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -77,14 +82,23 @@ class GameResult:
 
 @dataclass(frozen=True)
 class SimulationSummary:
-    """Aggregates over a batch of simulated games."""
+    """Integer sums over a batch of games, seen from player A."""
 
     games: int
-    win_rate_a: float
-    draw_rate: float
-    loss_rate_a: float
-    mean_announcer_changes: float
-    mean_tightness: float
+    wins_a: int
+    draws: int
+    announcer_changes: int
+    tightness: int
+
+    def __add__(self, other: SimulationSummary) -> SimulationSummary:
+        return SimulationSummary(*map(operator.add, astuple(self), astuple(other)))
+
+    # Each rate and mean divides one sum by the games, int by int.
+    win_rate_a = property(lambda self: self.wins_a / self.games)
+    draw_rate = property(lambda self: self.draws / self.games)
+    loss_rate_a = property(lambda self: (self.games - self.wins_a - self.draws) / self.games)
+    mean_announcer_changes = property(lambda self: self.announcer_changes / self.games)
+    mean_tightness = property(lambda self: self.tightness / self.games)
 
 
 def play_game(deck: Deck, deal: Deal, policies: tuple[Policy, Policy]) -> GameResult:
@@ -210,18 +224,14 @@ def play_deals(
 def simulate_deals(
     deck: Deck, policies: tuple[Policy, Policy], deals: tuple[np.ndarray, np.ndarray]
 ) -> SimulationSummary:
-    """Rates and means of the games of :func:`play_deals`."""
+    """Sums over the games of :func:`play_deals`."""
     tricks_a, tricks_b, changes = play_deals(deck, policies, deals)
-    games = len(tricks_a)
-    wins = int(np.count_nonzero(tricks_a > tricks_b))
-    draws = int(np.count_nonzero(tricks_a == tricks_b))
     return SimulationSummary(
-        games=games,
-        win_rate_a=wins / games,
-        draw_rate=draws / games,
-        loss_rate_a=(games - wins - draws) / games,
-        mean_announcer_changes=int(changes.sum()) / games,
-        mean_tightness=int(np.abs(2 * tricks_a - deck.shape.K // 2).sum()) / games,
+        games=len(tricks_a),
+        wins_a=int(np.count_nonzero(tricks_a > tricks_b)),
+        draws=int(np.count_nonzero(tricks_a == tricks_b)),
+        announcer_changes=int(changes.sum()),
+        tightness=int(np.abs(2 * tricks_a - deck.shape.K // 2).sum()),
     )
 
 

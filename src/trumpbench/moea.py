@@ -5,6 +5,10 @@ Both optimizers share the real-coded variation operators (simulated binary
 crossover and bounded polynomial mutation), reject offspring that decode to
 invalid decks without charging an evaluation, and stop on either a budget
 or the convergence detectors from :mod:`trumpbench.ocd`.
+
+An :data:`Evaluator` returns the objective values of a D or S deck, and a B
+deck's games summary, which each B :class:`Individual` keeps as ``summary``
+beside the objectives :func:`~trumpbench.objectives.balance_objectives` derives.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from typing import Callable
 import numpy as np
 
 from trumpbench.deck import Deck, DeckShape, deck_is_valid, genome_to_deck, random_valid_deck
-from trumpbench.game import check_games
+from trumpbench.game import SimulationSummary, check_games
 from trumpbench.indicators import hv_contributions
-from trumpbench.objectives import ObjectiveKind
+from trumpbench.objectives import ObjectiveKind, balance_objectives
 from trumpbench.ocd import Decision, OCDParams, RunIndicatorTracker, Stagnation
 
 # Invalid children spawn_offspring rejects before it draws a random valid deck.
@@ -31,9 +35,9 @@ OFFSPRING_TRIES = 1000
 STAGNATION_WINDOW = 500
 STAGNATION_TOL = 1e-9
 
-# An objective of a deck.  Only B, the simulated objective, draws: its
+# A deck's objective values (D, S) or games summary (B).  Only B draws: its
 # evaluator gets the evaluation's own generator, and D and S get None.
-Evaluator = Callable[[Deck, np.random.Generator | None], np.ndarray]
+Evaluator = Callable[[Deck, np.random.Generator | None], np.ndarray | SimulationSummary]
 
 
 class EvaluationError(RuntimeError):
@@ -98,6 +102,7 @@ class Individual:
     genome: np.ndarray
     objectives: np.ndarray
     eval_index: int
+    summary: SimulationSummary | None  # the games B's objectives come from
 
 
 @dataclass(frozen=True)
@@ -226,13 +231,17 @@ class _RunState:
     def evaluate(self, deck: Deck) -> Individual:
         rng = _eval_rng(self.config.seed, self.n_evals) if self.draws else None
         try:
-            objectives = np.asarray(self.evaluator(deck, rng), dtype=float)
+            result = self.evaluator(deck, rng)
+            if self.draws:
+                summary, objectives = result, balance_objectives(result).values
+            else:
+                summary, objectives = None, np.asarray(result, dtype=float)
         except Exception as exc:
             raise EvaluationError(
                 f"objective {self.config.objective.value} failed at evaluation "
                 f"{self.n_evals} (seed {self.config.seed}): {exc}"
             ) from exc
-        individual = Individual(deck.values.reshape(-1), objectives, self.n_evals)
+        individual = Individual(deck.values.reshape(-1), objectives, self.n_evals, summary)
         self.n_evals += 1
         return individual
 

@@ -3,7 +3,8 @@
 * dominance fitness: single objective counting how far cards are from
   being mutually non-dominated (optimum -(K-1) when no card is dominated);
 * balance objectives: three simulation-based measures (negated informed
-  win rate, negated mean announcer changes, mean tightness);
+  win rate, negated mean announcer changes, mean tightness), derived from
+  the integer sums of a :class:`~trumpbench.game.SimulationSummary`;
 * surrogate objectives: two simulation-free measures (negated dominated
   hypervolume of the card set, negated spread of the category means).
 """
@@ -67,8 +68,9 @@ def dominance_fitness(deck) -> ObjectiveVector:
 def balance_objectives(summary: SimulationSummary) -> ObjectiveVector:
     """Simulation-based deck quality: (-win rate, -mean announcer changes, mean tightness).
 
-    The summary must come from an (informed, range-only) pairing so the win
-    rate refers to the knowledgeable agent.
+    Each value is one of the summary's sums over its games.  The summary
+    must come from an (informed, range-only) pairing so the win rate refers
+    to the knowledgeable agent.  This is the one place a B vector is made.
     """
     values = np.array(
         [

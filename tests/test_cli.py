@@ -59,7 +59,8 @@ class TestSimulate:
             "--policies", "p0p0",
         )
         record = json.loads(out)
-        assert abs(record["win_rate_p4"] - 0.5) < 0.1
+        assert abs(record["win_rate_p0"] - 0.5) < 0.1
+        assert "loss_rate_p0" in record and "win_rate_p4" not in record
 
     def test_byte_identical_reruns(self, deck_file, capsys):
         args = ("simulate", "--deck", deck_file, "--games", 100, "--seed", 9)
@@ -813,6 +814,26 @@ class TestCommandErrors:
         err = self.fails(capsys, "experiment", "--config", cfg)
         assert err.startswith(f"trumpbench experiment: {message}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "report, message",
+        [
+            ('{"config_hash": "0123456789abcdef"}', "holds experiment 0123456789abcdef"),
+            ("{", "cannot read the config hash of"),
+        ],
+    )
+    def test_experiment_into_another_report_fails_before_any_run(
+        self, tmp_path, capsys, monkeypatch, report, message
+    ):
+        monkeypatch.setattr("trumpbench.experiments.execute_run", no_run)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "report.json").write_text(report)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"approaches = D4\nk = 8\nl = 2\nevals = 60\nout = {tmp_path / 'out'}\n")
+        err = self.fails(capsys, "experiment", "--config", cfg)
+        assert err.startswith("trumpbench experiment: ")
+        assert message in err
+        assert [path.name for path in (tmp_path / "out").iterdir()] == ["report.json"]
 
     def test_experiment_oversized_permutations_fail_before_any_run(
         self, tmp_path, capsys, monkeypatch

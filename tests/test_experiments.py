@@ -143,8 +143,8 @@ class TestEvaluators:
         a = ev(deck, np.random.default_rng(5))
         b = ev(deck, np.random.default_rng(5))
         c = ev(deck, np.random.default_rng(6))
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+        assert a == b
+        assert a != c
 
 
 class TestRunExperiment:
@@ -171,6 +171,31 @@ class TestRunExperiment:
         assert (out / "runs" / "S5" / "run_000.json").is_file()
         front = read_front_csv(out / "fronts" / "S5_front.csv")
         assert front.m == 3
+
+    def test_output_dir_of_another_experiment_is_refused(self, tmp_path):
+        # Writing S5 runs into D5's directory would leave D5's runs and
+        # fronts beside a report that lists S5 alone.
+        out = tmp_path / "out"
+        run_experiment(mini_config(output_dir=str(out), runs=3))
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        other = mini_config(output_dir=str(out), approaches=(Approach(ObjectiveKind.SURROGATE, 5),))
+        with pytest.raises(ValueError, match=f"holds experiment {mini_config(runs=3).config_hash()}"):
+            run_experiment(other)
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
+    @pytest.mark.parametrize("report", [b"{not json", b"[]", b'{"seed": 1}', b"\xff"])
+    def test_output_dir_with_an_unreadable_report_is_refused(self, tmp_path, report):
+        (tmp_path / "report.json").write_bytes(report)
+        with pytest.raises(ValueError, match="cannot read the config hash of"):
+            run_experiment(mini_config(output_dir=str(tmp_path)))
+        assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+
+    def test_output_dir_of_the_same_experiment_is_rewritten(self, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(mini_config(output_dir=str(out)))
+        first = (out / "report.json").read_bytes()
+        run_experiment(mini_config(output_dir=str(out), workers=2))
+        assert (out / "report.json").read_bytes() == first
 
     def test_front_is_nondominated_subset_of_union(self, tmp_path):
         config = mini_config()

@@ -252,6 +252,22 @@ class TestSimulate:
             expected = simulate(deck, policies, CHUNK_GAMES + 5, np.random.default_rng(41))
             assert simulate_deals(deck, policies, deals) == expected
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, CHUNK_GAMES + 50),
+        st.data(),
+        st.sampled_from(POLICY_PAIRS),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_summaries_of_split_deals_add_up_to_the_whole(self, games, data, policies, seed):
+        rng = np.random.default_rng(seed)
+        deck = random_valid_deck(DeckShape(), rng)
+        perms, a_starts = draw_deals(deck.shape.K, games, rng)
+        cut = data.draw(st.integers(1, games - 1))
+        head = simulate_deals(deck, policies, (perms[:cut], a_starts[:cut]))
+        tail = simulate_deals(deck, policies, (perms[cut:], a_starts[cut:]))
+        assert head + tail == simulate_deals(deck, policies, (perms, a_starts))
+
     def test_rates_partition_unity(self):
         deck = random_valid_deck(DeckShape(), np.random.default_rng(10))
         summary = simulate(deck, (Policy.RANGE_ONLY, Policy.RANGE_ONLY), 500, np.random.default_rng(1))

@@ -37,9 +37,14 @@ from trumpbench.moea import (
     so_ea_run,
 )
 from trumpbench.experiments import make_evaluator
-from trumpbench.game import MAX_DEAL_BYTES
+from trumpbench.game import MAX_DEAL_BYTES, SimulationSummary
 from trumpbench.indicators import hypervolume
-from trumpbench.objectives import ObjectiveKind, dominance_fitness, surrogate_objectives
+from trumpbench.objectives import (
+    ObjectiveKind,
+    balance_objectives,
+    dominance_fitness,
+    surrogate_objectives,
+)
 from trumpbench.ocd import OCDParams
 
 
@@ -560,13 +565,26 @@ class TestRuns:
 
         def recording_evaluator(deck, rng):
             drawn.append(rng.random(3))
-            return drawn[-1]
+            changes, tightness = (int(1000 * u) for u in drawn[-1][1:])
+            return SimulationSummary(1000, int(1000 * drawn[-1][0]), 0, changes, tightness)
 
         config = self.small_config(ObjectiveKind.BALANCE, max_evals=40)
         result = sms_emoa_run(config, recording_evaluator)
         assert len(drawn) == result.n_evals
         for index, values in enumerate(drawn):
             assert values.tolist() == _eval_rng(config.seed, index).random(3).tolist()
+
+    @pytest.mark.parametrize("kind", list(ObjectiveKind))
+    def test_b_individuals_keep_the_summary_of_their_objectives(self, kind):
+        config = self.small_config(kind, max_evals=40, games=20)
+        optimize = so_ea_run if kind is ObjectiveKind.DOMINANCE else sms_emoa_run
+        result = optimize(config, make_evaluator(kind, config.shape, config.games))
+        for ind in result.final_population:
+            if kind is ObjectiveKind.BALANCE:
+                assert ind.summary.games == config.games
+                assert ind.objectives.tolist() == balance_objectives(ind.summary).values.tolist()
+            else:
+                assert ind.summary is None
 
     def test_warning_inside_a_run_is_an_error(self):
         def warning_evaluator(deck, rng):
