@@ -350,9 +350,18 @@ def _ci_halfwidths(group: RunGroup, reference: FrontSet, alpha: float) -> dict:
 
 
 def _check_output_dir(config: ExperimentConfig) -> None:
-    """Raise ValueError unless ``config.output_dir`` holds no report or one of ``config``."""
-    path = Path(config.output_dir) / "report.json"
+    """Raise ValueError unless ``config.output_dir`` holds no artifacts, or
+    artifacts with a report of ``config``.  ``report.json`` is written last,
+    so artifacts without it are an unfinished experiment of unknown config."""
+    out = Path(config.output_dir)
+    path = out / "report.json"
     if not path.exists():
+        for leftover in (out / "runs", out / "fronts", out / "indicators.csv"):
+            if leftover.exists():
+                raise ValueError(
+                    f"output directory {config.output_dir} holds {leftover} but no report.json "
+                    "of the experiment that wrote it; choose another directory"
+                )
         return
     try:
         found = json.loads(path.read_text(encoding="utf-8"))["config_hash"]
@@ -375,13 +384,13 @@ def run_experiment(
     A bad setting raises ValueError before any run starts: building
     ``config`` checked every run's settings, and a reference deck of another
     shape than ``config.shape`` is rejected here, as is an output directory
-    whose ``report.json`` another config wrote or no one can read, since the
-    files of that experiment would stay beside this one's.  A run that
-    starts and fails is recorded in its approach's ``errors``, which marks
-    the approach incomplete; the other runs and the analysis go on.  Every
-    run goes through one process pool of at most ``min(workers, runs)``
-    processes, so a run that kills its process fails that run, not the
-    experiment."""
+    whose ``report.json`` another config wrote or no one can read, or that
+    holds artifacts without a report, since the files of that experiment
+    would stay beside this one's.  A run that starts and fails is recorded
+    in its approach's ``errors``, which marks the approach incomplete; the
+    other runs and the analysis go on.  Every run goes through one process
+    pool of at most ``min(workers, runs)`` processes, so a run that kills
+    its process fails that run, not the experiment."""
     for name, deck in reference_decks:
         if deck.shape != config.shape:
             raise ValueError(f"reference deck {name} has shape {deck.shape}, not {config.shape}")

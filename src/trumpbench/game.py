@@ -10,8 +10,13 @@ leave the announcer unchanged.
 All games are played by one batched kernel, ``_play_batch``, which loops
 over the K/2 tricks and never over games.  Deals come from :func:`draw_deals`
 in chunks of ``CHUNK_GAMES`` (hand orders, then starters), so the games a
-seed yields depend on ``CHUNK_GAMES``.  Decks compared share deals through
-:func:`play_deals` and :func:`simulate_deals`; :func:`simulate` draws its own.
+seed yields depend on ``CHUNK_GAMES``.  The hand orders are stored card-major
+in the smallest integer type that holds a card index (uint8 up to 256 cards),
+for two reasons: the kernel's gather reads a contiguous index, and a
+2,000-game evaluation keeps a heap small enough that the allocator does not
+return it to the system and fault it back in on every evaluation.  Decks
+compared share deals through :func:`play_deals` and :func:`simulate_deals`;
+:func:`simulate` draws its own.
 
 A :class:`SimulationSummary` holds the integer sums the kernel counts; its
 rates and means divide them by the games.  Two summaries of one deck, on two
@@ -30,8 +35,8 @@ from trumpbench.deck import Deck
 
 # Games drawn at once and played per kernel call; bounds the (games, K, L) tensor.
 CHUNK_GAMES = 4096
-# Refuse a batch whose deals (games x K int64 card indices) exceed this:
-# 4,194,304 games of 32 cards.
+# Refuse a batch whose int64 draw buffer (games x K card indices, shuffled
+# before it is stored in the smallest type) exceeds this: 4,194,304 games of 32 cards.
 MAX_DEAL_BYTES = 2**30
 
 
@@ -164,14 +169,18 @@ def _play_batch(
             best = np.maximum(best, est[c])
             chosen = chosen + better * (beats[c] - chosen)
         outcome.append(chosen)
+    # A announces next after a trick A takes, or after a tie A announced:
+    # after_p[t] says whether A announces trick t + 1 when p announces trick t.
+    after_a, after_b = outcome[0] >= 0, outcome[1] > 0
+    handover = after_a ^ after_b
     announcer_a = np.empty((n_tricks + 1, perms.shape[0]), dtype=bool)
     announcer_a[0] = a_starts
-    result = np.empty((n_tricks, perms.shape[0]), dtype=np.int8)
-    # The trick goes by the announcer's choice; A announces next after a
-    # trick A takes, or after a tie A announced.
+    # after_a[t] where A announces, after_b[t] where B does: (a & handover) ^ after_b.
     for t in range(n_tricks):
-        r = result[t] = outcome[1][t] + announcer_a[t] * (outcome[0][t] - outcome[1][t])
-        announcer_a[t + 1] = (announcer_a[t] | (r > 0)) & (r >= 0)
+        np.bitwise_and(announcer_a[t], handover[t], out=announcer_a[t + 1])
+        announcer_a[t + 1] ^= after_b[t]
+    # The trick goes by the announcer's choice.
+    result = outcome[1] + announcer_a[:-1] * (outcome[0] - outcome[1])
     changes = (announcer_a[1:] != announcer_a[:-1]).sum(axis=0)
     return (result > 0).sum(axis=0), (result < 0).sum(axis=0), changes
 
@@ -192,17 +201,22 @@ def check_games(k: int, games: int) -> None:
 def draw_deals(k: int, games: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(perms, a_starts) of ``games`` uniform deals on K cards, as ``_play_batch`` takes them.
 
-    Per chunk of at most ``CHUNK_GAMES`` games, ``rng.permuted`` shuffles each row
-    of card indices (an exact Fisher-Yates shuffle); then one starter per game, A on 0.
+    Per chunk of at most ``CHUNK_GAMES`` games, ``rng.permuted`` shuffles each
+    game's card indices (an exact Fisher-Yates shuffle); then one starter per
+    game, A on 0.  The shuffle runs on a card-major (K, games) int64 table, one
+    column per game, which draws exactly what shuffling (games, K) rows draws.
+    ``perms`` is the (games, K) transpose of that table stored in
+    ``np.min_scalar_type(K - 1)``: ``_play_batch`` gathers along a contiguous
+    index, and the table an evaluation keeps is an eighth of its int64 size.
     """
     check_games(k, games)
-    perms = np.tile(np.arange(k), (games, 1))
+    table = np.tile(np.arange(k)[:, None], (1, games))
     a_starts = np.empty(games, dtype=bool)
     for start in range(0, games, CHUNK_GAMES):
-        chunk = perms[start : start + CHUNK_GAMES]
-        rng.permuted(chunk, axis=1, out=chunk)
-        a_starts[start : start + CHUNK_GAMES] = rng.integers(2, size=len(chunk)) == 0
-    return perms, a_starts
+        chunk = table[:, start : start + CHUNK_GAMES]
+        rng.permuted(chunk, axis=0, out=chunk)
+        a_starts[start : start + CHUNK_GAMES] = rng.integers(2, size=chunk.shape[1]) == 0
+    return table.astype(np.min_scalar_type(k - 1)).T, a_starts
 
 
 def play_deals(

@@ -835,6 +835,21 @@ class TestCommandErrors:
         assert message in err
         assert [path.name for path in (tmp_path / "out").iterdir()] == ["report.json"]
 
+    def test_experiment_into_an_unfinished_experiment_fails_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A D4 experiment that died before its report left one run behind.
+        monkeypatch.setattr("trumpbench.experiments.execute_run", no_run)
+        out = tmp_path / "out2"
+        leftover = out / "runs" / "D4" / "run_000.json"
+        leftover.parent.mkdir(parents=True)
+        leftover.write_text("{}")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"approaches = S4\nruns = 2\nk = 8\nl = 2\nevals = 60\nout = {out}\n")
+        err = self.fails(capsys, "experiment", "--config", cfg)
+        assert err.startswith(f"trumpbench experiment: output directory {out} holds {out / 'runs'}")
+        assert sorted(path for path in out.rglob("*") if path.is_file()) == [leftover]
+
     def test_experiment_oversized_permutations_fail_before_any_run(
         self, tmp_path, capsys, monkeypatch
     ):

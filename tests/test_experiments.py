@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import time
 from concurrent.futures import Executor, Future
 
@@ -189,6 +190,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="cannot read the config hash of"):
             run_experiment(mini_config(output_dir=str(tmp_path)))
         assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+
+    @pytest.mark.parametrize("leftover", ["runs/D5/run_000.json", "fronts/D5_front.csv", "indicators.csv"])
+    def test_output_dir_with_artifacts_but_no_report_is_refused(self, tmp_path, leftover):
+        # report.json is written last: an experiment that died before it
+        # leaves artifacts of a config no one can read back.
+        (tmp_path / leftover).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / leftover).write_text("")
+        top = tmp_path / leftover.split("/")[0]
+        with pytest.raises(ValueError, match=re.escape(f"holds {top} but no report.json")):
+            run_experiment(mini_config(output_dir=str(tmp_path)))
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == [tmp_path / leftover]
 
     def test_output_dir_of_the_same_experiment_is_rewritten(self, tmp_path):
         out = tmp_path / "out"

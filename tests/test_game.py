@@ -370,6 +370,26 @@ class TestDealDraw:
         assert chisquare(order_counts).pvalue > p_threshold
         assert chisquare(np.bincount(a_starts, minlength=2)).pvalue > p_threshold
 
+    @pytest.mark.parametrize("games", [1, CHUNK_GAMES + 3])
+    def test_deals_are_row_wise_shuffles_in_a_card_major_table(self, games):
+        # The oracle shuffles one row of card indices per game, then draws
+        # the starters, chunk by chunk; draw_deals must draw the same deals
+        # and leave the generator where the oracle leaves it.
+        k = 32
+        rng, oracle_rng = np.random.default_rng(37), np.random.default_rng(37)
+        perms, a_starts = draw_deals(k, games, rng)
+        for start in range(0, games, CHUNK_GAMES):
+            n = min(CHUNK_GAMES, games - start)
+            part = slice(start, start + n)
+            expected = oracle_rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
+            assert perms[part].tolist() == expected.tolist()
+            assert a_starts[part].tolist() == (oracle_rng.integers(2, size=n) == 0).tolist()
+        assert rng.random() == oracle_rng.random()
+        # Stored card-major in the smallest type, so the kernel's gather
+        # reads a contiguous index.
+        assert perms.dtype == np.uint8 and perms.shape == (games, k)
+        assert perms.T.flags.c_contiguous
+
     def test_kernel_plays_chunks_of_at_most_chunk_games(self, monkeypatch):
         seen = []
         play_batch = game._play_batch
