@@ -361,12 +361,3 @@ def _critical_value(null_stats: np.ndarray, alpha: float) -> float:
     )
     return float(ordered[min(first, n - 1)])
 
-
-def set_strictly_dominates(first, second) -> bool:
-    """True iff every point of ``second`` is strictly dominated by some point of ``first``."""
-    a = np.atleast_2d(np.asarray(first.points if isinstance(first, FrontSet) else first, float))
-    b = np.atleast_2d(np.asarray(second.points if isinstance(second, FrontSet) else second, float))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError("set dominance needs non-empty sets")
-    strictly = np.all(a[:, None, :] < b[None, :, :], axis=2)
-    return bool(strictly.any(axis=0).all())

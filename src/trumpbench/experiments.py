@@ -8,6 +8,13 @@ confidence intervals and ranks, the pairwise attainment tests and the set
 relations.  Any reference decks are played on the same deals, so they are
 placed among the fronts without sampling noise of their own.  The report
 is built once from the results and written once.
+
+Both strict verdicts, which sets strictly dominate which in
+``set_relations`` and which fronts strictly dominate a reference deck in
+``dominated_by``, are an additive epsilon below 0: ε = max_b min_a
+max_j (a_j − b_j) < 0 exactly when every point b has a point a with
+a_j < b_j in every objective.  For finite doubles a_j − b_j < 0 exactly
+when a_j < b_j, so the verdicts are exact, not a tolerance.
 """
 
 from __future__ import annotations
@@ -32,12 +39,12 @@ from trumpbench.eaf import (
     attainment_surface,
     check_permutations,
     eaf_test,
-    set_strictly_dominates,
 )
 from trumpbench.game import Policy, check_games, draw_deals, play_deals, simulate, simulate_deals
 from trumpbench.indicators import (
     FrontSet,
     NormalizeTransform,
+    eps_indicator,
     fit_normalize_transform,
     indicator_block,
     write_front_csv,
@@ -321,6 +328,11 @@ class ExperimentReport:
         }
 
 
+def _balance(deck: Deck, deals: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Balance objectives of ``deck`` played on ``deals``."""
+    return balance_objectives(simulate_deals(deck, POLICIES, deals)).values
+
+
 def _reevaluate_run(
     artifact: dict, kind: ObjectiveKind, shape: DeckShape, deals: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
@@ -330,23 +342,12 @@ def _reevaluate_run(
     individuals = artifact["front"]
     if kind is ObjectiveKind.DOMINANCE:
         individuals = [min(individuals, key=lambda ind: (ind["objectives"][0], ind["eval_index"]))]
-    decks = [genome_to_deck(ind["genome"], shape) for ind in individuals]
-    return np.array([balance_objectives(simulate_deals(d, POLICIES, deals)).values for d in decks])
+    return np.array([_balance(genome_to_deck(ind["genome"], shape), deals) for ind in individuals])
 
 
 def _ranks(blocks: list[dict]) -> list[int]:
     """Non-dominated sorting ranks of indicator blocks, 1 = best."""
     return [int(r) for r in nondominated_sort(np.array([list(b.values()) for b in blocks]))]
-
-
-def _ci_halfwidths(group: RunGroup, reference: FrontSet, alpha: float) -> dict:
-    """Confidence-interval halfwidth of each indicator over the runs; None
-    for a single run."""
-    blocks = [indicator_block(fs, reference) for fs in group.fronts]
-    return {
-        key: ci_halfwidth([b[key] for b in blocks], alpha) if len(blocks) >= 2 else None
-        for key in blocks[0]
-    }
 
 
 def _check_output_dir(config: ExperimentConfig) -> None:
@@ -396,10 +397,8 @@ def run_experiment(
             raise ValueError(f"reference deck {name} has shape {deck.shape}, not {config.shape}")
     if config.output_dir is not None:
         _check_output_dir(config)
-    errors: dict[str, list[str]] = {a.label: [] for a in config.approaches}
-    artifacts: dict[str, list[dict]] = {a.label: [] for a in config.approaches}
     jobs = [
-        (approach.label, config.run_config(approach, run_idx))
+        (approach, config.run_config(approach, run_idx))
         for approach in config.approaches
         for run_idx in range(config.runs)
     ]
@@ -411,50 +410,36 @@ def run_experiment(
         futures = [_submit(pool, job) for _, job in jobs]
         outcomes = [_outcome(future) for future in futures]
 
-    for (label, job), (artifact, error) in zip(jobs, outcomes):
+    results = {a.label: ApproachResult(a, [], []) for a in config.approaches}
+    for (approach, job), (artifact, error) in zip(jobs, outcomes):
         if error is not None:
-            errors[label].append(f"seed {job.seed}: {error}")
+            results[approach.label].errors.append(f"seed {job.seed}: {error}")
         else:
-            artifacts[label].append(artifact)
+            results[approach.label].run_artifacts.append(artifact)
 
     evaluation_seed = derive_seed(config.master_seed, "balance-reevaluation")
     deals = draw_deals(config.shape.K, config.games, np.random.default_rng(evaluation_seed))
-    run_points = {
-        a.label: [_reevaluate_run(art, a.kind, config.shape, deals) for art in artifacts[a.label]]
-        for a in config.approaches
-        if artifacts[a.label]
-    }
-    shared, derived = _analyze(config, run_points)
-    report = ExperimentReport(
-        config=config,
-        evaluation_seed=evaluation_seed,
-        approaches={
-            a.label: ApproachResult(
-                a, errors[a.label], artifacts[a.label], run_points.get(a.label),
-                **derived.get(a.label, {}),
-            )
-            for a in config.approaches
-        },
-        reference_decks=_place_reference_decks(
-            reference_decks,
-            deals,
-            shared.get("transform"),
-            {label: fields["front_normalized"] for label, fields in derived.items()},
-        ),
-        **shared,
-    )
+    report = _analyze(config, evaluation_seed, deals, results)
+    report = dataclasses.replace(report, reference_decks=_place_reference_decks(reference_decks, deals, report))
     if config.output_dir is not None:
         write_report_artifacts(report, Path(config.output_dir))
     return report
 
 
 def _analyze(
-    config: ExperimentConfig, run_points: dict[str, list[np.ndarray]]
-) -> tuple[dict, dict[str, dict]]:
-    """Report fields and per-approach result fields derived from the
-    re-evaluated decks of the approaches with finished runs."""
+    config: ExperimentConfig, evaluation_seed: int, deals: tuple[np.ndarray, np.ndarray],
+    results: dict[str, ApproachResult],
+) -> ExperimentReport:
+    """The report of the runs in ``results``, without reference decks: the
+    decks of every approach with finished runs are replayed on ``deals``,
+    and everything else is derived from those points."""
+    run_points = {
+        label: [_reevaluate_run(art, slot.approach.kind, config.shape, deals) for art in slot.run_artifacts]
+        for label, slot in results.items()
+        if slot.run_artifacts
+    }
     if not run_points:
-        return {}, {}
+        return ExperimentReport(config, evaluation_seed, results)
     labels = sorted(run_points)
     transform = fit_normalize_transform(np.vstack([np.vstack(r) for r in run_points.values()]))
     normalized = {label: [transform.apply(p) for p in run_points[label]] for label in labels}
@@ -472,20 +457,26 @@ def _analyze(
     surfaces = {label: attainment_surface(groups[label], config.surface_level) for label in labels}
     front_blocks = [indicator_block(fronts[label], reference) for label in labels]
     surface_blocks = [indicator_block(surfaces[label], reference) for label in labels]
-    derived = {
-        label: {
-            "front_normalized": fronts[label],
-            "surface_normalized": surfaces[label],
-            "indicators_front": front_block,
-            "indicators_surface": surface_block,
-            "ci_halfwidths": _ci_halfwidths(groups[label], reference, config.alpha),
-            "rank_front": rank_front,
-            "rank_surface": rank_surface,
-        }
-        for label, front_block, surface_block, rank_front, rank_surface in zip(
-            labels, front_blocks, surface_blocks, _ranks(front_blocks), _ranks(surface_blocks)
+    approaches = dict(results)
+    for label, front_block, surface_block, rank_front, rank_surface in zip(
+        labels, front_blocks, surface_blocks, _ranks(front_blocks), _ranks(surface_blocks)
+    ):
+        run_blocks = [indicator_block(fs, reference) for fs in groups[label].fronts]
+        approaches[label] = dataclasses.replace(
+            results[label],
+            run_points=run_points[label],
+            front_normalized=fronts[label],
+            surface_normalized=surfaces[label],
+            indicators_front=front_block,
+            indicators_surface=surface_block,
+            # Each indicator's confidence-interval halfwidth over the runs; None for one run.
+            ci_halfwidths={
+                key: ci_halfwidth([b[key] for b in run_blocks], config.alpha) if len(run_blocks) >= 2 else None
+                for key in run_blocks[0]
+            },
+            rank_front=rank_front,
+            rank_surface=rank_surface,
         )
-    }
 
     eaf_tests = {
         f"{la}_vs_{lb}": eaf_test(
@@ -499,46 +490,44 @@ def _analyze(
         if len(groups[la]) >= 2 and len(groups[lb]) >= 2
     }
 
-    named_sets: dict[str, np.ndarray] = {}
+    named_sets: dict[str, FrontSet] = {}
     for label in labels:
-        named_sets[f"{label}_p"] = fronts[label].points
-        named_sets[f"{label}_{config.surface_tag}"] = surfaces[label].points
+        named_sets[f"{label}_p"] = fronts[label]
+        named_sets[f"{label}_{config.surface_tag}"] = surfaces[label]
     set_relations = [
         {"dominator": name_a, "dominated": name_b}
         for name_a, name_b in itertools.permutations(sorted(named_sets), 2)
-        if set_strictly_dominates(named_sets[name_a], named_sets[name_b])
+        if eps_indicator(named_sets[name_a], named_sets[name_b]) < 0
     ]
-    shared = {
-        "transform": transform,
-        "reference_front": reference.points,
-        "eaf_tests": eaf_tests,
-        "set_relations": set_relations,
-    }
-    return shared, derived
+    return ExperimentReport(
+        config, evaluation_seed, approaches, transform=transform, reference_front=reference.points,
+        eaf_tests=eaf_tests, set_relations=set_relations,
+    )
 
 
 def _place_reference_decks(
-    decks: Sequence[tuple[str, Deck]],
-    deals: tuple[np.ndarray, np.ndarray],
-    transform: NormalizeTransform | None,
-    fronts: dict[str, FrontSet],
+    decks: Sequence[tuple[str, Deck]], deals: tuple[np.ndarray, np.ndarray], report: ExperimentReport
 ) -> list[dict]:
-    """Evaluate external decks on ``deals``, the games the fronts were
-    replayed on, and record which approaches' fronts strictly dominate them."""
+    """Evaluate external decks on ``deals``, the games the fronts of
+    ``report`` were replayed on, and record which approaches' fronts
+    strictly dominate them: those that need an additive epsilon below 0 to
+    cover the deck, which for finite points is exactly strict dominance."""
     entries: list[dict] = []
     for name, deck in decks:
         try:
-            balance = balance_objectives(simulate_deals(deck, POLICIES, deals)).values
+            balance = _balance(deck, deals)
             entry = {
                 "name": name,
                 "dominance_fitness": float(dominance_fitness(deck).values[0]),
                 "balance": balance.tolist(),
             }
-            if transform is not None:
-                norm = transform.apply(balance)[0]
+            if report.transform is not None:
+                norm = report.transform.apply(balance)[0]
                 entry["normalized"] = norm.tolist()
                 entry["dominated_by"] = sorted(
-                    label for label, front in fronts.items() if set_strictly_dominates(front, norm)
+                    label
+                    for label, slot in report.approaches.items()
+                    if slot.front_normalized is not None and eps_indicator(slot.front_normalized, norm) < 0
                 )
             entries.append(entry)
         except Exception as exc:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from trumpbench.deck import Deck, DeckShape, deck_is_valid, genome_to_deck, random_valid_deck
+from trumpbench.deck import Deck, DeckShape, deck_is_valid, dominance_matrix, genome_to_deck, random_valid_deck
 from trumpbench.game import SimulationSummary, check_games
 from trumpbench.indicators import hv_contributions
 from trumpbench.objectives import ObjectiveKind, balance_objectives
@@ -187,12 +187,12 @@ def nondominated_sort(points: np.ndarray) -> np.ndarray:
     A point dominates another only when it is strictly better in every
     objective, so duplicates always share a rank.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dominates = np.all(pts[:, None, :] < pts[None, :, :], axis=2)
+    # Negated, a point dominates as a card does: strictly greater in every column.
+    dominates = dominance_matrix(-np.asarray(points, dtype=float))
     # Each point's count of dominators still unranked: a front is the points
     # whose count is 0, and ranking it takes its members' votes away.
     dominators = dominates.sum(axis=0)
-    ranks = np.zeros(pts.shape[0], dtype=int)
+    ranks = np.zeros(len(dominates), dtype=int)
     front = np.flatnonzero(dominators == 0)
     rank = 0
     while front.size:

@@ -1,4 +1,4 @@
-"""Attainment values, surfaces, the permutation test and set dominance."""
+"""Attainment values, surfaces and the permutation test."""
 
 import math
 import tracemalloc
@@ -15,7 +15,6 @@ from trumpbench.eaf import (
     attainment_surface,
     eaf_test,
     eaf_value,
-    set_strictly_dominates,
 )
 from trumpbench.indicators import FrontSet
 
@@ -581,38 +580,3 @@ class TestScale:
                 tracemalloc.stop()
             assert peak < 2**20
 
-
-class TestSetDominance:
-    def test_strict_domination(self):
-        a = np.array([[0.0, 0.0]])
-        b = np.array([[1.0, 1.0], [2.0, 3.0]])
-        assert set_strictly_dominates(a, b)
-        assert not set_strictly_dominates(b, a)
-
-    def test_partial_cover_fails(self):
-        a = np.array([[0.0, 2.0]])
-        b = np.array([[1.0, 3.0], [0.5, 1.0]])
-        assert not set_strictly_dominates(a, b)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(41)
-        for _ in range(50):
-            a = rng.uniform(0, 1, size=(4, 3))
-            b = rng.uniform(0, 1, size=(5, 3))
-            brute = all(
-                any(all(x < y for x, y in zip(pa, pb)) for pa in a) for pb in b
-            )
-            assert set_strictly_dominates(a, b) == brute
-
-    @given(
-        st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=8),
-        st.lists(st.tuples(*[st.integers(0, 4)] * 3), min_size=1, max_size=8),
-    )
-    def test_a_set_and_its_front_dominate_alike(self, first, second):
-        # Every point of a set is weakly dominated by a point of its front,
-        # so an experiment's set relations need each union's front only.
-        a, b = np.array(first, float), np.array(second, float)
-        expected = set_strictly_dominates(a, b)
-        assert set_strictly_dominates(FrontSet(a), b) == expected
-        assert set_strictly_dominates(a, FrontSet(b)) == expected
-        assert set_strictly_dominates(FrontSet(a), FrontSet(b)) == expected

@@ -1,5 +1,6 @@
 """Experiment pipeline: orchestration, report structure, determinism."""
 
+import itertools
 import json
 import os
 import re
@@ -25,6 +26,8 @@ from trumpbench.moea import VariationParams
 from trumpbench.objectives import ObjectiveKind
 from trumpbench.ocd import OCDParams
 from trumpbench.synth import deck_with_dominating_pairs
+
+from tests.test_indicators import strictly_dominates_brute
 
 
 def mini_config(**kw):
@@ -433,6 +436,51 @@ class TestCompareReferenceDecks:
         with pytest.raises(ValueError, match="reference deck wide has shape"):
             run_experiment(config, reference_decks=decks)
         assert not (tmp_path / "out").exists()
+
+
+class TestStrictVerdicts:
+    def test_verdicts_are_strict_dominance_of_the_reported_points(self, tmp_path):
+        # Both verdicts against a brute-force oracle over report.json's own
+        # points. Each approach's first-run front deck, placed as a reference
+        # deck, lands on a point of its own union, so its own front weakly
+        # but not strictly dominates it.
+        approaches = tuple(
+            Approach(kind, 5)
+            for kind in (ObjectiveKind.SURROGATE, ObjectiveKind.DOMINANCE, ObjectiveKind.BALANCE)
+        )
+        config = mini_config(approaches=approaches, runs=3, master_seed=1, output_dir=str(tmp_path))
+        decks = [(f"pairs{i}", deck_with_dominating_pairs(config.shape, i)) for i in (0, 5, 10)]
+        for approach in approaches:
+            artifact, error = execute_run(config.run_config(approach, 0))
+            assert error is None
+            deck = genome_to_deck(artifact["front"][0]["genome"], config.shape)
+            decks.append((f"{approach.label}_run0", deck))
+        run_experiment(config, reference_decks=decks)
+        report = json.loads((tmp_path / "report.json").read_text())
+
+        def weakly_dominates(first, second):
+            return all(any(all(x <= y for x, y in zip(a, b)) for a in first) for b in second)
+
+        sets = {}
+        for label, slot in report["approaches"].items():
+            sets[f"{label}_p"] = slot["front"]
+            sets[f"{label}_50"] = slot["surface50"]
+        pairs = list(itertools.permutations(sorted(sets), 2))
+        strict = [(a, b) for a, b in pairs if strictly_dominates_brute(sets[a], sets[b])]
+        assert strict
+        assert strict != [(a, b) for a, b in pairs if weakly_dominates(sets[a], sets[b])]
+        assert report["set_relations"] == [{"dominator": a, "dominated": b} for a, b in strict]
+
+        fronts = {label: slot["front"] for label, slot in sorted(report["approaches"].items())}
+        weak_differs = False
+        for entry in report["reference_decks"]:
+            point = [entry["normalized"]]
+            expected = [label for label, front in fronts.items() if strictly_dominates_brute(front, point)]
+            assert entry["dominated_by"] == expected
+            weak = [label for label, front in fronts.items() if weakly_dominates(front, point)]
+            weak_differs |= expected != weak
+        assert weak_differs
+        assert any(entry["dominated_by"] for entry in report["reference_decks"])
 
 
 class TestBalanceMetricStudy:

@@ -354,6 +354,62 @@ class TestEpsIndicator:
                 assert eps_dominance_check(a, r)
 
 
+def strictly_dominates_brute(first, second) -> bool:
+    """Reference: every point of ``second`` is strictly worse in every
+    objective than some point of ``first``."""
+    return all(any(all(x < y for x, y in zip(a, b)) for a in first) for b in second)
+
+
+# Two point sets of a common dimension on the integer grid 0..4, so that
+# ties in single objectives and duplicate points occur.
+grid_set_pairs = st.integers(1, 3).flatmap(
+    lambda m: st.tuples(
+        *[st.lists(st.tuples(*[st.integers(0, 4).map(float)] * m), min_size=1, max_size=8)] * 2
+    )
+)
+
+
+class TestSetDominance:
+    """A negative additive epsilon is strict set dominance: an experiment's
+    set relations and reference-deck verdicts read it off eps_indicator."""
+
+    def test_strict_domination(self):
+        a = np.array([[0.0, 0.0]])
+        b = np.array([[1.0, 1.0], [2.0, 3.0]])
+        assert eps_indicator(a, b) < 0
+        assert not eps_indicator(b, a) < 0
+
+    def test_partial_cover_fails(self):
+        a = np.array([[0.0, 2.0]])
+        b = np.array([[1.0, 3.0], [0.5, 1.0]])
+        assert not eps_indicator(a, b) < 0
+
+    def test_a_tie_is_not_strict(self):
+        # Better in one objective and equal in the other: weak dominance only.
+        assert eps_indicator(np.array([[0.0, 1.0]]), np.array([[1.0, 1.0]])) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_set_pairs)
+    def test_matches_brute_force(self, sets):
+        a, b = (np.array(s) for s in sets)
+        for first, second in ((a, b), (b, a)):
+            assert (eps_indicator(first, second) < 0) == strictly_dominates_brute(first, second)
+        # One point, as a reference deck is placed.
+        assert (eps_indicator(a, b[0]) < 0) == strictly_dominates_brute(a, b[:1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_set_pairs)
+    def test_a_set_and_its_front_dominate_alike(self, sets):
+        # Every point of a set is weakly dominated by a point of its front,
+        # so an experiment's set relations need each union's front only.
+        a, b = (np.array(s) for s in sets)
+        for first, second in ((a, b), (b, a)):
+            expected = strictly_dominates_brute(first, second)
+            assert (eps_indicator(FrontSet(first), second) < 0) == expected
+            assert (eps_indicator(first, FrontSet(second)) < 0) == expected
+            assert (eps_indicator(FrontSet(first), FrontSet(second)) < 0) == expected
+
+
 class TestR2Indicator:
     def test_ideal_front_scores_zero(self):
         fs = FrontSet(np.array([[0.0, 0.0]]), "a")
