@@ -10,13 +10,14 @@ leave the announcer unchanged.
 All games are played by one batched kernel, ``_play_batch``, which loops
 over the K/2 tricks and never over games.  Deals come from :func:`draw_deals`
 in chunks of ``CHUNK_GAMES`` (hand orders, then starters), so the games a
-seed yields depend on ``CHUNK_GAMES``.  The hand orders are stored card-major
-in the smallest integer type that holds a card index (uint8 up to 256 cards),
-for two reasons: the kernel's gather reads a contiguous index, and a
-2,000-game evaluation keeps a heap small enough that the allocator does not
-return it to the system and fault it back in on every evaluation.  Decks
-compared share deals through :func:`play_deals` and :func:`simulate_deals`;
-:func:`simulate` draws its own.
+seed yields depend on ``CHUNK_GAMES``.  A chunk's hand orders sort one bulk
+draw of distinct random keys, so every correct sort gives the same deals.
+They are stored card-major in the smallest integer type that holds a card
+index (uint8 up to 256 cards), for two reasons: the kernel's gather reads a
+contiguous index, and a 2,000-game evaluation keeps a heap small enough
+that the allocator does not return it to the system and fault it back in on
+every evaluation.  Decks compared share deals through :func:`play_deals` and
+:func:`simulate_deals`; :func:`simulate` draws its own.
 
 A :class:`SimulationSummary` holds the integer sums the kernel counts; its
 rates and means divide them by the games.  Two summaries of one deck, on two
@@ -35,8 +36,9 @@ from trumpbench.deck import Deck
 
 # Games drawn at once and played per kernel call; bounds the (games, K, L) tensor.
 CHUNK_GAMES = 4096
-# Refuse a batch whose int64 draw buffer (games x K card indices, shuffled
-# before it is stored in the smallest type) exceeds this: 4,194,304 games of 32 cards.
+# Refuse a batch whose deals, counted at 8 bytes a card (the widest sort key),
+# exceed this: 4,194,304 games of 32 cards.  The keys are drawn a chunk at a
+# time, and the table kept holds a card in 1 byte up to 256 cards.
 MAX_DEAL_BYTES = 2**30
 
 
@@ -201,22 +203,55 @@ def check_games(k: int, games: int) -> None:
 def draw_deals(k: int, games: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """(perms, a_starts) of ``games`` uniform deals on K cards, as ``_play_batch`` takes them.
 
-    Per chunk of at most ``CHUNK_GAMES`` games, ``rng.permuted`` shuffles each
-    game's card indices (an exact Fisher-Yates shuffle); then one starter per
-    game, A on 0.  The shuffle runs on a card-major (K, games) int64 table, one
-    column per game, which draws exactly what shuffling (games, K) rows draws.
-    ``perms`` is the (games, K) transpose of that table stored in
-    ``np.min_scalar_type(K - 1)``: ``_play_batch`` gathers along a contiguous
-    index, and the table an evaluation keeps is an eighth of its int64 size.
+    Per chunk of at most ``CHUNK_GAMES`` games, :func:`_card_orders` draws
+    each game's hand order, then one starter per game is drawn, A on 0.
+    ``perms`` is the (games, K) transpose of a card-major (K, games) table in
+    ``np.min_scalar_type(K - 1)``, so ``_play_batch`` gathers along a
+    contiguous index.
     """
     check_games(k, games)
-    table = np.tile(np.arange(k)[:, None], (1, games))
+    table = np.empty((k, games), dtype=np.min_scalar_type(k - 1))
     a_starts = np.empty(games, dtype=bool)
     for start in range(0, games, CHUNK_GAMES):
-        chunk = table[:, start : start + CHUNK_GAMES]
-        rng.permuted(chunk, axis=0, out=chunk)
-        a_starts[start : start + CHUNK_GAMES] = rng.integers(2, size=chunk.shape[1]) == 0
-    return table.astype(np.min_scalar_type(k - 1)).T, a_starts
+        n = min(CHUNK_GAMES, games - start)
+        table[:, start : start + n] = _card_orders(k, n, rng, table.dtype).T
+        a_starts[start : start + n] = rng.integers(2, size=n) == 0
+    return table.T, a_starts
+
+
+def _card_orders(k: int, rows: int, rng: np.random.Generator, dtype: np.dtype) -> np.ndarray:
+    """(rows, K) uniform random orders of the K card indices, in ``dtype``.
+
+    A uniform order of K cards is the order of K random keys (Knuth, TAOCP
+    Vol. 2, 3.4.2).  Each key is a full-range random word (uint32 up to 256
+    cards, uint64 above) shifted left by b = ``(K - 1).bit_length()`` bits,
+    with its card's index in the low b bits, so the keys are distinct and one
+    in-place sort per row orders them.  The rows whose random parts
+    (``key >> b``) tie are then redrawn, together and in row order, until
+    none ties: given no tie, every order is equally likely, so the orders
+    are exactly uniform.
+    """
+    key_type = np.uint32 if k <= 256 else np.uint64
+    bits = (k - 1).bit_length()
+    keys = rng.integers(np.iinfo(key_type).max, size=(rows, k), dtype=key_type, endpoint=True)
+    keys <<= bits
+    keys |= np.arange(k, dtype=key_type)
+    keys.sort(axis=1)
+    # The cards are the low bits, narrowed first so that the caller's
+    # transpose moves a quarter of the keys' bytes up to 256 cards.
+    cards = keys.astype(dtype)
+    cards &= (1 << bits) - 1
+    # Equal neighbours of the flat random parts, less the pairs that
+    # straddle two rows: one pass, where a per-row any() costs as much as
+    # the sort.
+    keys >>= bits
+    random = keys.ravel()
+    second = np.flatnonzero(random[1:] == random[:-1]) + 1
+    tied = np.zeros(rows, dtype=bool)
+    tied[second[second % k != 0] // k] = True
+    if tied.any():
+        cards[tied] = _card_orders(k, np.count_nonzero(tied), rng, dtype)
+    return cards
 
 
 def play_deals(

@@ -279,21 +279,23 @@ class TestSettingsParity:
 
 
 # SHA-256 of the artifacts of one experiment with eight placed 8x2 reference
-# decks, re-pinned last when the variation operators took np.float_power,
-# which gives the same floats on every CPU, and the run configs lost the
-# settings no command could set (report.json carries their hash).
+# decks, re-pinned when the variation operators took np.float_power (the
+# same floats on every CPU) and the run configs lost the settings no command
+# could set (report.json carries their hash); last when B deals came to be
+# drawn by sorting random keys, which moved the B runs and the common deals
+# that every approach's fronts are replayed on.
 EXPERIMENT_GOLDEN = {
-    "report.json": "a2d6ca906700de3ffc746ddbca40ff646c23e5c2c3bea67a0f1f6c3111726994",
-    "indicators.csv": "bac6dd449e26f2c781c5a2d7c9ebfe344f0a84158d7a3701cab601bcd3ce58c7",
-    "fronts/B4_front.csv": "e6dd16e8f747e51a7652d920b011b6a00082c46a904ec57233a8bb5665cb7b58",
-    "fronts/B4_surface50.csv": "e6dd16e8f747e51a7652d920b011b6a00082c46a904ec57233a8bb5665cb7b58",
-    "fronts/B4_union.csv": "7dc95d977723d1e64fd5e19710fc20ddbd3a56b0cea50d148e9640f9d22ba325",
-    "fronts/D4_front.csv": "0d1ca416ffa551be6f85bd49016a72822679315597dc2b47c88f360c09505540",
-    "fronts/D4_surface50.csv": "0d1ca416ffa551be6f85bd49016a72822679315597dc2b47c88f360c09505540",
-    "fronts/D4_union.csv": "08b12771c6d47a724d756719b3c72ba9c5d29f496e23d8e8d230d7b1d4d2847e",
-    "fronts/S4_front.csv": "08aa5bd8ac998eb4937e81d95f86679b26b16a768b03bbe1cf5e9eece4456679",
-    "fronts/S4_surface50.csv": "08aa5bd8ac998eb4937e81d95f86679b26b16a768b03bbe1cf5e9eece4456679",
-    "fronts/S4_union.csv": "be6cfd06e0b29977b49a920b9185b4b426dd3d34e263d857b97bc949afe3c823",
+    "report.json": "bcb546a28eeebf594bf95a8c3bf75debf177a85af79d9eeb4bca59c208db0f3c",
+    "indicators.csv": "8fdae7bdb132259ca27bfc66a3c665624e50c6c180e102489461daa9f4b1af1e",
+    "fronts/B4_front.csv": "d4b04a914564bba5d5a33596b22e876cff82209155f1f2bdccaed765173b2b2d",
+    "fronts/B4_surface50.csv": "d4b04a914564bba5d5a33596b22e876cff82209155f1f2bdccaed765173b2b2d",
+    "fronts/B4_union.csv": "f9ade8257942988f14c4e442adc5f03a15047f1f3e6d48cbc372f3d97c5952a5",
+    "fronts/D4_front.csv": "8d23d0c858a4677bc291e334b46dd12cb58030cc519cc1214b73158368ccd97e",
+    "fronts/D4_surface50.csv": "8d23d0c858a4677bc291e334b46dd12cb58030cc519cc1214b73158368ccd97e",
+    "fronts/D4_union.csv": "bd1d74f38048e24cbdd36a803e03d5101a0aa634090838defaab200602a797e4",
+    "fronts/S4_front.csv": "c38f42a20cba2e7b8f44697442c83f0fd5ce6646fcc34649c7ba3db6f30c4a53",
+    "fronts/S4_surface50.csv": "c38f42a20cba2e7b8f44697442c83f0fd5ce6646fcc34649c7ba3db6f30c4a53",
+    "fronts/S4_union.csv": "bea80e553dd0423dd69ca65eee16fec41c4bc6eb8828d5850d0c6c440800ea3b",
 }
 
 
@@ -374,14 +376,13 @@ def test_dominance_run_matches_golden_bytes(tmp_path, capsys, categories):
     assert digest == D_RUN_GOLDEN[categories]
 
 
-# SHA-256 of three outputs of simulated games on the 32x4 deck, as written
-# when each batch drew its deals and played them in one function; the
-# optimize run was re-pinned with the other optimizer goldens.  5,000
-# games and the sample size 4,100 cross the 4,096-game chunk.
+# SHA-256 of three outputs of simulated games on the 32x4 deck, re-pinned
+# when B deals came to be drawn by sorting random keys.  5,000 games and the
+# sample size 4,100 cross the 4,096-game chunk.
 GAMES_GOLDEN = {
-    "simulate": "5ac3ae004af183f348c1c9b0d45e8f502a1b67e8029707c292497ff7062369f7",
-    "sample-size": "835115b503f665693d4a575bb2bbd74e0ff704debf6441570d8d6239227147fb",
-    "optimize": "72ccbfea25e394d252bc07bcefca81a71046119ad40243c471ae63ab02066952",
+    "simulate": "47b17f3ec6e5a6a3b9a56077b5625ea4a2fe940b53049df56763029438457452",
+    "sample-size": "c66d72a1cac546c29138708232829edc6cda6ffc90abe632032a7855545676ae",
+    "optimize": "2be8d4fefb74d0621d1f7a73b575434593aaabb47986cbe17860669484077c33",
 }
 
 

@@ -246,7 +246,9 @@ class TestRunExperiment:
         # implementation that the sweep replaced writes it (grid_eaf_test in
         # tests/test_eaf.py), re-pinned when the S5 runs moved: when
         # staircase areas became np.add.reduceat sums, and when the
-        # variation operators took np.float_power.
+        # variation operators took np.float_power; and when B deals came to
+        # be drawn by sorting random keys, which moved the B5 runs and the
+        # common deals every front is replayed on.
         approaches = tuple(
             Approach(kind, 5)
             for kind in (ObjectiveKind.SURROGATE, ObjectiveKind.DOMINANCE, ObjectiveKind.BALANCE)
@@ -255,9 +257,11 @@ class TestRunExperiment:
         report = json.loads((tmp_path / "report.json").read_text())
         common = {"alpha": 0.05, "critical_value": 1.0, "permutations": 200, "reject": False}
         assert report["eaf_tests"] == {
-            "B5_vs_D5": {**common, "p_value": 0.29, "seed": 3407220621908119944, "statistic": 1.0},
-            "B5_vs_S5": {**common, "p_value": 0.24, "seed": 8162290882414918802, "statistic": 1.0},
-            "D5_vs_S5": {**common, "p_value": 0.275, "seed": 1915316874147300777, "statistic": 1.0},
+            "B5_vs_D5": {**common, "p_value": 0.245, "seed": 3407220621908119944, "statistic": 1.0},
+            "B5_vs_S5": {
+                **common, "p_value": 1.0, "seed": 8162290882414918802, "statistic": 0.33333333333333337
+            },
+            "D5_vs_S5": {**common, "p_value": 0.285, "seed": 1915316874147300777, "statistic": 1.0},
         }
 
     def test_set_relations_name_no_union(self, tmp_path):

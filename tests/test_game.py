@@ -4,9 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
 from trumpbench import game
 from trumpbench.deck import Deck, DeckShape, random_valid_deck
@@ -31,6 +31,38 @@ def random_deal(k: int, rng: np.random.Generator) -> Deal:
     half = k // 2
     starter = Player.A if rng.integers(2) == 0 else Player.B
     return Deal(tuple(int(i) for i in perm[:half]), tuple(int(i) for i in perm[half:]), starter)
+
+
+def reference_deals(k: int, games: int, rng: np.random.Generator) -> tuple[list, list, int]:
+    """Reference of :func:`draw_deals`, row by row: (hand orders, starters, rows redrawn).
+
+    Per chunk, each row of full-range words orders the cards by Python's
+    ``sorted`` over (random part, card) pairs, the random part being the word
+    less its top (K - 1).bit_length() bits.  Rows whose random parts tie are
+    redrawn together, in row order, until none ties; then the starters.
+    """
+    key_type = np.uint32 if k <= 256 else np.uint64
+    modulus = 2 ** (np.iinfo(key_type).bits - (k - 1).bit_length())
+    orders, starters, redrawn = [], [], 0
+    for start in range(0, games, CHUNK_GAMES):
+        n = min(CHUNK_GAMES, games - start)
+        rows, pending = [None] * n, list(range(n))
+        while pending:
+            words = rng.integers(
+                np.iinfo(key_type).max, size=(len(pending), k), dtype=key_type, endpoint=True
+            )
+            tied = []
+            for row, drawn in zip(pending, words.tolist()):
+                pairs = sorted((word % modulus, card) for card, word in enumerate(drawn))
+                if len({r for r, _ in pairs}) < k:
+                    tied.append(row)
+                else:
+                    rows[row] = [card for _, card in pairs]
+            redrawn += len(tied)
+            pending = tied
+        orders += rows
+        starters += (rng.integers(2, size=n) == 0).tolist()
+    return orders, starters, redrawn
 
 
 def _play_hands(
@@ -329,16 +361,11 @@ class TestKernelMatchesOracle:
         )
         summary = simulate(deck, policies, games, np.random.default_rng(17))
 
-        rng = np.random.default_rng(17)
-        expected = []
-        for start in range(0, games, CHUNK_GAMES):
-            n = min(CHUNK_GAMES, games - start)
-            perms = rng.permuted(np.tile(np.arange(shape.K), (n, 1)), axis=1)
-            a_starts = rng.integers(2, size=n) == 0
-            expected += [
-                _play_hands(deck.values[perm[:4]], deck.values[perm[4:]], a, policies, shape)
-                for perm, a in zip(perms, a_starts)
-            ]
+        orders, starters, _ = reference_deals(shape.K, games, np.random.default_rng(17))
+        expected = [
+            _play_hands(deck.values[order[:4]], deck.values[order[4:]], a, policies, shape)
+            for order, a in zip(orders, starters)
+        ]
         assert tricks_a.tolist() == [g.tricks_a for g in expected]
         assert tricks_b.tolist() == [g.tricks_b for g in expected]
         assert changes.tolist() == [g.announcer_changes for g in expected]
@@ -370,25 +397,71 @@ class TestDealDraw:
         assert chisquare(order_counts).pvalue > p_threshold
         assert chisquare(np.bincount(a_starts, minlength=2)).pvalue > p_threshold
 
+    def test_positions_hold_every_card_uniformly(self):
+        # Position x card counts of K=32 deals: a wrong shift or mask in the
+        # sort keys skews them, which the 24 orders of K=4 cannot show.  The
+        # counts of G uniform orders have covariance G/(K-1) on the
+        # (K-1)^2-dimensional space of zero row and column sums, so Pearson's
+        # statistic is K/(K-1) times a chi-square of (K-1)^2 degrees of freedom.
+        p_threshold = 1e-3
+        k, games = 32, 20_000
+        perms, _ = draw_deals(k, games, np.random.default_rng(43))
+        counts = np.bincount((np.arange(k) * k + perms).ravel(), minlength=k * k)
+        expected = games / k
+        statistic = ((counts - expected) ** 2 / expected).sum()
+        assert chi2.sf(statistic * (k - 1) / k, (k - 1) ** 2) > p_threshold
+
     @pytest.mark.parametrize("games", [1, CHUNK_GAMES + 3])
     def test_deals_are_row_wise_shuffles_in_a_card_major_table(self, games):
-        # The oracle shuffles one row of card indices per game, then draws
-        # the starters, chunk by chunk; draw_deals must draw the same deals
-        # and leave the generator where the oracle leaves it.
+        # Each row is a shuffle of the card indices, drawn chunk by chunk
+        # with the starters after each chunk's rows; draw_deals must draw
+        # the reference's deals and leave the generator where it leaves it.
         k = 32
-        rng, oracle_rng = np.random.default_rng(37), np.random.default_rng(37)
+        rng, reference_rng = np.random.default_rng(37), np.random.default_rng(37)
         perms, a_starts = draw_deals(k, games, rng)
+        assert (np.sort(perms, axis=1) == np.arange(k)).all()
+        orders, starters, _ = reference_deals(k, games, reference_rng)
         for start in range(0, games, CHUNK_GAMES):
-            n = min(CHUNK_GAMES, games - start)
-            part = slice(start, start + n)
-            expected = oracle_rng.permuted(np.tile(np.arange(k), (n, 1)), axis=1)
-            assert perms[part].tolist() == expected.tolist()
-            assert a_starts[part].tolist() == (oracle_rng.integers(2, size=n) == 0).tolist()
-        assert rng.random() == oracle_rng.random()
+            part = slice(start, min(start + CHUNK_GAMES, games))
+            assert perms[part].tolist() == orders[part]
+            assert a_starts[part].tolist() == starters[part]
+        assert rng.random() == reference_rng.random()
         # Stored card-major in the smallest type, so the kernel's gather
         # reads a contiguous index.
         assert perms.dtype == np.uint8 and perms.shape == (games, k)
         assert perms.T.flags.c_contiguous
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 150).map(lambda half: 2 * half),
+        st.integers(1, CHUNK_GAMES + 50),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(2, 1, 0)
+    @example(256, CHUNK_GAMES + 1, 0)
+    @example(258, 3, 0)
+    def test_deals_sort_random_keys_in_a_card_major_table(self, k, games, seed):
+        # draw_deals must draw the reference's deals, chunk by chunk, and
+        # leave the generator where the reference leaves it; uint32 keys up
+        # to K=256, uint64 above.
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        perms, a_starts = draw_deals(k, games, rng)
+        orders, starters, _ = reference_deals(k, games, reference_rng)
+        assert perms.tolist() == orders
+        assert a_starts.tolist() == starters
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        # Stored card-major in the smallest type, so the kernel's gather
+        # reads a contiguous index.
+        assert perms.dtype == np.min_scalar_type(k - 1) and perms.shape == (games, k)
+        assert perms.T.flags.c_contiguous
+
+    def test_rows_whose_random_parts_tie_are_redrawn(self):
+        # 256 cards leave 24 random bits a key, so 40 rows tie now and then:
+        # seed 1 ties one row, which both sides redraw.
+        perms, a_starts = draw_deals(256, 40, np.random.default_rng(1))
+        orders, starters, redrawn = reference_deals(256, 40, np.random.default_rng(1))
+        assert redrawn == 1
+        assert perms.tolist() == orders and a_starts.tolist() == starters
 
     def test_kernel_plays_chunks_of_at_most_chunk_games(self, monkeypatch):
         seen = []
