@@ -128,11 +128,13 @@ def sbx_crossover(
     part with probability 0.5, drawing a spread factor from the polynomial
     distribution with index eta_c.  The child is clipped to bounds.
 
-    The draws are the same whether or not a gene takes part (one gate
-    uniform, then one take and one spread uniform per gene), but only the
-    genes that take part are computed, and the second child not at all;
-    each float of the child is the one the whole-vector formula gives it,
-    since every numpy operation here works element by element.
+    The draws are the same whether or not a gene takes part: one gate
+    uniform, then the n take uniforms and the n spread uniforms from one
+    ``rng.random(2 * n)`` call, the same doubles in the same order as two
+    calls of n.  Only the genes that take part are computed, and the second
+    child not at all; each float of the child is the one the whole-vector
+    formula gives it, since every numpy operation here works element by
+    element.
     """
     p1 = np.asarray(parent1, dtype=float)
     p2 = np.asarray(parent2, dtype=float)
@@ -142,8 +144,9 @@ def sbx_crossover(
     if rng.random() >= params.pc:
         return child
     n = p1.size
-    take = rng.random(n) < 0.5
-    u = rng.random(n)[take]
+    draws = rng.random(2 * n)
+    take = draws[:n] < 0.5
+    u = draws[n:][take]
     base = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u)))
     # float_power has no SIMD loop, so its floats are the same on every CPU;
     # float64 ** takes a vector pow on AVX-512 CPUs that differs in the last bits.
@@ -161,16 +164,20 @@ def polynomial_mutation(
 ) -> np.ndarray:
     """Bounded polynomial mutation; each gene mutates with probability pm.
 
-    Both uniform vectors are drawn in full, but the perturbation is
+    Both uniform vectors, the n gate uniforms then the n perturbation
+    uniforms, come in full from one ``rng.random(2 * n)`` call, the same
+    doubles in the same order as two calls of n.  The perturbation is
     computed only for the genes that mutate (1/n of them by default), each
     the float the whole-vector formula gives it.  The whole genome is then
-    clipped to bounds.
+    clipped to bounds in place.
     """
     g = np.asarray(genome, dtype=float)
     lo, hi = bounds
     out = g.copy()
-    mutate = rng.random(g.size) < params.mutation_rate(g.size)
-    u = rng.random(g.size)[mutate]
+    n = g.size
+    draws = rng.random(2 * n)
+    mutate = draws[:n] < params.mutation_rate(n)
+    u = draws[n:][mutate]
     if u.size:
         x = g[mutate]
         low = u < 0.5
@@ -178,7 +185,7 @@ def polynomial_mutation(
         # float_power for the reason sbx_crossover gives.
         power = np.float_power(np.where(low, 2.0 * u, 2.0 * (1.0 - u)), 1.0 / (params.eta_m + 1.0))
         out[mutate] = x + np.where(low, (power - 1.0) * (x - lo), (1.0 - power) * (hi - x))
-    return out.clip(lo, hi)
+    return out.clip(lo, hi, out=out)
 
 
 def nondominated_sort(points: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -117,6 +117,33 @@ lattice_decks = arrays(
 )
 
 
+@st.composite
+def continuous_decks(draw):
+    """Decks of distinct continuous first values, as optimizers make them,
+    often with one card copied onto another or with two distinct cards
+    sharing only their first value."""
+    k, l = draw(st.integers(2, 12)), draw(st.integers(1, 5))
+    first = arrays(float, k, elements=st.floats(1, 10), unique=True)
+    v = np.column_stack([draw(first), draw(arrays(float, (k, l - 1), elements=st.floats(1, 10)))])
+    i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+    edit = draw(st.sampled_from(["none", "copy-card", "share-first-value"]))
+    if edit == "copy-card":
+        v[j] = v[i]
+    elif edit == "share-first-value":
+        v[j, 0] = v[i, 0]
+    return v
+
+
+@st.composite
+def signed_zero_nan_decks(draw):
+    """Lattice decks whose first column holds -0.0 beside 0.0, and NaN:
+    -0.0 equals 0.0, and NaN equals nothing, not even itself."""
+    shape = st.tuples(st.integers(2, 12), st.integers(1, 5))
+    v = draw(arrays(float, shape, elements=st.integers(0, 1).map(float)))
+    v[:, 0] = draw(arrays(float, len(v), elements=st.sampled_from([-0.0, 0.0, np.nan, 1.0])))
+    return v
+
+
 class TestKernelsMatchOracles:
     @settings(max_examples=200, deadline=None)
     @given(lattice_decks)
@@ -126,8 +153,14 @@ class TestKernelsMatchOracles:
         assert out.dtype == expected.dtype and out.shape == expected.shape
         assert np.array_equal(out, expected)
 
-    @settings(max_examples=200, deadline=None)
-    @given(lattice_decks)
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(lattice_decks, continuous_decks(), signed_zero_nan_decks()))
+    # Cards equal only through -0.0 == 0.0; distinct cards tied only by
+    # -0.0 and 0.0; cards that NaN keeps apart; a NaN beside a real tie.
+    @example(np.array([[-0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]))
+    @example(np.array([[0.0, 1.0], [-0.0, 0.0], [1.0, 0.5]]))
+    @example(np.array([[np.nan, 1.0], [np.nan, 1.0], [1.0, 0.0]]))
+    @example(np.array([[np.nan, 1.0], [2.0, 0.0], [2.0, 1.0], [np.nan, 0.5]]))
     def test_deck_is_valid(self, v):
         assert deck_is_valid(v) == deck_is_valid_oracle(v)
 
