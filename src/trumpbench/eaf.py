@@ -12,10 +12,14 @@ fixed by one number: the first layer (index of a distinct last
 coordinate) at which the run reaches the cell. ``_first_layers`` holds
 these numbers for every run and cell in the smallest unsigned dtype,
 built with one ``np.minimum.at`` of each point's layer into its cell and
-a running minimum along each of the m-1 grid axes. ``MAX_FIELD_BYTES``
-bounds it before anything is allocated. A surface cell is eligible from
-the layer where enough runs reach it, and the patterns of a cell are
-the sets of runs that reach it by each run's first layer there.
+a running minimum along each of the m-1 grid axes, by log-step doubling.
+``MAX_FIELD_BYTES`` bounds it before anything is allocated. A surface
+cell is eligible from the layer where enough runs reach it, and the
+patterns of a cell are the sets of runs that reach it by each run's
+first layer there. The surface's first eligible points that no step
+down one grid axis beats are its minimal points, unique and already in
+the order ``np.unique(axis=0)`` gives, so its ``FrontSet`` is not pruned
+again.
 
 The two-group permutation test needs only the distinct attainment
 patterns of the grid cells, one 0/1 row over the runs each. A permuted
@@ -24,10 +28,12 @@ group. The permutations are drawn in blocks of at most ``BLOCK_ELEMENTS``
 entries, and each distinct split of the runs in a block is scored once:
 2,000 permutations of 6 + 6 runs are one block, which holds about 820 of
 the 924 possible splits. Each block of at most ``BLOCK_ELEMENTS``
-(patterns, splits) entries is one float64 product of the patterns and
-the splits' 0/1 membership columns. Its entries count at most ``runs``
-ones, so they are the exact integers an integer product gives, and BLAS
-computes them.
+(patterns, splits) entries is one float32 product of the patterns and
+the splits' 0/1 membership columns. Its entries and partial sums count
+at most ``runs`` ones, and float32 holds every integer below 2^24
+exactly, so up to ``MAX_RUNS`` runs they are the exact integers an
+integer product gives, and BLAS computes them. They become float64
+before any subtraction or division.
 
 A split scores the largest |ca/nₐ − (t − ca)/n_b| over the patterns,
 where t is a pattern's total of runs and ca how many of them the first
@@ -58,6 +64,9 @@ MAX_FIELD_BYTES = 2**27
 # Refuse a permutation test whose null distribution (one float64 per
 # permutation) exceeds 128 MiB.
 MAX_PERMUTATIONS = 2**24
+# Refuse a permutation test of 2^24 runs or more: its float32 counts are
+# exact integers below 2^24.
+MAX_RUNS = 2**24 - 1
 # Entries of one (permutations, runs) or (patterns, splits) block of the
 # permutation test, and of one (cells, runs, runs) block of its patterns.
 BLOCK_ELEMENTS = 2**18
@@ -135,13 +144,26 @@ def _first_layers(point_sets: list[np.ndarray], axes: list[np.ndarray]) -> np.nd
     field = np.full(shape, never, dtype=dtype)
     np.minimum.at(field, (runs, *cells[:-1]), cells[-1].astype(dtype))
     # A run reaches a cell at the lowest layer of its points in the cell's
-    # lower quadrant: a running minimum along each grid axis. numpy
-    # accumulates about 2.5x faster along the last axis than along the
-    # others, so each pass then moves that axis to the front of the grid
-    # axes; after m-1 passes they are back in order.
-    for _ in axes[:-1]:
-        np.minimum.accumulate(field, axis=-1, out=field)
-        field = np.ascontiguousarray(np.moveaxis(field, -1, 1))
+    # lower quadrant: a running minimum along each grid axis, by log-step
+    # doubling. After the shift s, each cell holds the minimum of the 2s
+    # cells up to it along the axis. Each shift is one np.minimum of the
+    # flat field and the flat field moved by s cells of the axis, into a
+    # scratch field; the first s cells along the axis, which that pairs
+    # across a row, are copied over, and then the two fields swap. One
+    # contiguous np.minimum runs a SIMD loop, where np.minimum.accumulate
+    # runs a scalar loop on these dtypes.
+    scratch = np.empty_like(field)
+    for axis in range(1, field.ndim):
+        lead = (slice(None),) * axis
+        stride = math.prod(field.shape[axis + 1 :])
+        shift = 1
+        while shift < field.shape[axis]:
+            flat, out = field.reshape(-1), scratch.reshape(-1)
+            np.minimum(flat[shift * stride :], flat[: -shift * stride], out=out[shift * stride :])
+            head = lead + (slice(shift),)
+            scratch[head] = field[head]
+            field, scratch = scratch, field
+            shift *= 2
     return field
 
 
@@ -170,15 +192,17 @@ def attainment_surface(group: RunGroup, level: float) -> FrontSet:
     layer = np.partition(field, rank - 1, axis=0)[rank - 1, ...]
     # The eligible region is upward closed, so a cell's first eligible point
     # is minimal exactly when no single-coordinate step down the grid axes
-    # is eligible at its layer or below. FrontSet would prune the other
-    # points too, but in time quadratic in their count.
+    # is eligible at its layer or below. The points are then mutually
+    # non-dominated, one per cell, and np.argwhere lists the cells in the
+    # order np.unique(axis=0) sorts their points, so they are not pruned
+    # again: pruning takes time quadratic in their count.
     minimal = layer < len(axes[-1])
     for d in range(layer.ndim):
         lead = (slice(None),) * d
         minimal[lead + (slice(1, None),)] &= layer[lead + (slice(1, None),)] < layer[lead + (slice(None, -1),)]
     index = np.argwhere(minimal).T
     points = np.column_stack([a[i] for a, i in zip(axes, index)] + [axes[-1][layer[minimal]]])
-    return FrontSet(points, origin=f"{group.label}_{level:g}")
+    return FrontSet._of_front(points, origin=f"{group.label}_{level:g}")
 
 
 def _pattern_matrix(groups: list[RunGroup]) -> np.ndarray:
@@ -245,32 +269,35 @@ def _drawn_splits(
 
 
 def _by_total(patterns: np.ndarray) -> tuple[np.ndarray, list[slice]]:
-    """The 0/1 pattern rows as floats, sorted by their total, and the
+    """The 0/1 pattern rows as float32, sorted by their total, and the
     segment of rows of each total, as :func:`_statistics` takes them."""
     totals = patterns.sum(axis=1)
     order = np.argsort(totals, kind="stable")
     bounds = np.flatnonzero(np.diff(totals[order], prepend=-1, append=-1)).tolist()
-    return patterns[order].astype(float), [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    return patterns[order].astype(np.float32), [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def _statistics(patterns: np.ndarray, segments: list[slice], splits: np.ndarray, n_a: int) -> np.ndarray:
     """Largest attainment difference of each row of ``splits``, a 0/1
     (splits, runs) mask of the ``n_a`` runs that form the first group.
 
-    ``patterns`` is the 0/1 pattern matrix as floats, its rows sorted by
-    their total, and ``segments`` the rows of each total. One float product
-    gives the first group's counts. Each count is a sum of at most ``runs``
-    ones, so it is the exact integer, and each mean is a count divided by
-    its group size, as ``np.mean`` of the boolean pattern rows computes it.
-    Only the smallest and largest count of each total are scored, which
-    gives the same maximum (see the module docstring).
+    ``patterns`` is the 0/1 pattern matrix as float32, its rows sorted by
+    their total, and ``segments`` the rows of each total. One float32
+    product gives the first group's counts. Each count is a sum of at most
+    ``runs`` ones, below 2^24, so it is the exact integer. The counts and
+    totals become float64 before any subtraction, and each mean is a count
+    divided by its group size, as ``np.mean`` of the boolean pattern rows
+    computes it. Only the smallest and largest count of each total are
+    scored, which gives the same maximum (see the module docstring).
     """
     n_b = patterns.shape[1] - n_a
-    counts = patterns @ splits.T.astype(float)
+    counts = patterns @ splits.T.astype(np.float32)
     # One reduction per segment of contiguous rows: np.minimum.reduceat
     # along axis 0 took 7x as long on (463, 829) counts.
-    counts_a = np.vstack([counts[s].min(axis=0) for s in segments] + [counts[s].max(axis=0) for s in segments])
-    totals = patterns.sum(axis=1)[[s.start for s in segments] * 2, None]
+    counts_a = np.vstack(
+        [counts[s].min(axis=0) for s in segments] + [counts[s].max(axis=0) for s in segments], dtype=float
+    )
+    totals = patterns.sum(axis=1, dtype=float)[[s.start for s in segments] * 2, None]
     counts_b = totals - counts_a
     counts_a /= n_a
     counts_b /= n_b
@@ -301,8 +328,9 @@ def eaf_test(
     joint evaluation grid; its null distribution comes from random
     reassignments of run labels with group sizes preserved. Each distinct
     split of the runs in a block of drawn permutations is scored once, by
-    float64 products that are exact (see the module docstring), so every
-    result equals that of scoring each permutation with an integer product.
+    float32 products that are exact up to ``MAX_RUNS`` runs (see the module
+    docstring), so every result equals that of scoring each permutation
+    with an integer product.
     """
     if len(group_a) < 2 or len(group_b) < 2:
         raise ValueError("both groups need at least two runs")
@@ -311,11 +339,13 @@ def eaf_test(
     check_permutations(permutations)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
+    n_a = len(group_a)
+    n_total = n_a + len(group_b)
+    if n_total > MAX_RUNS:
+        raise ValueError(f"{n_total} runs are more than the {MAX_RUNS} supported")
     rng = np.random.default_rng(seed)
 
     patterns, segments = _by_total(_pattern_matrix([group_a, group_b]))
-    n_a = len(group_a)
-    n_total = n_a + len(group_b)
     observed = float(_statistics(patterns, segments, (np.arange(n_total) < n_a)[None, :], n_a)[0])
     null_stats = np.empty(permutations)
     rows = max(1, BLOCK_ELEMENTS // n_total)

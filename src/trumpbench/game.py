@@ -36,9 +36,8 @@ from trumpbench.deck import Deck
 
 # Games drawn at once and played per kernel call; bounds the (games, K, L) tensor.
 CHUNK_GAMES = 4096
-# Refuse a batch whose deals, counted at 8 bytes a card (the widest sort key),
-# exceed this: 4,194,304 games of 32 cards.  The keys are drawn a chunk at a
-# time, and the table kept holds a card in 1 byte up to 256 cards.
+# Refuse a batch whose deals exceed this, counted as :func:`check_games`
+# counts them: 32,521,743 games of 32 cards.
 MAX_DEAL_BYTES = 2**30
 
 
@@ -189,10 +188,12 @@ def _play_batch(
 
 def check_games(k: int, games: int) -> None:
     """Raise ValueError unless games >= 1 and the deals of ``games`` games
-    on K cards fit in ``MAX_DEAL_BYTES``."""
+    on K cards fit in ``MAX_DEAL_BYTES``: the bytes that :func:`draw_deals`
+    holds, its (K, games) table and starters and one chunk's sort keys."""
     if games < 1:
         raise ValueError("need at least one game")
-    nbytes = games * k * 8
+    card, key = np.min_scalar_type(k - 1).itemsize, np.dtype(_key_type(k)).itemsize
+    nbytes = games * (k * card + 1) + min(games, CHUNK_GAMES) * k * key
     if nbytes > MAX_DEAL_BYTES:
         raise ValueError(
             f"{games} games of {k} cards need {nbytes} bytes of deals, more than the "
@@ -219,6 +220,11 @@ def draw_deals(k: int, games: int, rng: np.random.Generator) -> tuple[np.ndarray
     return table.T, a_starts
 
 
+def _key_type(k: int) -> type:
+    """The sort key of :func:`_card_orders` on K cards."""
+    return np.uint32 if k <= 256 else np.uint64
+
+
 def _card_orders(k: int, rows: int, rng: np.random.Generator, dtype: np.dtype) -> np.ndarray:
     """(rows, K) uniform random orders of the K card indices, in ``dtype``.
 
@@ -231,7 +237,7 @@ def _card_orders(k: int, rows: int, rng: np.random.Generator, dtype: np.dtype) -
     none ties: given no tie, every order is equally likely, so the orders
     are exactly uniform.
     """
-    key_type = np.uint32 if k <= 256 else np.uint64
+    key_type = _key_type(k)
     bits = (k - 1).bit_length()
     keys = rng.integers(np.iinfo(key_type).max, size=(rows, k), dtype=key_type, endpoint=True)
     keys <<= bits

@@ -127,6 +127,19 @@ class FrontSet:
         pruned.setflags(write=False)
         object.__setattr__(self, "points", pruned)
 
+    @classmethod
+    def _of_front(cls, points: np.ndarray, origin: str = "") -> FrontSet:
+        """A FrontSet of float points that are already what :func:`prune_to_front`
+        returns: unique, mutually non-dominated and sorted as
+        ``np.unique(axis=0)`` sorts. They are not pruned again, and the set
+        takes ``points`` over, read-only."""
+        front = cls.__new__(cls)
+        points.setflags(write=False)
+        object.__setattr__(front, "points", points)
+        object.__setattr__(front, "origin", origin)
+        object.__setattr__(front, "_volumes", {})
+        return front
+
     @property
     def m(self) -> int:
         return self.points.shape[1]

@@ -16,7 +16,7 @@ from trumpbench.eaf import (
     eaf_test,
     eaf_value,
 )
-from trumpbench.indicators import FrontSet
+from trumpbench.indicators import FrontSet, prune_to_front
 
 
 def group_of(points_per_run, label="g"):
@@ -197,6 +197,44 @@ class TestFirstLayersMatchGrid:
             surface = attainment_surface(group, 1e-12)
             assert np.array_equal(surface.points, attainment_surface(group, 1 / len(group)).points)
             assert all(eaf_value(group, z) >= 1e-12 for z in surface.points)
+
+
+def first_layers_accumulate(point_sets, axes):
+    """The running minimum that the log-step doubling replaced, kept as the
+    oracle: the field seeded point by point, then one np.minimum.accumulate
+    along each grid axis."""
+    never = len(axes[-1])
+    shape = (len(point_sets),) + tuple(len(a) for a in axes[:-1])
+    field = np.full(shape, never, dtype=np.min_scalar_type(never))
+    for r, points in enumerate(point_sets):
+        for p in points:
+            cell = tuple(int(np.searchsorted(a, x)) for a, x in zip(axes, p))
+            field[(r,) + cell[:-1]] = min(field[(r,) + cell[:-1]], cell[-1])
+    for axis in range(1, field.ndim):
+        field = np.minimum.accumulate(field, axis=axis)
+    return field
+
+
+class TestRunningMinimumMatchesAccumulate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_axis_lengths(self, m, data):
+        # Grid axes of length 1, odd and powers of two, so the last shift
+        # of the doubling overshoots the axis or ends exactly at it; 300
+        # layers make a uint16 field.
+        lengths = [data.draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 17])) for _ in range(m - 1)]
+        high = lengths + [data.draw(st.sampled_from([1, 6, 300]))]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+        runs = data.draw(st.integers(1, 4))
+        point_sets = [rng.integers(0, high, size=(rng.integers(1, 6), m)).astype(float) for _ in range(runs)]
+        # Points on the grid's diagonal give every axis its drawn length.
+        diagonal = np.minimum(np.arange(max(high))[:, None], np.array(high) - 1).astype(float)
+        point_sets[0] = np.vstack([point_sets[0], diagonal])
+        axes = eaf._axes(point_sets)
+        assert [len(a) for a in axes] == high
+        got, expected = eaf._first_layers(point_sets, axes), first_layers_accumulate(point_sets, axes)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
 
 
 def loop_critical_value(null_stats, alpha):
@@ -440,6 +478,34 @@ class TestAttainmentSurface:
             )
 
 
+@st.composite
+def uniform_groups(draw):
+    """Two groups of 2-6 runs of 1-8 uniform points in 2-4 objectives, so
+    no coordinates tie."""
+    m = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    return [
+        group_of([rng.uniform(0, 1, (rng.integers(1, 9), m)) for _ in range(rng.integers(2, 7))], label)
+        for label in "ab"
+    ]
+
+
+class TestSurfaceIsItsOwnFront:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(run_groups(dims=(2, 3, 4)), uniform_groups()),
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_pruning_leaves_it_unchanged(self, groups, level):
+        # attainment_surface does not prune its FrontSet: its points must
+        # already be unique, mutually non-dominated and in the order
+        # np.unique(axis=0) gives, as prune_to_front returns them.
+        for group in (*groups, RunGroup(groups[0].fronts + groups[1].fronts, "ab")):
+            points = attainment_surface(group, level).points
+            assert points.dtype == float and not points.flags.writeable
+            assert np.array_equal(prune_to_front(points).points, points)
+
+
 class TestEafTest:
     def test_identical_groups_statistic_zero(self):
         fronts = [[[0.2, 0.8]], [[0.8, 0.2]], [[0.5, 0.5]]]
@@ -501,6 +567,20 @@ class TestEafTest:
         assert eaf_test(a, a, permutations=10, seed=0).permutations == 10
         with pytest.raises(ValueError, match="11 permutations are more than the 10 supported"):
             eaf_test(a, a, permutations=11, seed=0)
+
+    def test_runs_beyond_the_float32_limit_fail_before_allocation(self, monkeypatch):
+        # Lowered so that no large input is built: 2 + 2 runs still run.
+        monkeypatch.setattr(eaf, "MAX_RUNS", 4)
+        a = group_of([[[0.0, 0.0]], [[1.0, 1.0]]], "a")
+        b = group_of([[[0.0, 1.0]], [[1.0, 0.0]], [[0.5, 0.5]]], "b")
+        assert eaf_test(a, a, permutations=10, seed=0).permutations == 10
+
+        def no_patterns(groups):
+            raise AssertionError("patterns built before the run bound was checked")
+
+        monkeypatch.setattr(eaf, "_pattern_matrix", no_patterns)
+        with pytest.raises(ValueError, match="5 runs are more than the 4 supported"):
+            eaf_test(a, b, permutations=10, seed=0)
 
     def test_requires_two_runs_per_group(self):
         a = group_of([[[0.0, 0.0]]], "a")

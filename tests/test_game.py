@@ -477,12 +477,19 @@ class TestDealDraw:
         assert seen == [CHUNK_GAMES] * 6 + [3]
 
     def test_deals_beyond_max_deal_bytes_fail_before_allocation(self, monkeypatch):
-        # Lowered so that nothing large is allocated: 10 games of 4 cards fit exactly.
-        monkeypatch.setattr(game, "MAX_DEAL_BYTES", 10 * 4 * 8)
+        # Lowered so that nothing large is allocated: 10 games of 4 cards fit
+        # exactly, a uint8 card table and a starter a game, and a uint32 key
+        # a card of one chunk.
+        monkeypatch.setattr(game, "MAX_DEAL_BYTES", 10 * (4 + 1) + 10 * 4 * 4)
         assert draw_deals(4, 10, np.random.default_rng(2))[0].shape == (10, 4)
-        message = "11 games of 4 cards need 352 bytes of deals, more than the 320 supported"
+        message = "11 games of 4 cards need 231 bytes of deals, more than the 210 supported"
         with pytest.raises(ValueError, match=message):
             draw_deals(4, 11, np.random.default_rng(2))
+        # Above 256 cards a card takes 2 bytes and a key 8.
+        monkeypatch.setattr(game, "MAX_DEAL_BYTES", 2 * (300 * 2 + 1) + 2 * 300 * 8)
+        assert draw_deals(300, 2, np.random.default_rng(2))[0].shape == (2, 300)
+        with pytest.raises(ValueError, match="3 games of 300 cards need 9003 bytes of deals"):
+            draw_deals(300, 3, np.random.default_rng(2))
 
     @pytest.mark.parametrize("k", [2, 8])
     def test_deals_of_another_card_count_rejected(self, k):

@@ -37,7 +37,7 @@ from trumpbench.moea import (
     so_ea_run,
 )
 from trumpbench.experiments import make_evaluator
-from trumpbench.game import MAX_DEAL_BYTES, SimulationSummary
+from trumpbench.game import CHUNK_GAMES, MAX_DEAL_BYTES, SimulationSummary
 from trumpbench.indicators import hypervolume
 from trumpbench.objectives import (
     ObjectiveKind,
@@ -317,8 +317,9 @@ class TestSettingChecks:
 
     @pytest.mark.parametrize(
         "games, message",
-        # 0, and the fewest games of 32 cards whose deals exceed MAX_DEAL_BYTES.
-        [(0, "need at least one game"), (MAX_DEAL_BYTES // (32 * 8) + 1, "bytes of deals")],
+        # 0, and the fewest games of 32 cards whose deals exceed MAX_DEAL_BYTES:
+        # 33 bytes a game (uint8 cards and a starter) and a chunk of uint32 keys.
+        [(0, "need at least one game"), ((MAX_DEAL_BYTES - CHUNK_GAMES * 32 * 4) // 33 + 1, "bytes of deals")],
         ids=["none", "beyond-deal-bytes"],
     )
     def test_only_balance_configs_bound_games(self, games, message):
