@@ -14,8 +14,9 @@ on it once per generation: the row goes into the run's indicator trace, and
   indicators the published method tracks: hv, eps and r2.
   The generation scores a hit when every series has a variance
   significantly below a limit (chi-square test) or every series has a
-  confidently zero regression slope; two consecutive hits stop the run.
-  The tests' chi-square and Student t quantiles come from
+  confidently zero regression slope (t test); two consecutive hits stop
+  the run.  Both tests are p-values compared with alpha, as published;
+  their chi-square and Student t tails are the closed forms of
   :mod:`trumpbench.stats`.
 - :class:`Stagnation` stops the single-objective baseline once the
   population's min / mean / max fitness have all stalled over a window.
@@ -34,13 +35,14 @@ from trumpbench import indicators
 from trumpbench.indicators import (
     IDEAL_MARGIN,
     REF_OFFSET,
+    NormalizeTransform,
     eps_indicator,
     fit_normalize_transform,
     hypervolume,
     r2_indicator,
     simplex_lattice_weights,
 )
-from trumpbench.stats import chi2_quantile, t_quantile
+from trumpbench.stats import chi2_cdf, t_sf
 
 
 class Decision(enum.Enum):
@@ -53,14 +55,16 @@ class OCDParams:
     """Window length (generations), variance limit and test level of OCD;
     the tracked indicators are always hv, eps and r2.
 
-    Each generation re-measures every population of the window: it fits
-    the frame on all of them and prunes the reference set from all of them
-    again. A window the run never fills, such as ``window=100000`` to run
-    to budget, therefore re-prunes every past population every generation,
-    and OCD's cost grows with the square of the generations. On a B run
-    (seed 0, 2,000 games, mu=10, one core of a shared 2-core Xeon) OCD
-    took 0.09 s of 2.0 s at 1,000 evaluations, 0.31 s of 4.8 s at 3,000
-    and 0.82 s of 9.1 s at 6,000.
+    Until the window first fills, a generation prunes the run's raw front
+    with the newest population and measures that population alone, so
+    OCD's time grows with the size of the run's front, not with its
+    generations; a window the run never fills, such as ``window=100000``
+    to run to budget, costs about the same each generation. On an S run
+    (seed 0, mu=10, window 100000, one core of a shared 2-core Xeon) OCD
+    took 0.07 s of 1.1 s at 1,500 evaluations, 0.11 s of 1.7 s at 3,000
+    and 0.20 s of 3.0 s at 6,000; on a B run (2,000 games) 0.17 s of 4.7 s
+    at 3,000. Once full, each generation re-measures every population of
+    the window in the newest frame.
     """
 
     window: int = 10
@@ -77,11 +81,14 @@ class OCDParams:
 
 
 def variance_below_limit(values: np.ndarray, var_limit: float, alpha: float) -> bool:
-    """One-sided chi-square test: is the variance significantly below var_limit?"""
+    """One-sided chi-square test: is the variance significantly below var_limit?
+
+    A hit when P(chi2(n - 1) <= statistic) < alpha, for n values.
+    """
     v = np.asarray(values, dtype=float)
     n = v.size
     statistic = (n - 1) * np.var(v, ddof=1) / var_limit
-    return bool(statistic < chi2_quantile(alpha, n - 1))
+    return chi2_cdf(float(statistic), n - 1) < alpha
 
 
 def slope_is_zero(values: np.ndarray, alpha: float) -> bool:
@@ -89,7 +96,8 @@ def slope_is_zero(values: np.ndarray, alpha: float) -> bool:
 
     Mere insignificance is not enough (a noisy, trendless window would
     pass); the one-sided confidence bound on |slope| must fall below a
-    machine-relevant trend threshold relative to the data scale.
+    machine-relevant trend threshold relative to the data scale: a hit when
+    P(T(n - 2) >= (threshold - |slope|) / se) < alpha, for n values.
     """
     y = np.asarray(values, dtype=float)
     n = y.size
@@ -102,8 +110,7 @@ def slope_is_zero(values: np.ndarray, alpha: float) -> bool:
     if rss <= 1e-24 * max(1.0, float((y**2).sum())):
         return abs(slope) < threshold
     se = np.sqrt(rss / (n - 2) / sxx)
-    upper_bound = abs(slope) + t_quantile(1.0 - alpha, n - 2) * se
-    return bool(upper_bound < threshold)
+    return t_sf(float((threshold - abs(slope)) / se), n - 2) < alpha
 
 
 class Stagnation:
@@ -163,6 +170,17 @@ class RunIndicatorTracker:
     its last front, and each indicator measures every front of the stack
     in one call (one subset-volume call for hv, one reduction per front
     for eps and r2).
+
+    Until the window first fills, no population leaves it, so the tracker
+    keeps the raw front of every point it holds and each objective's
+    running minimum and maximum instead of stacking the window again each
+    generation.  That is exact: the minima and maxima give the frame's very
+    floats, and the map onto [1, 2] is monotone in each coordinate, so a
+    point that a raw front point dominates or duplicates maps onto a point
+    that the front point's image dominates or equals (-0.0 and 0.0, which
+    the raw prune takes for one value, map onto one float).  Pruning the
+    front's image thus gives the rows pruning every point's image gives,
+    in the same order.
     """
 
     def __init__(self, n_objectives: int, params: OCDParams):
@@ -172,6 +190,11 @@ class RunIndicatorTracker:
         self.ref_point = np.full(n_objectives, 2.0 + REF_OFFSET)
         self.ideal = np.full(n_objectives, 1.0 - IDEAL_MARGIN)
         self.populations: deque[np.ndarray] = deque(maxlen=params.window)
+        # Until the window first fills: the raw front of the window's points
+        # and each objective's minimum and maximum over them.
+        self.front = np.empty((0, n_objectives))
+        self.lo = np.full(n_objectives, np.inf)
+        self.hi = np.full(n_objectives, -np.inf)
         self.consecutive_hits = 0
 
     def update(self, population: np.ndarray) -> tuple[dict[str, float], Decision]:
@@ -179,17 +202,25 @@ class RunIndicatorTracker:
         if pop.shape[0] == 0 or pop.shape[1] != self.m:
             raise ValueError(f"population must be a non-empty (n, {self.m}) matrix")
         self.populations.append(pop)
-        window_points = np.vstack(self.populations)
-        points = fit_normalize_transform(window_points).apply(window_points)
         full = len(self.populations) == self.params.window
-        measured = list(self.populations) if full else [pop]
+        # prune_to_front is looked up on its module, as FrontSet does, so that
+        # a wrapper put there (bench/layers.py) also sees these calls.
+        if full:
+            measured = list(self.populations)
+            reference_points = np.vstack(measured)
+            transform = fit_normalize_transform(reference_points)
+        else:
+            measured = [pop]
+            self.front = indicators.prune_to_front(np.vstack([self.front, pop])).points
+            self.lo = np.minimum(self.lo, pop.min(axis=0))
+            self.hi = np.maximum(self.hi, pop.max(axis=0))
+            reference_points = self.front
+            transform = NormalizeTransform(self.lo, self.hi - self.lo)
         labels = np.repeat(np.arange(len(measured)), [len(p) for p in measured])
         # One stack: each measured population's front, then the reference.
-        # prune_to_front is looked up on its module, as FrontSet does, so that
-        # a wrapper put there (bench/layers.py) also sees this call.
         stack = indicators.prune_to_front(
-            np.vstack([points[len(points) - len(labels) :], points]),
-            np.append(labels, np.full(len(points), len(measured))),
+            transform.apply(np.vstack([*measured, reference_points])),
+            np.append(labels, np.full(len(reference_points), len(measured))),
         )
         hv = hypervolume(stack, self.ref_point)
         r2 = r2_indicator(stack, self.weights, self.ideal)

@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -25,7 +25,7 @@ from trumpbench.ocd import (
     slope_is_zero,
     variance_below_limit,
 )
-from trumpbench.stats import chi2_quantile, t_quantile
+from trumpbench.stats import chi2_cdf, t_quantile, t_sf
 
 from tests.test_indicators import prune_loop
 
@@ -154,6 +154,31 @@ def tracker_runs(draw):
     return m, OCDParams(window=window), populations
 
 
+@st.composite
+def long_tracker_runs(draw):
+    """(m, params, populations): a window of 3 or 10 generations, run from
+    one generation past its fill point to 8 past it, or one that never
+    fills (100000), run for 60 to 80 generations.  Populations hold 1 to 4
+    lattice points and up to one repeat; they may drift down by 1/8 each
+    generation, so that new points dominate old ones and the frame grows,
+    and one objective may be constant throughout (span 0)."""
+    m = draw(st.sampled_from([2, 3]))
+    window = draw(st.sampled_from([3, 10, 100_000]))
+    generations = draw(st.integers(60, 80) if window == 100_000 else st.integers(window + 1, window + 8))
+    drift = draw(st.sampled_from([0.0, 0.125]))
+    constant = draw(st.none() | st.integers(0, m - 1))
+    value = st.integers(0, 8).map(lambda k: k / 4)
+    populations = []
+    for generation in range(generations):
+        rows = draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=1, max_size=4))
+        repeats = draw(st.lists(st.sampled_from(rows), max_size=1))
+        pop = np.array(rows + repeats) - drift * generation
+        if constant is not None:
+            pop[:, constant] = 1.5
+        populations.append(pop)
+    return m, OCDParams(window=window), populations
+
+
 def stop_generation(tracker, populations):
     """Update ``tracker`` with each population in turn; return the
     1-based generation that converged, or None."""
@@ -269,21 +294,81 @@ class TestQuantiles:
 
 
 class TestQuantileOracle:
-    """The quantiles are scipy.stats' own: every value equal, bit for bit,
-    to ``chi2.ppf`` and ``t.ppf`` (each oracle call vectorized over dof)."""
+    """scipy.stats at its own quantiles, each oracle call vectorized over
+    1 to 600 degrees of freedom: ``t_quantile``, which ``ci_halfwidth``
+    takes, equals ``t.ppf`` bit for bit; the closed-form tails that the OCD
+    tests take lie within rtol 1e-9 of ``chi2.cdf`` and ``t.sf`` at the
+    points ``chi2.ppf(q)`` and ``t.isf(q)``, where the tail is q."""
 
     DOFS = np.arange(1, 601)
     QS = [1e-6, 0.001, 0.01, 0.025, 0.05, 0.1, 0.2, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 1 - 1e-6, 1.0]
+    TAILS = [1e-6, 1e-5, 1e-4, *QS[1:]]
 
-    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("q", TAILS)
     def test_chi2(self, q):
-        expected = sps.chi2.ppf(q, self.DOFS).tolist()
-        assert [chi2_quantile(q, dof) for dof in self.DOFS.tolist()] == expected
+        xs = sps.chi2.ppf(q, self.DOFS)
+        got = [chi2_cdf(x, dof) for x, dof in zip(xs.tolist(), self.DOFS.tolist())]
+        np.testing.assert_allclose(got, sps.chi2.cdf(xs, self.DOFS), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("q", TAILS)
+    def test_t_sf(self, q):
+        ts = sps.t.isf(q, self.DOFS)
+        got = [t_sf(t, dof) for t, dof in zip(ts.tolist(), self.DOFS.tolist())]
+        np.testing.assert_allclose(got, sps.t.sf(ts, self.DOFS), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 8, 9, 600])
+    def test_tail_ends(self, dof):
+        assert chi2_cdf(0.0, dof) == 0.0 and chi2_cdf(-1.0, dof) == 0.0 and chi2_cdf(np.inf, dof) == 1.0
+        assert t_sf(0.0, dof) == 0.5 and t_sf(np.inf, dof) == 0.0 and t_sf(-np.inf, dof) == 1.0
+        # Cauchy's tail at 1e300 is 1 / (pi 1e300); more dof give less.
+        assert 0.0 <= t_sf(1e300, dof) < 3.2e-301 and t_sf(-1e300, dof) == 1.0
 
     @pytest.mark.parametrize("q", QS)
     def test_t(self, q):
         expected = sps.t.ppf(q, self.DOFS).tolist()
         assert [t_quantile(q, dof) for dof in self.DOFS.tolist()] == expected
+
+
+ALPHAS = st.sampled_from([0.01, 0.05, 0.2, 0.5])
+
+
+class TestDecisionsAreTheQuantileComparisons:
+    """Each test's p-value against alpha decides as its statistic against
+    the scipy quantile of alpha did, on random series; a statistic within
+    1e-8 (relative) of that quantile is skipped, since either side of it is
+    rounding."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(3, 40), ALPHAS, st.floats(-2.0, 1.0), st.data())
+    def test_variance(self, n, alpha, exponent, data):
+        var_limit = 1e-4
+        pattern = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        values = 0.5 + 10.0**exponent * np.sqrt(var_limit) * pattern
+        statistic = (n - 1) * np.var(values, ddof=1) / var_limit
+        quantile = sps.chi2.ppf(alpha, n - 1)
+        assume(abs(statistic - quantile) > 1e-8 * quantile)
+        assert variance_below_limit(values, var_limit, alpha) is bool(statistic < quantile)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(3, 40), ALPHAS, st.floats(-1.5, 1.5), st.floats(-2.0, 1.0), st.data())
+    def test_slope(self, n, alpha, slope, exponent, data):
+        # Slopes and residuals of the order of the threshold 1e-8 of a
+        # series near 1, so that both sides of the bound come up.
+        pattern = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        x = np.arange(n, dtype=float)
+        y = 1.0 + 1e-8 * (slope * x + 10.0**exponent * pattern)
+        sxx = float(((x - x.mean()) ** 2).sum())
+        fitted = float(((x - x.mean()) * (y - y.mean())).sum()) / sxx
+        rss = float(((y - (y.mean() + fitted * (x - x.mean()))) ** 2).sum())
+        threshold = 1e-8 * max(1.0, float(np.abs(y).max()))
+        quantile = float(sps.t.ppf(1.0 - alpha, n - 2))
+        if rss <= 1e-24 * max(1.0, float((y**2).sum())):
+            expected = abs(fitted) < threshold
+        else:
+            se = np.sqrt(rss / (n - 2) / sxx)
+            assume(abs((threshold - abs(fitted)) / se - quantile) > 1e-8 * abs(quantile))
+            expected = abs(fitted) + quantile * se < threshold
+        assert slope_is_zero(y, alpha) is bool(expected)
 
 
 class TestParams:
@@ -469,6 +554,38 @@ class TestRunIndicatorTracker:
         # tracker that measured each population on its own, bit for bit.
         m, params, populations = case
         tracker, loop = RunIndicatorTracker(m, params), LoopTracker(m, params)
+        for pop in populations:
+            assert tracker.update(pop) == loop.update(pop)
+
+    @settings(max_examples=40, deadline=None)
+    @given(long_tracker_runs())
+    def test_front_before_the_window_fills_matches_loop_tracker(self, case):
+        # Until its window fills the tracker keeps the raw front and the
+        # running minima and maxima instead of the window's populations;
+        # every row and decision must still be the loop tracker's, bit for
+        # bit, before the fill point, across it, and in a window that never fills.
+        m, params, populations = case
+        tracker, loop = RunIndicatorTracker(m, params), LoopTracker(m, params)
+        for pop in populations:
+            assert tracker.update(pop) == loop.update(pop)
+
+    @pytest.mark.parametrize("window", [3, 10, 100_000])
+    def test_points_that_meet_in_the_frame_match_loop_tracker(self, window):
+        # 0.7 and the next float above it are distinct raw values that the
+        # frame of the range [0, 3] maps onto one float. So (a, 2) beside
+        # (b, 1), both on the raw front, becomes a dominated point and its
+        # dominator, and (a, b) beside (b, a) becomes two equal points.
+        a, b = 0.7, np.nextafter(0.7, 1.0)
+        populations = [
+            np.array([[0.0, 3.0], [3.0, 0.0]]),
+            np.array([[a, 2.0], [b, 1.0]]),
+            np.array([[a, b], [b, a]]),
+            np.array([[a, 2.0], [b, 1.0], [2.5, 0.5]]),
+        ]
+        populations += [populations[-1]] * 12
+        frame = fit_normalize_transform(np.vstack(populations))
+        assert a != b and frame.apply([[a, b]])[0, 0] == frame.apply([[b, a]])[0, 0]
+        tracker, loop = RunIndicatorTracker(2, OCDParams(window=window)), LoopTracker(2, OCDParams(window=window))
         for pop in populations:
             assert tracker.update(pop) == loop.update(pop)
 
