@@ -584,7 +584,7 @@ class TestRunIndicatorTracker:
         ]
         populations += [populations[-1]] * 12
         frame = fit_normalize_transform(np.vstack(populations))
-        assert a != b and frame.apply([[a, b]])[0, 0] == frame.apply([[b, a]])[0, 0]
+        assert a != b and np.array_equal(*frame.apply([[a, b], [b, a]]))
         tracker, loop = RunIndicatorTracker(2, OCDParams(window=window)), LoopTracker(2, OCDParams(window=window))
         for pop in populations:
             assert tracker.update(pop) == loop.update(pop)
