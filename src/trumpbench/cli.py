@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from trumpbench.deck import DeckShape, load_deck, save_deck
+from trumpbench.deck import DeckShape, format_table, load_deck, save_deck
 from trumpbench.eaf import RunGroup, attainment_surface, eaf_test
 from trumpbench.experiments import (
     Approach,
@@ -214,13 +214,16 @@ def cmd_indicators(args) -> int:
     front_paths = _matching_paths(args.fronts, "front")
     fronts = [read_front_csv(p) for p in front_paths]
     refset = read_front_csv(args.refset, origin="reference")
+    for path, fs in zip(front_paths, fronts):
+        if fs.m != refset.m:
+            raise ValueError(f"{path}: {fs.m} objectives, but the reference {args.refset} has {refset.m}")
     transform = fit_normalize_transform(np.vstack([fs.points for fs in fronts + [refset]]))
     norm_ref = FrontSet(transform.apply(refset.points))
-    lines = ["front,hv,eps,r2"]
+    rows = []
     for path, fs in zip(front_paths, fronts):
         block = indicator_block(FrontSet(transform.apply(fs.points)), norm_ref)
-        lines.append(",".join([path, repr(block["hv"]), repr(block["eps"]), repr(block["r2"])]))
-    print("\n".join(lines))
+        rows.append([path, block["hv"], block["eps"], block["r2"]])
+    print(format_table(["front", "hv", "eps", "r2"], rows), end="")
     return 0
 
 

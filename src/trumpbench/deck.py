@@ -1,21 +1,20 @@
 """Deck and card representation: dominance between cards, deck validity,
-the flat genome encoding used by the optimizers, and deck CSV files."""
+the flat genome encoding used by the optimizers, and the one CSV format
+that deck, front and indicator-table files are read and written in."""
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 
 # Decks random_valid_deck draws before it gives up on a shape.
 RANDOM_DECK_TRIES = 10_000
-
-
-class DeckFormatError(ValueError):
-    """Raised for malformed deck CSV files; message names the offending line."""
 
 
 @dataclass(frozen=True)
@@ -161,26 +160,57 @@ def random_valid_deck(shape: DeckShape, rng: np.random.Generator) -> Deck:
     raise RuntimeError(f"no valid deck found in {RANDOM_DECK_TRIES} draws for {shape}")
 
 
+def format_table(header, rows) -> str:
+    """CSV text: the ``header`` row, then one line per row.  A str value is
+    written as it is, quoted where CSV needs it; any other value as
+    ``repr(float(x))``, which :func:`read_table` reads back bit for bit."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in (header, *rows):
+        writer.writerow([x if isinstance(x, str) else repr(float(x)) for x in row])
+    return out.getvalue()
+
+
+def write_table(path, header, rows) -> None:
+    """Write the :func:`format_table` text of ``header`` and ``rows`` to ``path``."""
+    Path(path).write_text(format_table(header, rows), encoding="utf-8", newline="")
+
+
+def read_table(path, named: bool) -> tuple[list[str], np.ndarray]:
+    """The header and the float matrix of the data rows of a CSV file; with
+    ``named``, the first column holds names and is skipped.  Blank lines are
+    skipped but counted.  A wrong field count, a non-numeric or non-finite
+    value, or no data row raises ValueError naming the file and line."""
+    header, rows = None, []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for fields in reader:
+            # A blank line reads as no field, or as one field of whitespace.
+            if len(fields) < 2 and not (fields and fields[0].strip()):
+                continue
+            if header is None:
+                header = fields
+                continue
+            where = f"{path}, line {reader.line_num}"
+            if len(fields) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} fields, got {len(fields)}")
+            try:
+                row = [float(x) for x in (fields[1:] if named else fields)]
+            except ValueError as exc:
+                raise ValueError(f"{where}: non-numeric value ({exc})") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{where}: non-finite value")
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: needs a header and at least one data row")
+    return header, np.array(rows)
+
+
 def save_deck(deck: Deck, path) -> None:
     """Write a deck CSV: header ``name,cat_1,...,cat_L``, then one row per
     card, named ``card_00``, ``card_01``, ..., with full round-trip precision."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", *(f"cat_{j + 1}" for j in range(deck.shape.L))])
-        for i, row in enumerate(deck.values):
-            writer.writerow([f"card_{i:02d}", *(repr(float(x)) for x in row)])
-
-
-def read_csv_rows(path) -> list[tuple[int, list[str]]]:
-    """The non-blank rows of a CSV file, each with its line number in the file."""
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            # A blank line reads as no field, or as one field of whitespace.
-            if len(row) > 1 or (row and row[0].strip()):
-                rows.append((reader.line_num, row))
-    return rows
+    header = ["name", *(f"cat_{j + 1}" for j in range(deck.shape.L))]
+    write_table(path, header, ([f"card_{i:02d}", *row] for i, row in enumerate(deck.values)))
 
 
 def load_deck(path, shape: DeckShape | None = None, rescale: bool = False) -> Deck:
@@ -188,49 +218,27 @@ def load_deck(path, shape: DeckShape | None = None, rescale: bool = False) -> De
 
     With ``rescale`` the per-category minimum maps to lo and the maximum to
     hi; a constant category maps to the midpoint.  Without it, values must
-    already lie inside the shape's range.  Malformed rows raise
-    DeckFormatError naming the line.
+    already lie inside the shape's range.  Every error names the file.
     """
-    records = read_csv_rows(path)
-    if not records:
-        raise DeckFormatError(f"{path}: empty deck file")
-    (header_line, header), *records = records
-    if len(header) < 2:
-        raise DeckFormatError(
-            f"{path}, line {header_line}: header needs a name and at least one category"
-        )
-    n_cat = len(header) - 1
-    rows = []
-    for lineno, fields in records:
-        if len(fields) != n_cat + 1:
-            raise DeckFormatError(
-                f"{path}, line {lineno}: expected {n_cat + 1} fields, got {len(fields)}"
-            )
-        try:
-            rows.append([float(x) for x in fields[1:]])
-        except ValueError as exc:
-            raise DeckFormatError(f"{path}, line {lineno}: non-numeric value ({exc})") from None
-    if not rows:
-        raise DeckFormatError(f"{path}: no card rows")
-    mat = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(mat)):
-        raise DeckFormatError(f"{path}: non-finite values in deck")
-    k = mat.shape[0]
+    _, mat = read_table(path, named=True)
+    k, n_cat = mat.shape
     if shape is None:
-        shape = DeckShape(K=k, L=n_cat)
+        try:
+            shape = DeckShape(K=k, L=n_cat)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     elif shape.K != k or shape.L != n_cat:
-        raise DeckFormatError(
+        raise ValueError(
             f"{path}: file holds {k} cards x {n_cat} categories, expected "
             f"{shape.K} x {shape.L}"
         )
     if rescale:
         mat = rescale_values(mat, shape.lo, shape.hi)
-    else:
-        if np.any(mat < shape.lo) or np.any(mat > shape.hi):
-            raise DeckFormatError(
-                f"{path}: values outside [{shape.lo}, {shape.hi}]; pass rescale=True "
-                "to normalize them"
-            )
+    elif np.any(mat < shape.lo) or np.any(mat > shape.hi):
+        raise ValueError(
+            f"{path}: values outside [{shape.lo}, {shape.hi}]; pass rescale=True "
+            "to normalize them"
+        )
     return Deck(mat, shape)
 
 

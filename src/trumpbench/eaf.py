@@ -82,9 +82,13 @@ class RunGroup:
     def __post_init__(self) -> None:
         if len(self.fronts) < 1:
             raise ValueError("a run group needs at least one run")
-        dims = {f.m for f in self.fronts}
-        if len(dims) != 1:
-            raise ValueError(f"fronts disagree on objective count: {sorted(dims)}")
+        first = self.fronts[0]
+        odd = [f for f in self.fronts if f.m != first.m]
+        if odd:
+            raise ValueError(
+                f"fronts disagree on objective count: {first.origin} has {first.m}, "
+                f"{odd[0].origin} has {odd[0].m}"
+            )
 
     @property
     def m(self) -> int:
@@ -335,7 +339,10 @@ def eaf_test(
     if len(group_a) < 2 or len(group_b) < 2:
         raise ValueError("both groups need at least two runs")
     if group_a.m != group_b.m:
-        raise ValueError("groups must share the objective count")
+        raise ValueError(
+            f"groups must share the objective count: {group_a.fronts[0].origin} has "
+            f"{group_a.m}, {group_b.fronts[0].origin} has {group_b.m}"
+        )
     check_permutations(permutations)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")

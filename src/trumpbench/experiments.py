@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from trumpbench.deck import Deck, DeckShape, genome_to_deck
+from trumpbench.deck import Deck, DeckShape, format_table, genome_to_deck, write_table
 from trumpbench.eaf import (
     EAFTestResult,
     RunGroup,
@@ -560,11 +560,8 @@ def write_report_artifacts(report: ExperimentReport, out_dir: Path) -> None:
 
 
 def _write_indicator_csv(report: ExperimentReport, path: Path) -> None:
-    def fmt(value):
-        return "" if value is None else repr(float(value))
-
     keys = ("hv", "eps", "r2")
-    lines = ["set,hv,eps,r2,hv_ci,eps_ci,r2_ci,rank"]
+    rows = []
     for label in sorted(report.approaches):
         slot = report.approaches[label]
         if slot.run_points is None:
@@ -574,8 +571,8 @@ def _write_indicator_csv(report: ExperimentReport, path: Path) -> None:
             (f"_{report.config.surface_tag}", slot.indicators_surface, slot.rank_surface),
         ):
             values = [block[k] for k in keys] + [slot.ci_halfwidths[k] for k in keys]
-            lines.append(",".join([f"{label}{suffix}", *map(fmt, values), str(rank)]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            rows.append([f"{label}{suffix}", *("" if v is None else v for v in values), str(rank)])
+    write_table(path, "set,hv,eps,r2,hv_ci,eps_ci,r2_ci,rank".split(","), rows)
 
 
 def balance_metric_study(deck: Deck, sizes: list[int], repeats: int, alpha: float, seed: int) -> str:
@@ -599,13 +596,12 @@ def balance_metric_study(deck: Deck, sizes: list[int], repeats: int, alpha: floa
         raise ValueError("alpha must lie in (0, 1)")
     n_tricks = deck.shape.K // 2
     rng = np.random.default_rng(np.random.SeedSequence((seed, 99)))
-    lines = ["size,metric,halfwidth_q95"]
+    table = []
     for size in sizes:
         widths = np.empty((len(BALANCE_METRICS), repeats))
         for r in range(repeats):
             tricks_a, tricks_b, changes = play_deals(deck, POLICIES, draw_deals(deck.shape.K, size, rng))
             rows = (tricks_a > tricks_b, changes, np.abs(2 * tricks_a - n_tricks))
             widths[:, r] = [ci_halfwidth(row, alpha) for row in rows]
-        for name, row in zip(BALANCE_METRICS, widths):
-            lines.append(f"{size},{name},{float(np.quantile(row, 0.95))!r}")
-    return "\n".join(lines) + "\n"
+        table += ([str(size), name, np.quantile(row, 0.95)] for name, row in zip(BALANCE_METRICS, widths))
+    return format_table(["size", "metric", "halfwidth_q95"], table)

@@ -12,11 +12,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
-from trumpbench.deck import read_csv_rows
+from trumpbench.deck import read_table, write_table
 from trumpbench.hv import union_box_volume
 
 # The [1, 2] indicator frame: reference point 2 + REF_OFFSET per objective,
@@ -324,28 +323,10 @@ def fit_normalize_transform(points: np.ndarray) -> NormalizeTransform:
 
 def write_front_csv(front: FrontSet, path) -> None:
     """Write one point per row under a ``f1,...,fm`` header."""
-    m = front.m
-    lines = [",".join(f"f{j + 1}" for j in range(m))]
-    for row in front.points:
-        lines.append(",".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_table(path, [f"f{j + 1}" for j in range(front.m)], front.points)
 
 
 def read_front_csv(path, origin: str | None = None) -> FrontSet:
     """Read a front file written by write_front_csv."""
-    records = read_csv_rows(path)
-    if len(records) < 2:
-        raise ValueError(f"{path}: front file needs a header and at least one point")
-    (_, header), *records = records
-    rows = []
-    for lineno, fields in records:
-        if len(fields) != len(header):
-            raise ValueError(f"{path}, line {lineno}: expected {len(header)} values")
-        try:
-            row = [float(x) for x in fields]
-        except ValueError as exc:
-            raise ValueError(f"{path}, line {lineno}: non-numeric value ({exc})") from None
-        if not np.all(np.isfinite(row)):
-            raise ValueError(f"{path}, line {lineno}: non-finite value")
-        rows.append(row)
-    return FrontSet(np.array(rows), origin=origin if origin is not None else str(path))
+    _, points = read_table(path, named=False)
+    return FrontSet(points, origin=origin if origin is not None else str(path))

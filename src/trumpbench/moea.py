@@ -90,6 +90,8 @@ class EAConfig:
             raise ValueError("population size must be at least 2")
         if self.max_evals <= self.mu:
             raise ValueError("evaluation budget must exceed the population size")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.shape.L < 2:
             raise ValueError(f"no valid deck exists for {self.shape}: need L >= 2")
         # Only B evaluations draw deals; D and S runs never read games.

@@ -768,6 +768,51 @@ class TestCommandErrors:
         assert err.startswith(f"trumpbench optimize: {message}")
         assert not (tmp_path / "x").exists()
 
+    def test_optimize_negative_seed_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "execute_run", no_run)
+        err = self.fails(capsys, "optimize", "--objective", "D", "--seed", -1, "--out", tmp_path / "x")
+        assert err == "trumpbench optimize: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_simulate_odd_card_count_names_the_deck(self, tmp_path, capsys):
+        path = tmp_path / "odd.csv"
+        path.write_text("name,a,b\nc1,1,2\nc2,2,1\nc3,3,3\n")
+        err = self.fails(capsys, "simulate", "--deck", path)
+        assert err == f"trumpbench simulate: {path}: K must be a positive even integer, got 3\n"
+
+    def test_indicators_front_of_other_objective_count_names_both_files(self, tmp_path, capsys):
+        write_front_csv(FrontSet(np.array([[1.0, 2.0], [2.0, 1.0]])), tmp_path / "front.csv")
+        write_front_csv(FrontSet(np.array([[1.0, 2.0, 3.0]])), tmp_path / "ref.csv")
+        err = self.fails(
+            capsys,
+            "indicators", "--fronts", str(tmp_path / "front.csv"), "--refset", tmp_path / "ref.csv",
+        )
+        assert err == (
+            f"trumpbench indicators: {tmp_path / 'front.csv'}: 2 objectives, "
+            f"but the reference {tmp_path / 'ref.csv'} has 3\n"
+        )
+
+    @pytest.mark.parametrize(
+        "odd, message",
+        [
+            (["b_1"], "fronts disagree on objective count: {b_0} has 2, {b_1} has 3"),
+            (["b_0", "b_1", "b_2"], "groups must share the objective count: {a_0} has 2, {b_0} has 3"),
+        ],
+        ids=["one-front", "one-group"],
+    )
+    def test_eaf_front_of_other_objective_count_names_the_files(self, tmp_path, capsys, odd, message):
+        TestEafCommand().make_groups(tmp_path)
+        for name in odd:
+            write_front_csv(FrontSet(np.full((1, 3), 0.5)), tmp_path / f"{name}.csv")
+        err = self.fails(
+            capsys,
+            "eaf", "--group-a", str(tmp_path / "a_*.csv"), "--group-b", str(tmp_path / "b_*.csv"),
+            "--out", tmp_path / "eaf",
+        )
+        paths = {name: tmp_path / f"{name}.csv" for name in ("a_0", "b_0", "b_1")}
+        assert err == f"trumpbench eaf: {message.format(**paths)}\n"
+        assert not (tmp_path / "eaf").exists()
+
     def test_experiment_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("approaches = D4\nevlas = 100\n")

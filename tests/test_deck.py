@@ -1,4 +1,7 @@
-"""Card dominance, deck validity, genome round trips and deck CSV files."""
+"""Card dominance, deck validity, genome round trips, and deck and table CSV files."""
+
+import csv
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from trumpbench import deck as deck_module
 from trumpbench.deck import (
-    DeckFormatError,
     DeckShape,
     ValidityReport,
     deck_is_valid,
@@ -17,8 +19,10 @@ from trumpbench.deck import (
     genome_to_deck,
     load_deck,
     random_valid_deck,
+    read_table,
     rescale_values,
     save_deck,
+    write_table,
 )
 
 
@@ -277,23 +281,108 @@ class TestDeckFiles:
     def test_short_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,a,b,c,d\ncard,1,2,3\n")
-        with pytest.raises(DeckFormatError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             load_deck(path)
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,a,b\nc1,1,2\nc2,x,4\n")
-        with pytest.raises(DeckFormatError, match="line 3"):
+        with pytest.raises(ValueError, match="line 3"):
             load_deck(path)
 
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("name,a,b\n\n  \nc1,1,2\nc2,3\n")
-        with pytest.raises(DeckFormatError, match="line 5"):
+        with pytest.raises(ValueError, match="line 5"):
             load_deck(path)
 
     def test_out_of_range_without_rescale(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("name,a,b\nc1,0,1\nc2,200,2\n")
-        with pytest.raises(DeckFormatError, match="rescale"):
+        with pytest.raises(ValueError, match="rescale"):
             load_deck(path)
+
+
+# Finite doubles, with the edge cases that a formatting shortcut would
+# break (signed zero, subnormals, values near the largest double) and
+# integers, which the table writes as doubles.
+TABLE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308]),
+    st.integers(-(2**60), 2**60),
+)
+PLAIN_NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,6}", fullmatch=True)
+
+
+@st.composite
+def tables(draw, names):
+    """(named, header, rows) of a table of 1-4 value columns and 1-5 rows."""
+    named = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(TABLE_VALUES, min_size=width, max_size=width), min_size=1, max_size=5))
+    header = [f"v{j}" for j in range(width)]
+    if named:
+        header = ["name", *header]
+        rows = [[draw(names), *row] for row in rows]
+    return named, header, rows
+
+
+class TestTableFiles:
+    """write_table then read_table, the one CSV format of decks, fronts and
+    the indicator table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=tables(st.text(st.sampled_from('ab ,"'), max_size=5)),
+        gaps=st.lists(st.lists(st.sampled_from(["", "  "]), max_size=2), min_size=6, max_size=6),
+        bad=st.integers(0, 4),
+    )
+    @example(
+        table=(
+            True,
+            ["name", "v0", "v1", "v2"],
+            [['say "hi", x', -0.0, 5e-324, 1.7e308], ["", -1.7e308, 3, 2.2250738585072014e-308]],
+        ),
+        gaps=[["", "  "], [], ["  "], [], [], []],
+        bad=1,
+    )
+    def test_round_trip(self, tmp_path_factory, table, gaps, bad):
+        named, header, rows = table
+        path = tmp_path_factory.getbasetemp() / "table.csv"
+        write_table(path, header, rows)
+        values = np.array([[float(x) for x in row[named:]] for row in rows])
+        back_header, back = read_table(path, named)
+        assert back_header == header
+        assert back.tobytes() == values.tobytes()
+        if named:
+            # Names with commas and quotes are quoted, and read back as written.
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert [record[0] for record in csv.reader(fh)][1:] == [row[0] for row in rows]
+
+        # Blank lines, empty or of spaces, are skipped but counted.
+        lines = []
+        for gap, line in zip(gaps, path.read_text(encoding="utf-8").splitlines()):
+            lines += [*gap, line]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read_table(path, named)[1].tobytes() == values.tobytes()
+        lineno = [i for i, line in enumerate(lines, 1) if line.strip()][1 + bad % len(rows)]
+        lines[lineno - 1] += ",1.0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = f"{path}, line {lineno}: expected {len(header)} fields, got {len(header) + 1}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_table(path, named)
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=tables(PLAIN_NAMES))
+    def test_bytes_of_plain_tables(self, tmp_path_factory, table):
+        # Names without commas or quotes are written bare: each line is its
+        # fields joined by commas, numbers as repr(float), the format every
+        # golden digest of a deck, front or indicator table was taken in.
+        _, header, rows = table
+        path = tmp_path_factory.getbasetemp() / "table.csv"
+        write_table(path, header, rows)
+        oracle = "".join(
+            ",".join(x if isinstance(x, str) else repr(float(x)) for x in row) + "\n"
+            for row in [header, *rows]
+        )
+        assert path.read_bytes() == oracle.encode()

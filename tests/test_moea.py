@@ -309,6 +309,7 @@ class TestSettingChecks:
             ({"shape": DeckShape(K=8, L=1)}, "no valid deck exists"),
             ({"games": 0}, "need at least one game"),
             ({"games": 2**50}, f"{2**50} games of 32 cards need"),
+            ({"seed": -1}, "seed must be non-negative, got -1"),
         ],
     )
     def test_config_rejects_what_no_run_can_use(self, setting, message):
