@@ -114,7 +114,9 @@ def deck_is_valid(deck) -> ValidityReport:
     card holding the strict maximum of every category is the first maximum
     of each (np.argmax), so when those first maxima fall on different cards
     no card dominates and the deck is valid; the columns are sorted, to test
-    the maxima for strictness, only when they coincide.
+    the maxima for strictness, only when they coincide.  The verdict does not
+    depend on which sort numpy dispatches, because equal values compare equal
+    under any of them.
     """
     v = card_matrix(deck)
     if len(v) < 2:

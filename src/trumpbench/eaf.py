@@ -320,11 +320,7 @@ def check_permutations(permutations: int) -> None:
 
 
 def eaf_test(
-    group_a: RunGroup,
-    group_b: RunGroup,
-    permutations: int = 10_000,
-    alpha: float = 0.05,
-    seed: int | None = None,
+    group_a: RunGroup, group_b: RunGroup, permutations: int = 10_000, alpha: float = 0.05, *, seed: int
 ) -> EAFTestResult:
     """Compare two attainment functions with a KS-style permutation test.
 

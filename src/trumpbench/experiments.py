@@ -337,11 +337,10 @@ def _reevaluate_run(
     artifact: dict, kind: ObjectiveKind, shape: DeckShape, deals: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Balance objectives of the decks one run contributes, each played on
-    ``deals``: the front of a multi-objective run, the single best
-    individual of the dominance baseline."""
-    individuals = artifact["front"]
-    if kind is ObjectiveKind.DOMINANCE:
-        individuals = [min(individuals, key=lambda ind: (ind["objectives"][0], ind["eval_index"]))]
+    ``deals``: the front of a multi-objective run, the first member of the
+    dominance baseline's front, which lists its best fitness oldest first."""
+    front = artifact["front"]
+    individuals = front[:1] if kind is ObjectiveKind.DOMINANCE else front
     return np.array([_balance(genome_to_deck(ind["genome"], shape), deals) for ind in individuals])
 
 

@@ -140,7 +140,8 @@ def _play_batch(
     ``a_starts[g]`` says whether A announces first.  Both players' category
     choices and the outcome of each choice do not depend on who announces,
     so they are computed for every trick up front; only the announcer
-    hand-over runs trick by trick, over (G,) vectors.
+    hand-over runs trick by trick, over (G,) vectors.  The hand-over is
+    boolean, so it is exact under any SIMD dispatch of numpy.
     """
     n_tricks = perms.shape[1] // 2
     # Global ranks keep every comparison, within a category and across

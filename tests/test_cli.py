@@ -985,7 +985,9 @@ commands = [
     ["optimize", "--objective", "S", "--evals", "300", "--out", "runs"],
     ["optimize", "--objective", "B", "--evals", "150", "--games", "100", "--out", "runs"],
 ]
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 codes = [cli.main(argv) for argv in commands]
+del sys.modules["scipy"]
 before = sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "special"])
 from trumpbench import stats
 values = [stats.t_quantile(0.95, 8)]
@@ -999,9 +1001,11 @@ print(json.dumps({"codes": codes, "before": before, "loaded": loaded,
 def test_only_a_quantile_imports_scipy_special(tmp_path):
     # scipy.special costs a fresh process ~0.1 s and ~24 MB, and only
     # ci_halfwidth needs it: the package's modules (those the benchmark
-    # workloads import among them) and the commands that compute no
-    # quantile must not load it, S and B runs to full OCD windows among
-    # them, and the first quantile must.
+    # workloads import among them) must not load it, and the first quantile
+    # must.  The commands compute no quantile, and OCD's tests take
+    # closed-form tails in stdlib math, so the commands import no scipy
+    # module at all, S and B runs to full OCD windows (10 generations of 10
+    # evaluations) among them: the probe blocks scipy while they run.
     proc = subprocess.run(
         [sys.executable, "-c", SCIPY_SPECIAL_PROBE, str(tmp_path)],
         env=package_env(), capture_output=True, text=True,

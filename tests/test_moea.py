@@ -516,6 +516,19 @@ class TestRuns:
             assert new_best <= best
             best = new_best
 
+    def test_dominance_front_is_the_best_fitness_oldest_first(self):
+        # experiments replays the first member of a D run's front as the
+        # run's best deck.  Seed 0 ends with one best member, seed 11 with
+        # five tied.
+        sizes = []
+        for seed in (0, 11):
+            result = so_ea_run(self.small_config(ObjectiveKind.DOMINANCE, seed=seed), dominance_evaluator)
+            best = min(ind.objectives[0] for ind in result.final_population)
+            tied = [ind.eval_index for ind in result.final_population if ind.objectives[0] == best]
+            assert [ind.eval_index for ind in result.front] == sorted(tied)
+            sizes.append(len(result.front))
+        assert sizes == [1, 5]
+
     def test_toy_single_objective_reaches_optimum(self):
         config = EAConfig(
             mu=5,
