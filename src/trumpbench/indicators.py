@@ -1,10 +1,11 @@
 """Minimization fronts: the hypervolume API, unary quality indicators and
 the shared normalization onto [1, 2] used before comparing optimizer output.
 
-:func:`hypervolume` and :func:`hv_contributions` are the only hypervolume
-entry points for minimization fronts.  Both run on the kernel
-:func:`trumpbench.hv.union_box_volume`, and both reject a point that does
-not strictly dominate the reference point instead of dropping it.
+:func:`hypervolume` and :func:`hv_contributions` measure minimization
+fronts of any dimension on the kernel :func:`trumpbench.hv.union_box_volume`,
+and both reject a point that does not strictly dominate the reference point
+instead of dropping it.  SMS-EMOA's 2-D selection scores its front by exact
+exclusive rectangles of its own (:mod:`trumpbench.moea`), under the same check.
 """
 
 from __future__ import annotations
@@ -194,7 +195,12 @@ def hv_contributions(points, ref) -> np.ndarray:
     """Per-point hypervolume contribution of a minimization front.
 
     contribution[i] = HV(points) - HV(points without i), with the total and
-    the n leave-one-out volumes measured in one batch.
+    the n leave-one-out volumes measured in one batch.  The subtraction's
+    error is absolute, about one ulp of HV(points), so a contribution smaller
+    than that reads 0.0, and two near-twins can tie at 0.0 although one
+    weakly dominates the other.  SMS-EMOA's 2-D selection therefore takes
+    exact rectangles instead (:func:`trumpbench.moea._exclusive_areas_2d`),
+    whose error is relative to each contribution.
     """
     boxes = _boxes(np.atleast_2d(np.asarray(points, dtype=float)), ref)
     n = boxes.shape[0]

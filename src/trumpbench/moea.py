@@ -1,6 +1,14 @@
 """Steady-state multi-objective optimizer with hypervolume-contribution
 selection, plus the elitist single-objective baseline.
 
+SMS-EMOA (Beume, Naujoks & Emmerich, *EJOR* 181(3), 2007) drops, of the
+offspring and the population, a member of the worst non-dominated front
+with the least exclusive hypervolume contribution, the newest of a tie.  As
+in that paper, a 2-D front's contributions are the rectangles between each
+member and its neighbours, each exact up to three roundings; a front of
+any other dimension takes them from
+:func:`~trumpbench.indicators.hv_contributions`.
+
 Both optimizers share the real-coded variation operators (simulated binary
 crossover and bounded polynomial mutation), reject offspring that decode to
 invalid decks without charging an evaluation, and stop on either a budget
@@ -22,7 +30,7 @@ import numpy as np
 
 from trumpbench.deck import Deck, DeckShape, deck_is_valid, dominance_matrix, genome_to_deck, random_valid_deck
 from trumpbench.game import SimulationSummary, check_games
-from trumpbench.indicators import hv_contributions
+from trumpbench.indicators import _boxes, hv_contributions
 from trumpbench.objectives import ObjectiveKind, balance_objectives
 from trumpbench.ocd import Decision, OCDParams, RunIndicatorTracker, Stagnation
 
@@ -213,6 +221,27 @@ def nondominated_sort(points: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _exclusive_areas_2d(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Each point's exclusive hypervolume contribution to a 2-D minimization
+    set w.r.t. ``ref``, which every point must strictly dominate.
+
+    Precondition: no point strictly dominates another, as on one front of
+    :func:`nondominated_sort`.  Point (x, y) then alone covers the rectangle
+    up to (a, b): a is the least x of the other points with y' <= y, b the
+    least y of the other points with x' <= x, each the reference coordinate
+    if there is none.  A duplicate or weakly dominated point gets exactly
+    0.0.  Each area is two subtractions and a product of input floats, so its
+    error is relative to the area itself, not to the set's volume, and it is
+    the same on every CPU: each operation is one correctly rounded float op.
+    """
+    _boxes(points, ref)  # raises for a point that does not strictly dominate ref
+    x, y = points[:, 0], points[:, 1]
+    others = ~np.eye(len(points), dtype=bool)
+    a = np.where(others & (y <= y[:, None]), x, ref[0]).min(axis=1)
+    b = np.where(others & (x <= x[:, None]), y, ref[1]).min(axis=1)
+    return np.maximum(a - x, 0.0) * np.maximum(b - y, 0.0)
+
+
 def _eval_rng(seed: int, eval_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, 2, eval_index)))
 
@@ -317,7 +346,20 @@ class _RunState:
 
 
 class SmsEmoa(_RunState):
-    """Steady-state (mu+1) optimizer selecting by rank, then hypervolume loss."""
+    """Steady-state (mu+1) SMS-EMOA (Beume, Naujoks & Emmerich, *EJOR*
+    181(3), 2007).
+
+    Each step drops one member of the pool of population and offspring: of
+    its worst non-dominated front, the one with the least exclusive
+    hypervolume contribution, and of a tie the newest.  The reference point
+    is the pool's worst value plus REF_OFFSET in every objective.  For two
+    objectives each contribution is an exact rectangle
+    (:func:`_exclusive_areas_2d`), so a weakly dominated member or a
+    duplicate scores exactly 0.0, and no rounding ties it with a member that
+    covers area of its own; otherwise
+    :func:`~trumpbench.indicators.hv_contributions` subtracts leave-one-out
+    volumes.
+    """
 
     REF_OFFSET = 1.0
 
@@ -338,7 +380,11 @@ class SmsEmoa(_RunState):
         if candidates.size == 1:
             drop = int(candidates[0])
         else:
-            contribs = hv_contributions(objs[candidates], ref)
+            front = objs[candidates]
+            if front.shape[1] == 2:
+                contribs = _exclusive_areas_2d(front, ref)
+            else:
+                contribs = hv_contributions(front, ref)
             tied = np.flatnonzero(contribs == contribs.min())
             drop = int(max((candidates[t] for t in tied), key=lambda i: pool[i].eval_index))
         self.population = [ind for idx, ind in enumerate(pool) if idx != drop]

@@ -6,11 +6,12 @@ import platform
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trumpbench import moea
@@ -27,8 +28,10 @@ from trumpbench.moea import (
     SingleObjectiveEA,
     SmsEmoa,
     StopReason,
+    Individual,
     VariationParams,
     _eval_rng,
+    _exclusive_areas_2d,
     hv_contributions,
     nondominated_sort,
     polynomial_mutation,
@@ -407,6 +410,149 @@ class TestNondominatedSort:
             else:
                 pts = rng.uniform(0, 1, size=(n, m))
             assert list(nondominated_sort(pts)) == oracle(pts)
+
+
+def strictly_dominated(p, points):
+    return any(q[0] < p[0] and q[1] < p[1] for q in points)
+
+
+def exact_hv_2d(points, ref):
+    """Exact area covered by the boxes [p, ref] of 2-D minimization points,
+    in Fractions: a sweep in x under the running minimum of y."""
+    pts = sorted((Fraction(x), Fraction(y)) for x, y in points)
+    rx, ry = Fraction(ref[0]), Fraction(ref[1])
+    area, low = Fraction(0), ry
+    for (x, y), (next_x, _) in zip(pts, pts[1:] + [(rx, ry)]):
+        low = min(low, y)
+        area += (next_x - x) * (ry - low)
+    return area
+
+
+@st.composite
+def fronts_2d(draw):
+    """Mutually non-strictly-dominated 2-D points with shared coordinates,
+    duplicates and one-ulp twins, and a reference point beyond them."""
+    coord = draw(
+        st.sampled_from(
+            [
+                st.integers(1, 6).map(float),
+                st.floats(1.0, 1e4) | st.floats(-1e4, -1.0),
+            ]
+        )
+    )
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=12))
+    # Twins: a drawn point again, or one ulp away from it in x or y
+    # (nextafter(v, v) is v).
+    twins = st.tuples(st.integers(0, 99), st.integers(0, 1), st.sampled_from([0.0, -1.0, 1.0]))
+    for index, axis, toward in draw(st.lists(twins, max_size=5)):
+        twin = list(points[index % len(points)])
+        twin[axis] = float(np.nextafter(twin[axis], twin[axis] + toward))
+        points.append(tuple(twin))
+    points = [p for p in points if not strictly_dominated(p, points)]
+    front = np.array(points)
+    offset = draw(st.sampled_from([1.0, 0.25, None]))
+    if offset is None:  # one ulp beyond the worst value
+        ref = np.nextafter(front.max(axis=0), np.inf)
+    else:
+        ref = front.max(axis=0) + offset
+    return front, ref
+
+
+# Relative error of three correctly rounded float64 operations.
+THREE_ROUNDINGS = (1 + Fraction(1, 2**53)) ** 3 - 1
+
+
+class TestExclusiveAreas2D:
+    @settings(max_examples=300, deadline=None)
+    @given(fronts_2d())
+    @example(  # a duplicate pair and a one-ulp twin of it, each exactly 0.0
+        (
+            np.array([[1.0, 3.0], [2.0, 2.0], [2.0, 2.0], [np.nextafter(2.0, 3.0), 2.0], [3.0, 1.0]]),
+            np.array([4.0, 4.0]),
+        )
+    )
+    def test_each_area_is_the_exact_contribution_after_three_roundings(self, case):
+        front, ref = case
+        areas = _exclusive_areas_2d(front, ref)
+        points = front.tolist()
+        total = exact_hv_2d(points, ref)
+        for i, area in enumerate(areas):
+            exact = total - exact_hv_2d(points[:i] + points[i + 1 :], ref)
+            assert abs(Fraction(float(area)) - exact) <= THREE_ROUNDINGS * exact
+
+    def test_agrees_with_leave_one_out_volumes_on_separated_fronts(self):
+        # hv_contributions subtracts volumes, so its error is absolute, about
+        # one ulp of the front's volume; the two agree within that.
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            # x ascending and y descending: a front shaped as an S front.
+            front = np.column_stack(
+                [np.sort(rng.uniform(-6000.0, -5000.0, n)), np.sort(rng.uniform(-1.0, 0.0, n))[::-1]]
+            )
+            ref = front.max(axis=0) + SmsEmoa.REF_OFFSET
+            expected = hv_contributions(front, ref)
+            bound = 8 * np.finfo(float).eps * hypervolume(front, ref)
+            assert np.all(np.abs(_exclusive_areas_2d(front, ref) - expected) <= bound)
+
+    def test_rejects_a_point_outside_the_reference_point(self):
+        with pytest.raises(ValueError, match="do not strictly dominate the reference point"):
+            _exclusive_areas_2d(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([2.0, 3.0]))
+
+
+# Two pools of S runs on 32 cards with mu=10, each at one step: the members'
+# eval_index and objectives, the offspring last.  On the worst front, one
+# member is 1 or 10 ulps better than an older member in one objective and
+# equal in the other.  Leave-one-out volumes scored both 0.0, so the newer,
+# dominating member was dropped; the older, dominated one must go.
+TWIN_POOLS = {
+    "L4-seed0-eval19": (
+        [
+            (0, [-6476.8096950087765, -0.6498847356143994]),
+            (3, [-6954.840390607309, -0.31941149004978764]),
+            (5, [-5331.87122443895, -0.7962057742050024]),
+            (10, [-5346.604291297236, -0.7897046227751054]),
+            (11, [-5291.723124110944, -0.7916902765018117]),
+            (12, [-6955.162368507211, -0.3238016040941626]),
+            (15, [-5291.723124110945, -0.7916902765018117]),
+            (16, [-5291.971586649974, -0.791291899011761]),
+            (17, [-5339.014745355532, -0.7932004177238478]),
+            (18, [-6474.9464699974715, -0.6495430043915812]),
+            (19, [-5339.922946009556, -0.7895295065352993]),
+        ],
+        11,
+    ),
+    "L3-seed3-eval177": (
+        [
+            (144, [-823.0171652766069, -0.5476282051431444]),
+            (151, [-902.2807482757637, -0.3181945247464629]),
+            (152, [-906.086418778706, -0.22084882363064234]),
+            (154, [-878.2435933731614, -0.34835499650323676]),
+            (157, [-841.4204142717324, -0.5398804104517361]),
+            (158, [-806.2867039434368, -0.673415831738668]),
+            (163, [-838.2075233254056, -0.5448982756330926]),
+            (167, [-881.5643508256333, -0.3420284447195644]),
+            (174, [-868.840035788968, -0.36972247762883037]),
+            (176, [-913.7927505000598, -0.20464612619222086]),
+            (177, [-902.2807482757637, -0.3181945247464635]),
+        ],
+        151,
+    ),
+}
+
+
+@pytest.mark.parametrize("pool", list(TWIN_POOLS))
+def test_step_drops_the_weakly_dominated_twin(pool):
+    members, dominated = TWIN_POOLS[pool]
+    *population, (offspring_index, offspring) = members
+    config = EAConfig(mu=len(population), objective=ObjectiveKind.SURROGATE)
+    algo = SmsEmoa(config, lambda deck, rng: np.array(offspring))
+    genome = random_valid_deck(config.shape, np.random.default_rng(0)).values.reshape(-1)
+    algo.population = [Individual(genome, np.array(objs), index, None) for index, objs in population]
+    algo.n_evals = offspring_index
+    algo.step()
+    kept = sorted(ind.eval_index for ind in algo.population)
+    assert kept == sorted(index for index, _ in members if index != dominated)
 
 
 class TestRuns:
